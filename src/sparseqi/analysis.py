@@ -20,6 +20,7 @@ from scipy.stats import qmc
 from .bspline import piece_table
 from .kernels import eval_blocks_on_grid
 from .quasi_interp import HierCoeffs, QIScheme, SampleCache, as_batch_function, decompose
+from .testfuncs import TrigFunction
 
 __all__ = [
     "ResolutionTooLow",
@@ -247,17 +248,16 @@ def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None, *
 def sobolev_norm_fourier(coeffs, r: float) -> float:
     """Mixed Sobolev norm from finitely many Fourier coefficients (p = 2).
 
-    ``coeffs`` maps frequency vectors to complex coefficients (an object with
-    a ``modes`` mapping, such as a trigonometric polynomial, also works).
+    ``coeffs`` is a trigonometric polynomial, or a mapping from frequency
+    vectors to complex coefficients, which is read as one.
     """
-    modes = getattr(coeffs, "modes", coeffs)
-    total = 0.0
-    for s, c in modes.items():
-        weight = 1.0
-        for sj in s:
-            weight *= 1.0 + sj * sj
-        total += abs(c) ** 2 * weight**r
-    return float(np.sqrt(total))
+    if not isinstance(coeffs, TrigFunction):
+        d = len(next(iter(coeffs), ()))
+        coeffs = TrigFunction(d, coeffs)
+    weight = np.ones(())
+    for a in coeffs.freq_axes:
+        weight = np.multiply.outer(weight, (1.0 + a.astype(np.float64) ** 2) ** r)
+    return float(np.sqrt(np.sum(np.abs(coeffs.C) ** 2 * weight)))
 
 
 # ---------------------------------------------------------------------------

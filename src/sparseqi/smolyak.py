@@ -22,6 +22,7 @@ from .quasi_interp import (
     MissingSamples,
     QIScheme,
     SampleCache,
+    _compositions,
     decompose,
     multi_indices,
 )
@@ -111,7 +112,7 @@ def enumerate_grid(d: int, m: int, scheme: QIScheme) -> SampleGrid:
         raise ValueError("need d >= 1 and m >= 0")
     ell = scheme.ell
     seen: set[PointKey] = set()
-    for k in _compositions_of(m, d):
+    for k in _compositions(m, d):
         axes = [
             [Fraction(t, shifts_per_level(ell, kj)) for t in range(shifts_per_level(ell, kj))]
             for kj in k
@@ -122,15 +123,6 @@ def enumerate_grid(d: int, m: int, scheme: QIScheme) -> SampleGrid:
         tuple(_min_axis_level(ell, c, m) for c in p) for p in points
     )
     return SampleGrid(d, m, ell, points, provenance)
-
-
-def _compositions_of(total: int, d: int):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, d - 1):
-            yield (first,) + rest
 
 
 def count_points(d: int, m: int, scheme: QIScheme) -> int:

@@ -1,21 +1,20 @@
 """Test functions with known or controllable mixed smoothness.
 
-Trigonometric polynomials carry their Fourier coefficients explicitly, so
-Sobolev norms are exact and evaluation on tensor grids is separable whenever
-the mode set is a full box (all constructors here produce boxes).  The
-witness builders return hierarchical combinations that vanish identically on
-the sample grid they are built against; vanishing is always re-verified
-numerically by the callers that rely on it.
+Trigonometric polynomials carry their Fourier coefficients explicitly, as one
+coefficient array over a box of frequencies, so Sobolev norms are exact and
+evaluation is separable along the axes.  The witness builders return
+hierarchical combinations that vanish identically on the sample grid they are
+built against; vanishing is always re-verified numerically by the callers
+that rely on it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quasi_interp import HierCoeffs, QIScheme
+from .quasi_interp import HierCoeffs, QIScheme, _compositions
 from .smolyak import grid_level_gap
 
 __all__ = [
@@ -30,100 +29,87 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_POINT_CHUNK = 1 << 22  # cap on points*modes per scattered evaluation slab
+_POINT_CHUNK = 1 << 22  # cap on points * row width of one scattered evaluation slab
 _SMOOTH_MARGIN = 0.05  # fixed spectral safety margin of the random fixtures
 
 
 class TrigFunction:
     """A real or complex trigonometric polynomial on the torus.
 
-    ``modes`` maps frequency vectors ``s`` to coefficients of ``exp(2*pi*i*
-    (s, x))``.  With the ``real`` flag the coefficients must be conjugate
-    symmetric and evaluation returns real values.
+    The polynomial is stored as a coefficient box: ``freq_axes`` holds the
+    sorted integer frequencies of each axis and ``C`` the complex
+    coefficients of ``exp(2*pi*i*(s, x))`` over their product, with zeros
+    where a mode is absent.  The constructor also accepts a mapping from
+    frequency vectors to coefficients and scatters it into such a box.  With
+    the ``real`` flag the coefficients must be conjugate symmetric and
+    evaluation returns real values.
     """
 
     def __init__(self, d: int, modes: Mapping[Sequence[int], complex], real: bool = False):
-        self.d = d
-        self.modes: dict[tuple[int, ...], complex] = {}
-        for s, c in modes.items():
-            key = tuple(int(v) for v in s)
-            if len(key) != d:
-                raise ValueError(f"mode {key} has wrong dimension (expected {d})")
-            c = complex(c)
-            if c != 0:
-                self.modes[key] = c
+        self._set_box(*_scatter_modes(d, modes), real)
+
+    @classmethod
+    def from_box(
+        cls, freq_axes: Sequence[np.ndarray], C: np.ndarray, real: bool = False
+    ) -> "TrigFunction":
+        """Polynomial with coefficients ``C`` over the product of ``freq_axes``."""
+        self = cls.__new__(cls)
+        self._set_box(freq_axes, C, real)
+        return self
+
+    def _set_box(self, freq_axes: Sequence[np.ndarray], C: np.ndarray, real: bool) -> None:
+        self.freq_axes = tuple(np.asarray(a, dtype=np.int64) for a in freq_axes)
+        self.C = np.array(C, dtype=np.complex128)
+        self.C.flags.writeable = False
+        self.d = len(self.freq_axes)
+        if self.C.shape != tuple(len(a) for a in self.freq_axes):
+            raise ValueError(f"coefficient shape {self.C.shape} does not match the frequency axes")
+        if any(len(a) == 0 or np.any(np.diff(a) <= 0) for a in self.freq_axes):
+            raise ValueError("frequency axes must be nonempty and strictly increasing")
         self.real = bool(real)
         if self.real:
-            for s, c in self.modes.items():
-                mirror = tuple(-v for v in s)
-                if abs(self.modes.get(mirror, 0j) - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
-                    raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
-        self._box_cache = None
+            _check_conjugate_symmetry(self.freq_axes, self.C)
 
-    # -- structure ----------------------------------------------------------
-
-    def _box(self):
-        """(per-axis sorted frequency arrays, coefficient array) for box mode sets."""
-        if self._box_cache is None:
-            axes = [np.array(sorted({s[j] for s in self.modes})) for j in range(self.d)]
-            size = 1
-            for a in axes:
-                size *= len(a)
-            if size != len(self.modes):
-                self._box_cache = False
-            else:
-                C = np.zeros(tuple(len(a) for a in axes), dtype=np.complex128)
-                lookup = [{int(v): i for i, v in enumerate(a)} for a in axes]
-                for s, c in self.modes.items():
-                    C[tuple(lk[v] for lk, v in zip(lookup, s))] = c
-                self._box_cache = (axes, C)
-        return self._box_cache
-
-    def _mode_arrays(self):
-        S = np.array(list(self.modes.keys()), dtype=np.float64).reshape(len(self.modes), self.d)
-        c = np.array(list(self.modes.values()), dtype=np.complex128)
-        return S, c
+    @property
+    def modes(self) -> dict[tuple[int, ...], complex]:
+        """The nonzero coefficients as a fresh ``frequency vector -> coefficient`` dict."""
+        return {
+            tuple(int(a[i]) for a, i in zip(self.freq_axes, idx)): complex(self.C[idx])
+            for idx in zip(*np.nonzero(self.C))
+        }
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        box = self._box()
-        if box is False:
-            shape = tuple(len(a) for a in axes)
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
-            return self.eval_points(mesh).reshape(shape)
-        freq_axes, C = box
-        if not self.modes:
-            return np.zeros(tuple(len(a) for a in axes))
-        field = C
+        field = self.C
         for j in range(self.d):
-            E = np.exp(_TWO_PI * 1j * np.outer(np.asarray(axes[j]), freq_axes[j]))
+            E = np.exp(_TWO_PI * 1j * np.outer(np.asarray(axes[j]), self.freq_axes[j]))
             field = np.tensordot(E, field, axes=([1], [j]))
         field = np.transpose(field, axes=tuple(range(self.d - 1, -1, -1)))
         return field.real if self.real else field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        if not self.modes:
-            return np.zeros(P.shape[0], dtype=np.complex128)
-        box = self._box()
-        if box is not False:
-            freq_axes, C = box
-            out = None
-            for j in range(self.d):
-                E = np.exp(_TWO_PI * 1j * np.outer(P[:, j], freq_axes[j]))
-                if j == 0:
-                    out = E @ C.reshape(len(freq_axes[0]), -1)
-                    out = out.reshape((P.shape[0],) + C.shape[1:])
-                else:
-                    out = np.einsum("nk,nk...->n...", E, out)
-            return out
-        S, c = self._mode_arrays()
-        chunk = max(1, _POINT_CHUNK // max(1, len(c)))
-        out = np.empty(P.shape[0], dtype=np.complex128)
-        for start in range(0, P.shape[0], chunk):
-            block = P[start : start + chunk]
-            out[start : start + chunk] = np.exp(_TWO_PI * 1j * (block @ S.T)) @ c
+        C = self.C
+        n, n0 = P.shape[0], C.shape[0]
+        rest = C.size // n0
+        # A slab holds at most _POINT_CHUNK entries of its widest array (the
+        # first-axis product or a phase matrix), and never a single row unless
+        # P has one: a one-row product takes another BLAS path that rounds
+        # differently, and the values must not depend on the slab size.
+        chunk = max(2, _POINT_CHUNK // max(rest, *C.shape))
+        out = np.empty(n, dtype=np.complex128)
+        start = 0
+        while start < n:
+            stop = n if n - start <= chunk + 1 else start + chunk
+            block = P[start:stop]
+            E = np.exp(_TWO_PI * 1j * np.outer(block[:, 0], self.freq_axes[0]))
+            field = (E @ C.reshape(n0, rest)).reshape((stop - start,) + C.shape[1:])
+            for j in range(1, self.d):
+                E = np.exp(_TWO_PI * 1j * np.outer(block[:, j], self.freq_axes[j]))
+                field = np.einsum("nk,nk...->n...", E, field)
+            out[start:stop] = field
+            start = stop
         return out
 
     def eval_points(self, P: np.ndarray) -> np.ndarray:
@@ -154,9 +140,78 @@ class TrigFunction:
         return cls(int(data["d"]), modes, real=bool(data.get("real", False)))
 
 
+def _scatter_modes(d: int, modes: Mapping[Sequence[int], complex]):
+    """(freq_axes, C) holding the nonzero entries of a mode mapping.
+
+    Each axis is the sorted set of frequencies used on it; modes missing from
+    the product of the axes get coefficient zero.  An empty mapping gives the
+    zero polynomial on the single frequency 0.
+    """
+    nonzero: dict[tuple[int, ...], complex] = {}
+    for s, c in modes.items():
+        key = tuple(int(v) for v in s)
+        if len(key) != d:
+            raise ValueError(f"mode {key} has wrong dimension (expected {d})")
+        c = complex(c)
+        if c != 0:
+            nonzero[key] = c
+    if not nonzero:
+        return [np.zeros(1, dtype=np.int64)] * d, np.zeros((1,) * d, dtype=np.complex128)
+    S = np.array(list(nonzero), dtype=np.int64).reshape(len(nonzero), d)
+    freq_axes, index = zip(*(np.unique(S[:, j], return_inverse=True) for j in range(d)))
+    C = np.zeros(tuple(len(a) for a in freq_axes), dtype=np.complex128)
+    C[index] = list(nonzero.values())
+    return freq_axes, C
+
+
+def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) -> None:
+    """Raise unless every nonzero mode ``c`` at ``s`` has a mirror at ``-s``
+    within ``1e-12 * max(1, |c|)`` of ``conj(c)``.
+
+    Each axis is first extended to its symmetric closure, so reversing every
+    axis of the coefficient array maps ``s`` to ``-s``.
+    """
+    closed = [np.union1d(a, -a) for a in freq_axes]
+    full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
+    full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
+    # At a zero coefficient this tests |c(-s)| > 1e-12, which is the test at
+    # the nonzero mirror, so zero entries need no mask.
+    mirror = np.conj(full[(slice(None, None, -1),) * len(closed)])
+    bad = np.abs(mirror - full) > 1e-12 * np.maximum(1.0, np.abs(full))
+    if np.any(bad):
+        idx = np.argwhere(bad)[0]
+        s = tuple(int(c[i]) for c, i in zip(closed, idx))
+        raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+
+
+def _outer_power(uni: np.ndarray, d: int) -> np.ndarray:
+    """``uni[s_0] * uni[s_1] * ... * uni[s_{d-1}]`` over the ``d``-fold index box.
+
+    Products are taken left to right.  Complex ones use the textbook formula
+    on real and imaginary parts, as scalar complex multiplication does; the
+    vectorised complex multiply fuses multiply-adds and differs in the last
+    bits.
+    """
+    if not np.iscomplexobj(uni):
+        box = uni
+        for _ in range(d - 1):
+            box = np.multiply.outer(box, uni)
+        return box
+    re, im = uni.real, uni.imag
+    box_re, box_im = re, im
+    for _ in range(d - 1):
+        box_re, box_im = (
+            np.multiply.outer(box_re, re) - np.multiply.outer(box_im, im),
+            np.multiply.outer(box_re, im) + np.multiply.outer(box_im, re),
+        )
+    box = np.empty(box_re.shape, dtype=np.complex128)
+    box.real, box.imag = box_re, box_im
+    return box
 
 
 def bernoulli_partial(r: float, K: int, d: int) -> TrigFunction:
@@ -169,17 +224,9 @@ def bernoulli_partial(r: float, K: int, d: int) -> TrigFunction:
     if K < 1:
         raise ValueError("need K >= 1")
     phase = np.exp(-0.5j * np.pi * r)
-    uni: dict[int, complex] = {0: 1.0 + 0j}
-    for k in range(1, K + 1):
-        uni[k] = k ** (-r) * phase
-        uni[-k] = uni[k].conjugate()
-    modes: dict[tuple[int, ...], complex] = {}
-    for s in itertools.product(sorted(uni), repeat=d):
-        c = 1.0 + 0j
-        for v in s:
-            c *= uni[v]
-        modes[s] = c
-    return TrigFunction(d, modes, real=True)
+    pos = np.array([k ** (-r) * phase for k in range(1, K + 1)])
+    uni = np.concatenate([pos[::-1].conj(), [1.0 + 0j], pos])
+    return TrigFunction.from_box([np.arange(-K, K + 1)] * d, _outer_power(uni, d), real=True)
 
 
 def _symmetric_signs(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,35 +257,20 @@ def random_mixed_smooth(r_eff: float, K: int, d: int, seed: int) -> TrigFunction
     rng = np.random.default_rng(seed)
     freqs = np.arange(-K, K + 1)
     envelope_1d = (1.0 + np.abs(freqs)) ** (-(r_eff + 0.5 + _SMOOTH_MARGIN))
-    mag = envelope_1d
-    for _ in range(d - 1):
-        mag = np.multiply.outer(mag, envelope_1d)
-    coeff = _symmetric_signs(K, d, rng) * mag
+    coeff = _symmetric_signs(K, d, rng) * _outer_power(envelope_1d, d)
 
     weight_1d = (1.0 + freqs.astype(np.float64) ** 2) ** r_eff
-    w = weight_1d
-    for _ in range(d - 1):
-        w = np.multiply.outer(w, weight_1d)
-    norm = float(np.sqrt(np.sum(coeff**2 * w)))
+    norm = float(np.sqrt(np.sum(coeff**2 * _outer_power(weight_1d, d))))
     coeff = coeff / norm
 
-    modes: dict[tuple[int, ...], complex] = {}
-    for idx in itertools.product(range(2 * K + 1), repeat=d):
-        modes[tuple(int(freqs[i]) for i in idx)] = complex(coeff[idx])
-    return TrigFunction(d, modes, real=True)
+    return TrigFunction.from_box([freqs] * d, coeff, real=True)
 
 
 def builtin_function(name: str, d: int) -> TrigFunction:
     """Named fixtures for the command-line front end."""
     if name == "sine":
-        uni = {1: -0.5j, -1: 0.5j}
-        modes: dict[tuple[int, ...], complex] = {}
-        for s in itertools.product((-1, 1), repeat=d):
-            c = 1.0 + 0j
-            for v in s:
-                c *= uni[v]
-            modes[s] = c
-        return TrigFunction(d, modes, real=True)
+        uni = np.array([0.5j, -0.5j])  # sin(2*pi*x) on frequencies -1, 1
+        return TrigFunction.from_box([np.array([-1, 1])] * d, _outer_power(uni, d), real=True)
     raise KeyError(f"unknown builtin function {name!r}; have ['sine']")
 
 
@@ -298,12 +330,3 @@ def witness_g2(
     C = np.zeros(tuple(ell << kj for kj in k_star))
     C[(0,) * d] = 2.0 ** (-(r - 1.0 / p) * M)
     return HierCoeffs(d, ell, M, {k_star: C}, scheme_id=scheme.scheme_id)
-
-
-def _compositions(total: int, d: int):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, d - 1):
-            yield (first,) + rest

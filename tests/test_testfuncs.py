@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from sparseqi import testfuncs
 from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier
 from sparseqi.bspline import eval_tensor
 from sparseqi.smolyak import enumerate_grid
@@ -19,6 +21,174 @@ from sparseqi.testfuncs import (
 from .conftest import rng_points
 
 
+# ---------------------------------------------------------------------------
+# the dict-of-modes builders and the per-mode evaluation the box form replaced
+# ---------------------------------------------------------------------------
+
+
+def _dict_random_mixed_smooth(r_eff, K, d, seed):
+    rng = np.random.default_rng(seed)
+    freqs = np.arange(-K, K + 1)
+    envelope_1d = (1.0 + np.abs(freqs)) ** (-(r_eff + 0.5 + testfuncs._SMOOTH_MARGIN))
+    mag = envelope_1d
+    for _ in range(d - 1):
+        mag = np.multiply.outer(mag, envelope_1d)
+    coeff = testfuncs._symmetric_signs(K, d, rng) * mag
+    weight_1d = (1.0 + freqs.astype(np.float64) ** 2) ** r_eff
+    w = weight_1d
+    for _ in range(d - 1):
+        w = np.multiply.outer(w, weight_1d)
+    coeff = coeff / float(np.sqrt(np.sum(coeff**2 * w)))
+    modes = {}
+    for idx in itertools.product(range(2 * K + 1), repeat=d):
+        modes[tuple(int(freqs[i]) for i in idx)] = complex(coeff[idx])
+    return modes
+
+
+def _dict_bernoulli_partial(r, K, d):
+    phase = np.exp(-0.5j * np.pi * r)
+    uni = {0: 1.0 + 0j}
+    for k in range(1, K + 1):
+        uni[k] = k ** (-r) * phase
+        uni[-k] = uni[k].conjugate()
+    modes = {}
+    for s in itertools.product(sorted(uni), repeat=d):
+        c = 1.0 + 0j
+        for v in s:
+            c *= uni[v]
+        modes[s] = c
+    return modes
+
+
+def _dict_sine(d):
+    uni = {1: -0.5j, -1: 0.5j}
+    modes = {}
+    for s in itertools.product((-1, 1), repeat=d):
+        c = 1.0 + 0j
+        for v in s:
+            c *= uni[v]
+        modes[s] = c
+    return modes
+
+
+def _dict_box(modes, d):
+    """(frequency axes, coefficient array) rebuilt mode by mode from a box mode set."""
+    axes = [np.array(sorted({s[j] for s in modes})) for j in range(d)]
+    C = np.zeros(tuple(len(a) for a in axes), dtype=np.complex128)
+    lookup = [{int(v): i for i, v in enumerate(a)} for a in axes]
+    for s, c in modes.items():
+        C[tuple(lk[v] for lk, v in zip(lookup, s))] = c
+    return axes, C
+
+
+def _unchunked_eval_points(axes, C, P):
+    """Scattered box evaluation with all points in one product."""
+    out = None
+    for j in range(len(axes)):
+        E = np.exp(2.0 * np.pi * 1j * np.outer(P[:, j], axes[j]))
+        if j == 0:
+            out = (E @ C.reshape(len(axes[0]), -1)).reshape((P.shape[0],) + C.shape[1:])
+        else:
+            out = np.einsum("nk,nk...->n...", E, out)
+    return out
+
+
+def _per_mode_breaks_symmetry(modes):
+    nonzero = {tuple(s): complex(c) for s, c in modes.items() if complex(c) != 0}
+    for s, c in nonzero.items():
+        mirror = tuple(-v for v in s)
+        if abs(nonzero.get(mirror, 0j) - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
+            return True
+    return False
+
+
+def _assert_same_box(f, axes, C):
+    assert len(f.freq_axes) == len(axes)
+    for a, b in zip(f.freq_axes, axes):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(f.C, C)
+
+
+def _assert_same_values(f, g, seed):
+    pts = rng_points(300, f.d, seed=seed)
+    assert np.array_equal(f.eval_points(pts), g.eval_points(pts))
+    axes = [np.arange(n) / n for n in (11, 7, 5)[: f.d]]
+    assert np.array_equal(f.eval_on_axes(axes), g.eval_on_axes(axes))
+
+
+class TestBoxAgainstDictPath:
+    @pytest.mark.parametrize("d,K", [(1, 9), (2, 6), (3, 3)])
+    def test_random_fixture(self, d, K):
+        modes = _dict_random_mixed_smooth(1.25, K, d, seed=d)
+        axes, C = _dict_box(modes, d)
+        f = random_mixed_smooth(1.25, K, d, seed=d)
+        _assert_same_box(f, axes, C)
+        g = TrigFunction(d, modes, real=True)
+        _assert_same_box(g, axes, C)
+        _assert_same_values(f, g, seed=d)
+        assert f.modes == modes
+        pts = rng_points(300, d, seed=10 + d)
+        assert np.array_equal(f.eval_points(pts), _unchunked_eval_points(axes, C, pts).real)
+
+    def test_random_fixture_headline_size(self):
+        modes = _dict_random_mixed_smooth(1.25, 512, 2, seed=0)
+        f = random_mixed_smooth(1.25, 512, 2, seed=0)
+        axes, C = _dict_box(modes, 2)
+        _assert_same_box(f, axes, C)
+        pts = rng_points(200, 2, seed=3)
+        assert np.array_equal(f.eval_points(pts), _unchunked_eval_points(axes, C, pts).real)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bernoulli_and_sine(self, d):
+        for modes, f in (
+            (_dict_bernoulli_partial(1.5, 4, d), bernoulli_partial(1.5, 4, d)),
+            (_dict_sine(d), builtin_function("sine", d)),
+        ):
+            _assert_same_box(f, *_dict_box(modes, d))
+            _assert_same_values(f, TrigFunction(d, modes, real=True), seed=d)
+
+    def test_json_emits_sorted_nonzero_modes(self):
+        modes = _dict_bernoulli_partial(2.0, 2, 2)
+        entries = bernoulli_partial(2.0, 2, 2).to_json()["modes"]
+        assert [tuple(e["s"]) for e in entries] == sorted(modes)
+        assert [complex(e["re"], e["im"]) for e in entries] == [modes[s] for s in sorted(modes)]
+
+    @pytest.mark.parametrize("d,K", [(1, 40), (2, 6), (3, 2)])
+    def test_chunked_scattered_eval_is_bit_identical(self, monkeypatch, d, K):
+        f = random_mixed_smooth(1.25, K, d, seed=5)
+        for n in (1, 2, 3, 8, 101):
+            pts = rng_points(n, d, seed=n)
+            whole = f.eval_points_complex(pts)  # every n here fits one slab
+            assert np.array_equal(whole, _unchunked_eval_points(f.freq_axes, f.C, pts))
+            for cap in (1, 3 * (2 * K + 1) ** max(1, d - 1)):
+                monkeypatch.setattr(testfuncs, "_POINT_CHUNK", cap)
+                assert np.array_equal(f.eval_points_complex(pts), whole)
+                monkeypatch.undo()
+
+    def test_symmetry_check_rejects_what_the_per_mode_check_rejects(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for trial in range(300):
+            d = 1 + trial % 3
+            modes = {}
+            for _ in range(4):
+                s = tuple(int(v) for v in rng.integers(-2, 3, size=d))
+                c = complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-13, 2)
+                modes[s] = c
+                kind = rng.integers(5)
+                if kind < 4:
+                    delta = (0.0, 1e-14, 1e-11, 1e-9)[kind] * abs(c)
+                    modes[tuple(-v for v in s)] = c.conjugate() + delta
+            rejected = _per_mode_breaks_symmetry(modes)
+            outcomes.add(rejected)
+            if rejected:
+                with pytest.raises(ValueError):
+                    TrigFunction(d, modes, real=True)
+            else:
+                TrigFunction(d, modes, real=True)
+        assert outcomes == {True, False}
+
+
 class TestTrigFunction:
     def test_real_evaluation(self):
         f = random_mixed_smooth(1.0, 5, 2, seed=0)
@@ -30,6 +200,39 @@ class TestTrigFunction:
     def test_realness_flag_validation(self):
         with pytest.raises(ValueError):
             TrigFunction(1, {(1,): 1.0 + 0j}, real=True)  # no mirror mode
+        with pytest.raises(ValueError):
+            TrigFunction(2, {(1, 2): 1.0, (-1, -2): 1.0 + 1e-9}, real=True)
+        c = 3.0 + 1.0j
+        TrigFunction(1, {(2,): c, (-2,): c.conjugate() * (1.0 + 1e-14)}, real=True)
+
+    def test_zero_coefficient_keeps_box(self):
+        modes = _dict_bernoulli_partial(1.5, 2, 2)
+        modes[(1, -2)] = modes[(-1, 2)] = 0.0
+        f = TrigFunction(2, modes, real=True)
+        assert f.C.shape == (5, 5) and f.C[3, 0] == 0
+        assert (1, -2) not in f.modes
+        g = bernoulli_partial(1.5, 2, 2)
+        pts = rng_points(50, 2, seed=8)
+        dropped = g.modes[(1, -2)] * np.exp(2j * np.pi * (pts[:, 0] - 2 * pts[:, 1]))
+        expect = g.eval_points(pts) - 2.0 * dropped.real
+        assert np.max(np.abs(f.eval_points(pts) - expect)) < 1e-13
+
+    def test_empty_mode_set_is_zero(self):
+        f = TrigFunction(2, {}, real=True)
+        assert f.modes == {}
+        assert np.array_equal(f.eval_points(rng_points(5, 2, seed=9)), np.zeros(5))
+        assert np.array_equal(f.eval_on_axes([np.arange(3) / 3] * 2), np.zeros((3, 3)))
+
+    def test_box_is_read_only(self):
+        f = bernoulli_partial(1.0, 2, 1)
+        with pytest.raises(ValueError):
+            f.C[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.modes = {}
+
+    def test_sobolev_norm_of_dict_matches_box(self):
+        f = random_mixed_smooth(1.25, 5, 2, seed=4)
+        assert sobolev_norm_fourier(f.modes, 1.25) == sobolev_norm_fourier(f, 1.25)
 
     def test_grid_matches_scattered(self):
         f = bernoulli_partial(2.0, 4, 2)
