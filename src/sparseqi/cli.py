@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +136,8 @@ def cmd_grid(args) -> int:
     if args.format == "csv":
         header = [f"x_{j + 1}" for j in range(args.d)] + [f"k_{j + 1}" for j in range(args.d)]
         rows = [
-            [repr(float(c)) for c in pt] + list(prov)
-            for pt, prov in zip(grid.points, grid.provenance)
+            [repr(c) for c in pt] + prov
+            for pt, prov in zip(grid.as_array().tolist(), grid.provenance.tolist())
         ]
         path = out / "grid.csv"
         _write_csv(path, header, rows)
@@ -152,7 +151,7 @@ def cmd_grid(args) -> int:
                 "ell": grid.ell,
                 "n": grid.n,
                 "points": [[str(c) for c in pt] for pt in grid.points],
-                "provenance": [list(p) for p in grid.provenance],
+                "provenance": grid.provenance.tolist(),
             },
         )
     print(f"grid level {args.m}, d={args.d}: {grid.n} points -> {path}")
@@ -164,22 +163,32 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_samples(path: str, d: int) -> dict[tuple[Fraction, ...], float]:
-    values: dict[tuple[Fraction, ...], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [f"x_{j + 1}" for j in range(d)]
-        for row in reader:
-            key = tuple(Fraction(row[c]) for c in cols)
-            values[key] = float(row["value"])
-    return values
+_SNAP_TOL = 1e-9  # farthest a sample coordinate may lie from its lattice point
 
 
-def _read_points(path: str, d: int) -> np.ndarray:
+def _parse_number(text: str) -> float:
+    num, slash, den = text.partition("/")
+    return float(num) / float(den) if slash else float(text)
+
+
+def _read_points(path: str, d: int, *extra: str) -> np.ndarray:
+    """Columns ``x_1..x_d``, then ``extra``, of a CSV as rows of floats; an
+    entry may also be a fraction such as ``1/6``."""
+    cols = [f"x_{j + 1}" for j in range(d)] + list(extra)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [f"x_{j + 1}" for j in range(d)]
-        return np.array([[float(row[c]) for c in cols] for row in reader])
+        rows = [[_parse_number(row[c]) for c in cols] for row in csv.DictReader(fh)]
+    return np.array(rows, dtype=np.float64).reshape(-1, len(cols))
+
+
+def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
+    """Samples at their nearest level-``m`` lattice points; rows farther than
+    ``_SNAP_TOL`` from every point of that lattice in ``[0, 1)**d`` are ignored."""
+    table = _read_points(path, d, "value")
+    L = ell << m
+    x = table[:, :d] * L
+    index = np.rint(x)
+    on = np.all((np.abs(x - index) <= _SNAP_TOL * L) & (index >= 0) & (index < L), axis=1)
+    return SampleCache.from_lattice(index[on], m, table[on, d], ell, d)
 
 
 def cmd_recover(args) -> int:
@@ -187,8 +196,8 @@ def cmd_recover(args) -> int:
     d, m = args.d, args.m
     f = None
     if args.samples:
-        values = _read_samples(args.samples, d)
-        hc = smolyak.recover(scheme, d, m, values=values)
+        cache = _read_samples(args.samples, d, m, scheme.ell)
+        hc = decompose(scheme, None, m, d, cache=cache)
     else:
         f = testfuncs.builtin_function(args.function, d)
         hc = smolyak.recover(scheme, d, m, f=f)

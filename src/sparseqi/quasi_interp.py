@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "QIScheme",
     "HierCoeffs",
     "SampleCache",
+    "block_positions",
     "BUILTIN_MASKS",
     "build_scheme",
     "builtin_scheme",
@@ -282,82 +283,126 @@ def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
     return batched
 
 
-class SampleCache:
-    """Memoizing store of torus samples keyed by exact rational coordinates.
+def block_positions(ell: int, a: int, k: int) -> np.ndarray:
+    """Positions ``i`` (points ``i / (ell * 2**k)``) of block level ``a <= k`` on
+    the level-``k`` axis lattice: the level-0 lattice for ``a = 0``, else the
+    points new at level ``a``, the odd multiples of its mesh."""
+    if a == 0:
+        return np.arange(ell, dtype=np.int64) << k
+    return np.arange(1, ell << a, 2, dtype=np.int64) << (k - a)
 
-    Every grid point gets a single frozen value; once stored it is reused
-    everywhere, so coefficients are reproducible regardless of the order in
-    which blocks are visited.  When the source function evaluates whole
-    tensor lattices at once (``eval_on_axes``), fresh lattice sweeps may
-    recompute values that are then discarded in favor of the frozen ones.
+
+class SampleCache:
+    """Memoizing store of torus samples, one frozen array per hierarchical block.
+
+    Block ``a`` holds the points whose minimal per-axis levels are exactly
+    ``a``; the level-``k`` lattice is the union of the blocks ``a <= k``.  A
+    stored block is reused everywhere, so coefficients are reproducible
+    regardless of the order in which blocks are visited.  Lattice sweeps
+    (``eval_on_axes`` sources) may recompute values that are then discarded
+    in favor of the frozen ones.
     """
 
     def __init__(self, f, ell: int, d: int):
         self.ell = ell
         self.d = d
-        self._store: dict[tuple[Fraction, ...], float] = {}
-        self._raw = f
+        self._blocks: dict[tuple[int, ...], np.ndarray] = {}
+        # value-map source: level, (n, d) positions on that level's lattice, values
+        self._table = (0, np.zeros((0, d), dtype=np.int64), np.zeros(0))
         self._batch = None if f is None else as_batch_function(f, d)
         self._grid = getattr(f, "eval_on_axes", None)
         self.evaluations = 0
 
     @classmethod
     def from_values(cls, values: Mapping[tuple[Fraction, ...], float], ell: int, d: int) -> "SampleCache":
-        cache = cls(None, ell, d)
+        """A cache reading a map from exact points to samples; keys that are not
+        points of a dyadic lattice in ``[0, 1)**d`` are ignored."""
+        keys, vals, scale = [], [], 1
         for key, val in values.items():
-            cache._store[tuple(Fraction(c) for c in key)] = float(val)
+            key = tuple(Fraction(c) for c in key)
+            # c lies on the level-a lattice iff (c * ell).denominator divides 2**a
+            qs = [(c * ell).denominator for c in key]
+            if len(key) == d and all(0 <= c < 1 and q & (q - 1) == 0 for c, q in zip(key, qs)):
+                keys.append(key)
+                vals.append(float(val))
+                scale = max(scale, *qs)
+        index = [[int(c * ell * scale) for c in key] for key in keys]
+        return cls.from_lattice(index, scale.bit_length() - 1, vals, ell, d)
+
+    @classmethod
+    def from_lattice(cls, index, level: int, values, ell: int, d: int) -> "SampleCache":
+        """A cache reading samples at the points ``index / (ell * 2**level)``, for
+        ``(n, d)`` integer positions in ``[0, ell * 2**level)``; a repeated
+        position keeps its last value."""
+        index = np.asarray(index, dtype=np.int64).reshape(-1, d)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        _, last = np.unique(index[::-1], axis=0, return_index=True)
+        keep = np.sort(len(index) - 1 - last)
+        cache = cls(None, ell, d)
+        cache._table = (level, index[keep], values[keep])
         return cache
 
-    def axis_points(self, k: int) -> tuple[Fraction, ...]:
-        L = shifts_per_level(self.ell, k)
-        return tuple(Fraction(t, L) for t in range(L))
+    def _ix(self, a: Sequence[int], k: Sequence[int]):
+        return np.ix_(*(block_positions(self.ell, aj, kj) for aj, kj in zip(a, k)))
 
     def lattice_values(self, k: Sequence[int]) -> np.ndarray:
-        axes = [self.axis_points(kj) for kj in k]
-        shape = tuple(len(a) for a in axes)
+        shape = tuple(self.ell << kj for kj in k)
+        levels = list(itertools.product(*(range(kj + 1) for kj in k)))
+        missing = [a for a in levels if a not in self._blocks]
+        if missing:
+            fresh = self._fresh(k, shape, missing)
+            for a in missing:  # publish whole blocks only: a racing reader never sees a partial one
+                block = fresh[self._ix(a, k)]
+                block.flags.writeable = False
+                self._blocks.setdefault(a, block)
         out = np.empty(shape, dtype=np.float64)
-        flat = out.ravel()
-        missing_pos: list[int] = []
-        missing_keys: list[tuple[Fraction, ...]] = []
-        store = self._store
-        for pos, key in enumerate(itertools.product(*axes)):
-            val = store.get(key)
-            if val is None:
-                missing_pos.append(pos)
-                missing_keys.append(key)
-            else:
-                flat[pos] = val
-        if missing_keys:
-            if self._batch is None:
-                raise MissingSamples(missing_keys[0])
-            if self._grid is not None and len(missing_keys) > out.size // 4:
-                fresh = np.asarray(
-                    self._grid([np.array([float(p) for p in a]) for a in axes]),
-                    dtype=np.float64,
-                ).ravel()
-                for pos, key in zip(missing_pos, missing_keys):
-                    store[key] = fresh[pos]
-                    flat[pos] = fresh[pos]
-            else:
-                pts = np.array(
-                    [[float(c) for c in key] for key in missing_keys], dtype=np.float64
-                )
-                vals = self._batch(pts)
-                for pos, key, val in zip(missing_pos, missing_keys, vals):
-                    store[key] = float(val)
-                    flat[pos] = val
-            self.evaluations += len(missing_keys)
+        for a in levels:
+            out[self._ix(a, k)] = self._blocks[a]
         return out
 
-    def __len__(self) -> int:
-        return len(self._store)
+    def _fresh(self, k: Sequence[int], shape: tuple[int, ...], missing: list[tuple[int, ...]]) -> np.ndarray:
+        # values at the points of the missing blocks of lattice k
+        want = np.zeros(shape, dtype=bool)
+        for a in missing:
+            want[self._ix(a, k)] = True
+        fresh = np.empty(shape, dtype=np.float64)
+        if self._batch is None:
+            level, index, values = self._table
+            shift = level - np.array(k, dtype=np.int64)
+            down, up = np.maximum(shift, 0), np.maximum(-shift, 0)
+            on = np.all(index % (1 << down) == 0, axis=1)  # rows on lattice k
+            pos, values = (index[on] >> down) << up, values[on]
+            sel = want[tuple(pos.T)]
+            at = tuple(pos[sel].T)
+            fresh[at] = values[sel]
+            want[at] = False
+            if want.any():
+                first = np.argwhere(want)[0]
+                raise MissingSamples(tuple(Fraction(int(t), L) for t, L in zip(first, shape)))
+            return fresh
+        n_missing = int(np.count_nonzero(want))
+        if self._grid is not None and n_missing > fresh.size // 4:
+            axes = [np.arange(L) / L for L in shape]
+            fresh = np.asarray(self._grid(axes), dtype=np.float64).reshape(shape)
+        else:
+            idx = np.nonzero(want)  # row-major order of the missing points
+            fresh[idx] = self._batch(np.stack([i / L for i, L in zip(idx, shape)], axis=1))
+        self.evaluations += n_missing
+        return fresh
 
-    def known_points(self) -> Iterable[tuple[Fraction, ...]]:
-        return self._store.keys()
+    def __len__(self) -> int:
+        return sum(block.size for block in self._blocks.values())
 
     def sample_map(self) -> dict[tuple[Fraction, ...], float]:
-        """Copy of the frozen samples, suitable for export and re-recovery."""
-        return dict(self._store)
+        """The stored samples keyed by exact coordinates, for export and re-recovery."""
+        out: dict[tuple[Fraction, ...], float] = {}
+        for a, block in self._blocks.items():
+            axes = [
+                [Fraction(t, self.ell << aj) for t in block_positions(self.ell, aj, aj).tolist()]
+                for aj in a
+            ]
+            out.update(zip(itertools.product(*axes), block.ravel().tolist()))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +454,9 @@ class HierCoeffs:
     def items(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float]]:
         """Nonzero entries sorted by (|k|_1, k, s)."""
         for k, C in self.block_items():
-            for s in itertools.product(*(range(n) for n in C.shape)):
-                c = C[s]
-                if c != 0.0:
-                    yield k, s, float(c)
+            idx = np.nonzero(C)  # row-major
+            for s, c in zip(zip(*(i.tolist() for i in idx)), C[idx].tolist()):
+                yield k, s, c
 
     def num_entries(self) -> int:
         return sum(int(np.count_nonzero(C)) for C in self._blocks.values())

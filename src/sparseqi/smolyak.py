@@ -3,26 +3,25 @@
 The recovery operator truncates the hierarchical series at total level ``m``;
 the samples it reads form the union of the anisotropic tensor lattices
 ``{t / (ell * 2**k_j)}`` over all level vectors with ``|k|_1 = m`` (lattices
-are nested, so lower levels add nothing).  Points are stored as exact
-rationals: deduplication across levels is by value, never by float rounding.
+are nested, so lower levels add nothing).  The union is the disjoint union of
+the hierarchical blocks with ``|a|_1 <= m`` (see ``SampleCache``), so points
+are integer positions on the level-``m`` lattice and need no deduplication.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .bspline import shifts_per_level
 from .quasi_interp import (
     HierCoeffs,
     MissingSamples,
     QIScheme,
     SampleCache,
-    _compositions,
+    block_positions,
     decompose,
     multi_indices,
 )
@@ -66,63 +65,50 @@ class SmolyakIndexSet:
 PointKey = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """The deduplicated point set read by recovery at total level ``m``.
+    """The point set read by recovery at total level ``m``.
 
-    ``points`` are exact rational coordinates, sorted; ``provenance[i]`` is
-    the componentwise-minimal level vector whose lattice contains point ``i``.
+    ``index`` rows are the sorted points ``index[i] / (ell * 2**m)``;
+    ``provenance[i]`` is the componentwise-minimal level vector (the block)
+    of point ``i``.  Both are ``(n, d)`` int64 arrays.
     """
 
     d: int
     m: int
     ell: int
-    points: tuple[PointKey, ...]
-    provenance: tuple[tuple[int, ...], ...]
+    index: np.ndarray
+    provenance: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in p] for p in self.points], dtype=np.float64)
-
-    def __contains__(self, point: PointKey) -> bool:
-        return tuple(Fraction(c) for c in point) in self._index
+        return len(self.index)
 
     @property
-    def _index(self) -> frozenset:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = frozenset(self.points)
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+    def points(self) -> tuple[PointKey, ...]:
+        """The points as exact rational coordinates, built on demand."""
+        L = self.ell << self.m
+        return tuple(tuple(Fraction(t, L) for t in row) for row in self.index.tolist())
 
-
-def _min_axis_level(ell: int, coord: Fraction, m: int) -> int:
-    for a in range(m + 1):
-        if (coord * shifts_per_level(ell, a)).denominator == 1:
-            return a
-    raise ValueError(f"{coord} is not a lattice point up to level {m}")
+    def as_array(self) -> np.ndarray:
+        return self.index / (self.ell << self.m)
 
 
 def enumerate_grid(d: int, m: int, scheme: QIScheme) -> SampleGrid:
-    """Materialize the sample grid with exact deduplication."""
+    """Materialize the sample grid as its hierarchical blocks, sorted by coordinates."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
     ell = scheme.ell
-    seen: set[PointKey] = set()
-    for k in _compositions(m, d):
-        axes = [
-            [Fraction(t, shifts_per_level(ell, kj)) for t in range(shifts_per_level(ell, kj))]
-            for kj in k
-        ]
-        seen.update(itertools.product(*axes))
-    points = tuple(sorted(seen))
-    provenance = tuple(
-        tuple(_min_axis_level(ell, c, m) for c in p) for p in points
-    )
-    return SampleGrid(d, m, ell, points, provenance)
+    index, provenance = [], []
+    for a in multi_indices(d, m):
+        axes = np.meshgrid(*(block_positions(ell, aj, m) for aj in a), indexing="ij")
+        index.append(np.stack([x.ravel() for x in axes], axis=1))
+        provenance.append(np.broadcast_to(np.array(a, dtype=np.int64), index[-1].shape))
+    index, provenance = np.concatenate(index), np.concatenate(provenance)
+    order = np.lexsort(index.T[::-1])
+    index, provenance = index[order], provenance[order]
+    index.flags.writeable = provenance.flags.writeable = False
+    return SampleGrid(d, m, ell, index, provenance)
 
 
 def count_points(d: int, m: int, scheme: QIScheme) -> int:
@@ -167,4 +153,4 @@ def recover(
         cache = SampleCache.from_values(values, scheme.ell, d)
     else:
         cache = SampleCache(f, scheme.ell, d)
-    return decompose(scheme, None if values is not None else f, m, d, cache=cache)
+    return decompose(scheme, f, m, d, cache=cache)

@@ -7,6 +7,7 @@ import pytest
 
 from sparseqi.cli import main
 from sparseqi.laurent import LaurentPoly
+from sparseqi.quasi_interp import HierCoeffs
 from sparseqi.smolyak import enumerate_grid
 
 
@@ -135,6 +136,82 @@ class TestRecover:
         assert blob["entries"] == []
         with open(out / "recovered.csv", newline="") as fh:
             assert all(float(row["value"]) == 0.0 for row in csv.DictReader(fh))
+
+
+class TestOrder6RoundTrip:
+    """`grid` then `recover --samples` on its own file, at order 6: the grid's
+    coordinates are thirds of dyadic fractions, so the decimals `grid` writes
+    do not terminate and are matched to lattice points within a tolerance."""
+
+    MASK = ["13/240", "-7/15", "73/40", "-7/15", "13/240"]
+
+    @staticmethod
+    def f(P):
+        return np.sin(2 * np.pi * P[:, 0]) * np.cos(2 * np.pi * P[:, 1]) + P[:, 0] * P[:, 1]
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        from sparseqi.quasi_interp import build_scheme
+        from sparseqi.smolyak import recover
+
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"ell": 6, "mask": self.MASK}))
+        assert run("grid", "--mask", mask, "--d", 2, "--m", 2, "--format", "csv",
+                   "--out", tmp_path) == 0
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            coords = [(row["x_1"], row["x_2"]) for row in csv.DictReader(fh)]
+        expect = recover(build_scheme(6, self.MASK), 2, 2, f=self.f)
+        return mask, coords, expect
+
+    def recover(self, tmp_path, mask, rows):
+        samples = tmp_path / "samples.csv"
+        with open(samples, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x_1", "x_2", "value"])
+            writer.writerows(rows)
+        out = tmp_path / "rec"
+        code = run("recover", "--mask", mask, "--d", 2, "--m", 2, "--samples", samples,
+                   "--out", out)
+        return code, out
+
+    def sampled(self, coords, offset=0.0):
+        pts = np.array(coords, dtype=np.float64)
+        vals = self.f(pts).tolist()
+        return [
+            [repr(x + offset), repr(y + offset), repr(v)]
+            for (x, y), v in zip(pts.tolist(), vals)
+        ]
+
+    def assert_coeffs(self, out, expect):
+        back = HierCoeffs.from_json(json.loads((out / "coeffs.json").read_text()))
+        assert list(back.items()) == list(expect.items())
+
+    def test_round_trip(self, tmp_path, setup):
+        mask, coords, expect = setup
+        assert any((F(x) * 24).denominator != 1 for x, _ in coords)  # inexact decimals
+        code, out = self.recover(tmp_path, mask, self.sampled(coords))
+        assert code == 0
+        self.assert_coeffs(out, expect)
+
+    def test_coordinates_off_by_rounding_match(self, tmp_path, setup):
+        mask, coords, expect = setup
+        code, out = self.recover(tmp_path, mask, self.sampled(coords, offset=1e-13))
+        assert code == 0
+        self.assert_coeffs(out, expect)
+
+    def test_coordinate_off_the_lattice_is_missing(self, tmp_path, setup):
+        mask, coords, _ = setup
+        rows = self.sampled(coords)
+        rows[7][0] = repr(float(rows[7][0]) + 1e-3)
+        code, _ = self.recover(tmp_path, mask, rows)
+        assert code == 3
+
+    def test_rows_on_finer_lattices_ignored(self, tmp_path, setup):
+        mask, coords, expect = setup
+        fine = [[repr((2 * t + 1) / 48), "0.0", "1e6"] for t in range(24)]
+        code, out = self.recover(tmp_path, mask, fine + self.sampled(coords) + fine)
+        assert code == 0
+        self.assert_coeffs(out, expect)
 
 
 class TestBenchmark:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +14,7 @@ from sparseqi.quasi_interp import (
     NotAQuasiInterpolant,
     SampleCache,
     a_coeff,
+    as_batch_function,
     block_coeffs,
     block_coeffs_oracle,
     build_scheme,
@@ -285,6 +288,157 @@ class TestSampleCache:
         assert isinstance(exc.value.point, tuple)
 
 
+class FractionSampleCache:
+    """The sample cache this package used before block indices: one dict
+    entry per point, keyed by exact rational coordinates."""
+
+    def __init__(self, f, ell, d):
+        self.ell = ell
+        self._store = {}
+        self._batch = None if f is None else as_batch_function(f, d)
+        self._grid = getattr(f, "eval_on_axes", None)
+        self.evaluations = 0
+
+    @classmethod
+    def from_values(cls, values, ell, d):
+        cache = cls(None, ell, d)
+        for key, val in values.items():
+            cache._store[tuple(F(c) for c in key)] = float(val)
+        return cache
+
+    def lattice_values(self, k):
+        axes = [tuple(F(t, self.ell << kj) for t in range(self.ell << kj)) for kj in k]
+        out = np.empty(tuple(len(a) for a in axes))
+        flat = out.ravel()
+        missing_pos, missing_keys = [], []
+        for pos, key in enumerate(itertools.product(*axes)):
+            val = self._store.get(key)
+            if val is None:
+                missing_pos.append(pos)
+                missing_keys.append(key)
+            else:
+                flat[pos] = val
+        if missing_keys:
+            if self._batch is None:
+                raise MissingSamples(missing_keys[0])
+            if self._grid is not None and len(missing_keys) > out.size // 4:
+                fresh = np.asarray(
+                    self._grid([np.array([float(p) for p in a]) for a in axes])
+                ).ravel()
+                vals = fresh[missing_pos]
+            else:
+                vals = self._batch(np.array([[float(c) for c in key] for key in missing_keys]))
+            for pos, key, val in zip(missing_pos, missing_keys, vals):
+                self._store[key] = float(val)
+                flat[pos] = val
+            self.evaluations += len(missing_keys)
+        return out
+
+    def __len__(self):
+        return len(self._store)
+
+
+class RecordingSource:
+    """A sample source that records the batches a cache asks it for."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+        if hasattr(f, "eval_on_axes"):
+            self.eval_on_axes = self._on_axes
+            self.eval_points = self._points
+
+    def _on_axes(self, axes):
+        self.calls.append(("axes", [np.array(a) for a in axes]))
+        return self.f.eval_on_axes(axes)
+
+    def _points(self, P):
+        self.calls.append(("points", [np.array(P)]))
+        return self.f.eval_points(P)
+
+    def __call__(self, P):
+        self.calls.append(("call", [np.array(P)]))
+        return self.f(P)
+
+
+class TestAgainstFractionCache:
+    @staticmethod
+    def plain(P):
+        P = P.reshape(len(P), -1)  # d == 1 callables receive an (n,) array
+        return np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, -1]) + P[:, 0] ** 3
+
+    @pytest.mark.parametrize("d,m", [(1, 5), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("source", ["trig", "plain"])
+    def test_shuffled_visit_orders(self, cubic, d, m, source):
+        # a TrigFunction takes the lattice-sweep path on fresh lattices, a
+        # plain callable always the scattered path; both caches must ask the
+        # source for the same batches, in the same order
+        f = random_mixed_smooth(1.25, 6, d, seed=4) if source == "trig" else self.plain
+        for seed in range(3):
+            ks = list(multi_indices(d, m)) * 2
+            random.Random(seed).shuffle(ks)
+            f_new, f_old = RecordingSource(f), RecordingSource(f)
+            new = SampleCache(f_new, cubic.ell, d)
+            old = FractionSampleCache(f_old, cubic.ell, d)
+            for k in ks:
+                assert np.array_equal(new.lattice_values(k), old.lattice_values(k))
+                assert new.evaluations == old.evaluations
+                assert len(new) == len(old)
+            assert len(f_new.calls) == len(f_old.calls)
+            for (kind, args), (kind_old, args_old) in zip(f_new.calls, f_old.calls):
+                assert kind == kind_old
+                assert all(np.array_equal(x, y) for x, y in zip(args, args_old))
+
+    def test_sample_map_round_trip(self, cubic):
+        f = random_mixed_smooth(1.25, 4, 2, seed=6)
+        cache = SampleCache(f, cubic.ell, 2)
+        decompose(cubic, f, 3, 2, cache=cache)
+        old = FractionSampleCache(f, cubic.ell, 2)
+        for k in multi_indices(2, 3):
+            old.lattice_values(k)
+        assert cache.sample_map() == old._store
+        again = SampleCache.from_values(cache.sample_map(), cubic.ell, 2)
+        for k in multi_indices(2, 3):
+            assert np.array_equal(again.lattice_values(k), cache.lattice_values(k))
+        assert again.evaluations == 0
+
+    def test_partial_value_map(self, cubic):
+        from sparseqi.smolyak import enumerate_grid
+
+        grid = enumerate_grid(2, 3, cubic)
+        full = {pt: float(i) for i, pt in enumerate(grid.points)}
+        rng = np.random.default_rng(0)
+        for drop in rng.choice(grid.n, size=6, replace=False):
+            dropped = grid.points[drop]
+            block = tuple(grid.provenance[drop].tolist())
+            values = {pt: v for pt, v in full.items() if pt != dropped}
+            new = SampleCache.from_values(values, cubic.ell, 2)
+            old = FractionSampleCache.from_values(values, cubic.ell, 2)
+            for k in multi_indices(2, 3):
+                if all(a <= kj for a, kj in zip(block, k)):
+                    # the lattice needs the dropped point: both name the same
+                    # absent point, the first one in row-major order
+                    with pytest.raises(MissingSamples) as exc:
+                        new.lattice_values(k)
+                    with pytest.raises(MissingSamples) as exc_old:
+                        old.lattice_values(k)
+                    assert exc.value.point == exc_old.value.point == dropped
+                else:
+                    assert np.array_equal(new.lattice_values(k), old.lattice_values(k))
+
+    def test_value_map_keys_off_the_lattices_ignored(self, faber):
+        values = {(F(t, 4),): float(t) for t in range(4)}
+        values[(F(1, 3),)] = -1.0  # on no dyadic lattice of order 2
+        values[(F(1),)] = -1.0  # outside [0, 1)
+        values[(F(1, 16),)] = -1.0  # on a finer lattice than requested
+        values[("1/2",)] = 20.0  # same point as 2/4: the later value counts
+        cache = SampleCache.from_values(values, faber.ell, 1)
+        assert cache.lattice_values((1,)).tolist() == [0.0, 1.0, 20.0, 3.0]
+        assert cache.lattice_values((0,)).tolist() == [0.0, 20.0]
+        with pytest.raises(MissingSamples) as exc:
+            cache.lattice_values((2,))
+        assert exc.value.point == (F(1, 8),)
+
+
 class TestHierCoeffs:
     def test_json_round_trip(self, cubic):
         f = random_mixed_smooth(1.25, 4, 2, seed=5)
@@ -293,6 +447,29 @@ class TestHierCoeffs:
         back = HierCoeffs.from_json(json.loads(blob))
         pts = rng_points(50, 2)
         assert np.array_equal(hc.eval_points(pts), back.eval_points(pts))
+
+    def test_items_match_full_scan(self):
+        # nonzero entries in row-major order, -0.0 skipped and NaN kept, as a
+        # scan over every shift gives them
+        rng = np.random.default_rng(2)
+        blocks = {}
+        for k in multi_indices(2, 2):
+            shape = (2 << k[0], 2 << k[1])
+            C = np.where(rng.random(shape) < 0.3, rng.normal(size=shape), 0.0)
+            C[0, 0] = -0.0
+            blocks[k] = C
+        blocks[(1, 1)][1, 2] = np.nan
+        hc = HierCoeffs(2, 2, 2, blocks)
+        scan = [
+            (k, s, float(C[s]))
+            for k, C in hc.block_items()
+            for s in itertools.product(*(range(n) for n in C.shape))
+            if C[s] != 0.0
+        ]
+        got = list(hc.items())
+        assert [(k, s) for k, s, _ in got] == [(k, s) for k, s, _ in scan]
+        assert all(type(v) is int for _, s, _ in got for v in s)
+        assert np.array_equal([c for *_, c in got], [c for *_, c in scan], equal_nan=True)
 
     def test_entries_sorted(self, faber):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) + np.cos(2 * np.pi * P[:, 1])

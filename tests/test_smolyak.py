@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparseqi.bspline import shifts_per_level
-from sparseqi.quasi_interp import MissingSamples, multi_indices
+from sparseqi.quasi_interp import MissingSamples, _compositions, build_scheme, multi_indices
 from sparseqi.smolyak import (
     SmolyakIndexSet,
     count_points,
@@ -44,6 +44,47 @@ def brute_force_grid(d, m, scheme):
                 continue  # a zero stencil on some axis: functional reads nothing
             pts.update(itertools.product(*reads))
     return pts
+
+
+ORDER6_MASK = ("13/240", "-7/15", "73/40", "-7/15", "13/240")
+
+
+def fraction_grid(d, m, ell):
+    """The exact-rational enumeration this package used before block indices.
+
+    Unions the lattices with |k|_1 = m as sets of `Fraction` tuples, sorts
+    them, and finds each coordinate's minimal level by trial.
+    """
+    seen = set()
+    for k in _compositions(m, d):
+        axes = [[F(t, ell << kj) for t in range(ell << kj)] for kj in k]
+        seen.update(itertools.product(*axes))
+    points = tuple(sorted(seen))
+
+    def min_level(c):
+        return next(a for a in range(m + 1) if (c * (ell << a)).denominator == 1)
+
+    return points, tuple(tuple(min_level(c) for c in p) for p in points)
+
+
+class TestAgainstFractionGrid:
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_points_provenance_and_count(self, ell, faber, cubic):
+        scheme = {2: faber, 4: cubic, 6: build_scheme(6, ORDER6_MASK)}[ell]
+        for d in (1, 2, 3):
+            for m in range(6):
+                grid = enumerate_grid(d, m, scheme)
+                points, provenance = fraction_grid(d, m, ell)
+                assert grid.points == points
+                assert tuple(map(tuple, grid.provenance.tolist())) == provenance
+                assert grid.n == len(points) == count_points(d, m, scheme)
+                assert np.array_equal(grid.as_array(), [[float(c) for c in p] for p in points])
+
+    def test_arrays_read_only(self, cubic):
+        grid = enumerate_grid(2, 2, cubic)
+        assert grid.index.dtype == grid.provenance.dtype == np.int64
+        with pytest.raises(ValueError):
+            grid.index[0, 0] = 1
 
 
 class TestIndexSet:
