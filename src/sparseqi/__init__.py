@@ -30,7 +30,6 @@ from .bspline import (
     eval_periodic,
     eval_tensor,
 )
-from .kernels import HAVE_NUMBA, USE_NUMBA, active_backend
 from .laurent import LaurentPoly, NotDivisible, apply_shift_operator
 from .quasi_interp import (
     BUILTIN_MASKS,
@@ -45,7 +44,6 @@ from .quasi_interp import (
     decompose,
     detail_coeff,
     detail_coeff_oracle,
-    eval_partial_sum,
 )
 from .smolyak import SampleGrid, SmolyakIndexSet, count_points, enumerate_grid, recover
 from .testfuncs import (

@@ -1,305 +1,106 @@
-"""Hot numeric kernels with a JIT-compiled and a pure-numpy implementation.
+"""Evaluation kernels for hierarchical spline combinations, in numpy.
 
-Two operations dominate runtime: evaluating a hierarchical spline combination
-at many scattered points, and evaluating cardinal-spline pieces over arrays.
-Both carry a numba ``@njit`` kernel and a vectorized numpy fallback.  The
-active backend is chosen at import: numba when importable, unless the
-environment variable ``SPARSEQI_NO_NUMBA`` is set to a nonempty value other
-than ``0``.  Every dispatcher also takes an explicit ``backend=`` override so
-the two paths can be compared directly (see ``benchmarks/bench_kernels.py``).
+A combination is a list of ``(k, C)`` pairs where ``k`` is the per-axis level
+vector and ``C`` the dense coefficient array of shape
+``(ell * 2**k[0], ..., ell * 2**k[d-1])``.  On axis ``j`` a point meets at
+most ``ell`` nonzero periodic splines of level ``k[j]``; :func:`_axis_weights`
+computes their values and shift indices by Horner's rule on the cardinal
+spline's piece table, and both evaluation paths are built on it:
 
-Tensor-grid evaluation is separable and runs through BLAS matmuls in either
-mode; it needs no JIT.
+* :func:`eval_blocks_at_points` - scattered points, summing the ``ell**d``
+  tensor products of per-axis weights against each block;
+* :func:`eval_blocks_on_grid` - a tensor grid, contracting each block axis by
+  axis against dense basis matrices (:func:`spline_basis_matrix`) in BLAS.
 
-Block layout: a hierarchical combination is a list of ``(k, C)`` pairs where
-``k`` is the per-axis level vector and ``C`` the dense coefficient array of
-shape ``(ell * 2**k[0], ..., ell * 2**k[d-1])``.  For the scattered kernel the
-blocks are flattened into contiguous buffers once per combination.
+An empty combination evaluates to zero on both paths.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "active_backend",
-    "spline_piece_values",
     "spline_basis_matrix",
-    "flatten_blocks",
     "eval_blocks_at_points",
     "eval_blocks_on_grid",
 ]
 
-_env = os.environ.get("SPARSEQI_NO_NUMBA", "").strip()
-_DISABLED = _env not in ("", "0")
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via SPARSEQI_NO_NUMBA instead
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
+# Points per slab of scattered evaluation.  Per-axis weights are shared by
+# every block of a slab; the slab bounds the memory they take.
+_SLAB = 8192
 
 
-def active_backend(backend: str | None = None) -> str:
-    """Resolve a backend name: explicit argument wins, then the env default."""
-    if backend is None:
-        return "numba" if USE_NUMBA else "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return backend
+def active_backend() -> str:
+    """Name of the evaluation implementation; there is one, numpy."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# spline piece evaluation
-# ---------------------------------------------------------------------------
+def _axis_weights(x: np.ndarray, L: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero spline values at ``x`` on a lattice of ``L`` shifts.
 
-
-def _piece_values_np(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    ell = table.shape[0]
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    j = np.floor(u).astype(np.int64)
-    inside = (u > 0.0) & (u < ell)
-    jc = np.clip(j, 0, ell - 1)
-    t = u - jc
-    acc = np.zeros_like(u)
-    for a in range(ell):
-        acc = acc * t + table[jc, a]
-    out[inside] = acc[inside]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _piece_values_nb(table, u):  # pragma: no cover - compiled
-        ell = table.shape[0]
-        out = np.zeros(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            x = u[i]
-            if x <= 0.0 or x >= ell:
-                continue
-            j = int(np.floor(x))
-            t = x - j
-            acc = table[j, 0]
-            for a in range(1, ell):
-                acc = acc * t + table[j, a]
-            out[i] = acc
-        return out
-
-
-def spline_piece_values(table: np.ndarray, u, backend: str | None = None) -> np.ndarray:
-    """Cardinal spline values ``M(u)`` for an array of arguments."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if active_backend(backend) == "numba":
-        return _piece_values_nb(table, u.ravel()).reshape(u.shape)
-    return _piece_values_np(table, u)
-
-
-# ---------------------------------------------------------------------------
-# scattered-point evaluation of block combinations
-# ---------------------------------------------------------------------------
-
-
-def flatten_blocks(blocks, ell: int):
-    """Pack ``(k, C)`` pairs into flat buffers for the scattered kernel."""
-    nb = len(blocks)
-    d = len(blocks[0][0]) if nb else 1
-    ks = np.zeros((nb, d), dtype=np.int64)
-    dims = np.zeros((nb, d), dtype=np.int64)
-    offsets = np.zeros(nb + 1, dtype=np.int64)
-    chunks = []
-    for i, (k, C) in enumerate(blocks):
-        ks[i] = k
-        dims[i] = C.shape
-        offsets[i + 1] = offsets[i] + C.size
-        chunks.append(np.ascontiguousarray(C, dtype=np.float64).ravel())
-    coeffs = np.concatenate(chunks) if chunks else np.zeros(0)
-    return ks, dims, offsets, coeffs
-
-
-def _points_kernel_np(points, dims, offsets, coeffs, table):
-    npts, d = points.shape
-    ell = table.shape[0]
-    out = np.zeros(npts, dtype=np.float64)
-    for ib in range(dims.shape[0]):
-        vals = []
-        idxs = []
-        for j in range(d):
-            L = dims[ib, j]
-            u = (points[:, j] % 1.0) * L
-            base = np.floor(u).astype(np.int64)
-            np.minimum(base, L - 1, out=base)
-            fr = u - base
-            vj = np.empty((ell, npts))
-            ij = np.empty((ell, npts), dtype=np.int64)
-            for t in range(ell):
-                acc = np.full(npts, table[t, 0])
-                for a in range(1, ell):
-                    acc = acc * fr + table[t, a]
-                vj[t] = acc
-                ij[t] = (base - t) % L
-            vals.append(vj)
-            idxs.append(ij)
-        block = coeffs[offsets[ib] : offsets[ib + 1]]
-        for combo in range(ell**d):
-            w = None
-            flat = None
-            cc = combo
-            for j in range(d):
-                t = cc % ell
-                cc //= ell
-                w = vals[j][t] if w is None else w * vals[j][t]
-                flat = idxs[j][t] if flat is None else flat * dims[ib, j] + idxs[j][t]
-            out += w * block[flat]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _points_kernel_nb(
-        points, dims, offsets, coeffs, table, level_rows, row_dims, combos
-    ):  # pragma: no cover
-        # level_rows[ib, j] indexes the distinct (axis, lattice-size) pairs,
-        # so per-axis spline values are computed once per point, not per
-        # block; combos pretabulates the ell**d digit decodings.
-        npts, d = points.shape
-        nb = dims.shape[0]
-        ell = table.shape[0]
-        nrows = row_dims.shape[0]
-        ncomb = combos.shape[0]
-        out = np.zeros(npts, dtype=np.float64)
-        vals = np.empty((nrows, ell), dtype=np.float64)
-        idxs = np.empty((nrows, ell), dtype=np.int64)
-        for ip in range(npts):
-            for row in range(nrows):
-                L = row_dims[row, 1]
-                u = (points[ip, row_dims[row, 0]] % 1.0) * L
-                base = int(np.floor(u))
-                if base > L - 1:
-                    base = L - 1
-                fr = u - base
-                for t in range(ell):
-                    c = table[t, 0]
-                    for a in range(1, ell):
-                        c = c * fr + table[t, a]
-                    vals[row, t] = c
-                    idxs[row, t] = (base - t) % L
-            acc = 0.0
-            if d == 1:
-                for ib in range(nb):
-                    off = offsets[ib]
-                    row = level_rows[ib, 0]
-                    for t in range(ell):
-                        w = vals[row, t]
-                        if w != 0.0:
-                            acc += w * coeffs[off + idxs[row, t]]
-            elif d == 2:
-                for ib in range(nb):
-                    off = offsets[ib]
-                    r0 = level_rows[ib, 0]
-                    r1 = level_rows[ib, 1]
-                    L1 = dims[ib, 1]
-                    for t0 in range(ell):
-                        w0 = vals[r0, t0]
-                        if w0 == 0.0:
-                            continue
-                        base0 = off + idxs[r0, t0] * L1
-                        for t1 in range(ell):
-                            w1 = vals[r1, t1]
-                            if w1 != 0.0:
-                                acc += w0 * w1 * coeffs[base0 + idxs[r1, t1]]
-            else:
-                for ib in range(nb):
-                    off = offsets[ib]
-                    for combo in range(ncomb):
-                        w = 1.0
-                        flat = 0
-                        for j in range(d):
-                            t = combos[combo, j]
-                            row = level_rows[ib, j]
-                            w *= vals[row, t]
-                            flat = flat * dims[ib, j] + idxs[row, t]
-                        if w != 0.0:
-                            acc += w * coeffs[off + flat]
-            out[ip] = acc
-        return out
-
-
-def _level_rows(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows: dict[tuple[int, int], int] = {}
-    nb, d = dims.shape
-    level_rows = np.zeros((nb, d), dtype=np.int64)
-    for ib in range(nb):
-        for j in range(d):
-            key = (j, int(dims[ib, j]))
-            level_rows[ib, j] = rows.setdefault(key, len(rows))
-    row_dims = np.array(sorted(rows, key=rows.get), dtype=np.int64).reshape(len(rows), 2)
-    return level_rows, row_dims
-
-
-def eval_blocks_at_points(points, flat, table, backend: str | None = None) -> np.ndarray:
-    """Evaluate a flattened block combination at scattered points.
-
-    ``points`` has shape ``(n, d)``; ``flat`` is the tuple produced by
-    :func:`flatten_blocks`.
+    Returns ``(vals, idx)``, each of shape ``(ell, n)``: ``vals[t]`` is the
+    value of the spline with shift ``idx[t]`` at each point.
     """
-    ks, dims, offsets, coeffs = flat
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("points must have shape (n, d)")
-    if dims.shape[0] == 0:
-        return np.zeros(points.shape[0])
-    if active_backend(backend) == "numba":
-        ell = table.shape[0]
-        d = points.shape[1]
-        level_rows, row_dims = _level_rows(dims)
-        combos = np.array(
-            [
-                [(c // ell**j) % ell for j in range(d)]
-                for c in range(ell**d)
-            ],
-            dtype=np.int64,
-        ).reshape(ell**d, d)
-        return _points_kernel_nb(
-            points, dims, offsets, coeffs, table, level_rows, row_dims, combos
-        )
-    return _points_kernel_np(points, dims, offsets, coeffs, table)
-
-
-# ---------------------------------------------------------------------------
-# tensor-grid evaluation (separable; shared by both backends)
-# ---------------------------------------------------------------------------
-
-
-def spline_basis_matrix(xs, k: int, ell: int, table: np.ndarray, backend: str | None = None) -> np.ndarray:
-    """Dense matrix ``B[i, s] = N_{k,s}(xs[i])`` with at most ``ell`` nonzeros per row."""
-    xs = np.asarray(xs, dtype=np.float64)
-    L = ell << k
-    u = (xs % 1.0) * L
+    ell = table.shape[0]
+    u = (x % 1.0) * L
     base = np.floor(u).astype(np.int64)
     np.minimum(base, L - 1, out=base)
     fr = u - base
-    B = np.zeros((xs.size, L))
-    rows = np.arange(xs.size)
+    vals = np.empty((ell, x.size))
+    idx = np.empty((ell, x.size), dtype=np.int64)
     for t in range(ell):
-        vals = spline_piece_values(table, fr + t, backend=backend)
-        B[rows, (base - t) % L] = vals
+        # piece t of the cardinal spline, at local argument fr
+        acc = np.full(x.size, table[t, 0])
+        for a in range(1, ell):
+            acc = acc * fr + table[t, a]
+        vals[t] = acc
+        idx[t] = (base - t) % L
+    return vals, idx
+
+
+def eval_blocks_at_points(points, blocks, table: np.ndarray) -> np.ndarray:
+    """Evaluate the combination ``blocks`` (``(k, C)`` pairs) at ``points`` of shape ``(n, d)``."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError("points must have shape (n, d)")
+    n, d = points.shape
+    ell = table.shape[0]
+    out = np.zeros(n)
+    for lo in range(0, n, _SLAB):
+        slab = points[lo : lo + _SLAB]
+        acc = out[lo : lo + _SLAB]
+        weights: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for _, C in blocks:
+            axes = []
+            for j, L in enumerate(C.shape):
+                if (j, L) not in weights:
+                    weights[j, L] = _axis_weights(slab[:, j], L, table)
+                axes.append(weights[j, L])
+            coeffs = C.ravel()
+            # one fixed summation order (axis 0 fastest) keeps results
+            # bit-reproducible
+            for combo in range(ell**d):
+                w = flat = None
+                for j, (vals, idx) in enumerate(axes):
+                    t = combo // ell**j % ell
+                    w = vals[t] if w is None else w * vals[t]
+                    flat = idx[t] if flat is None else flat * C.shape[j] + idx[t]
+                acc += w * coeffs[flat]
+    return out
+
+
+def spline_basis_matrix(xs, k: int, ell: int, table: np.ndarray) -> np.ndarray:
+    """Dense matrix ``B[i, s] = N_{k,s}(xs[i])`` with at most ``ell`` nonzeros per row."""
+    xs = np.asarray(xs, dtype=np.float64).ravel()
+    L = ell << k
+    vals, idx = _axis_weights(xs, L, table)
+    B = np.zeros((xs.size, L))
+    B[np.arange(xs.size), idx] = vals
     return B
 
 
-def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray, backend: str | None = None) -> np.ndarray:
+def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
     """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``.
 
     Each block is contracted axis by axis against its spline basis matrices;
@@ -308,12 +109,12 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray, backend: str 
     shape = tuple(len(a) for a in axes)
     out = np.zeros(shape)
     d = len(axes)
-    basis_cache: dict[int, np.ndarray] = {}
+    basis_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def basis(axis: int, k: int) -> np.ndarray:
         key = (axis, k)
         if key not in basis_cache:
-            basis_cache[key] = spline_basis_matrix(axes[axis], k, ell, table, backend=backend)
+            basis_cache[key] = spline_basis_matrix(axes[axis], k, ell, table)
         return basis_cache[key]
 
     for k, C in blocks:

@@ -39,7 +39,7 @@ from .bspline import (
     piece_table,
     shifts_per_level,
 )
-from .kernels import eval_blocks_at_points, eval_blocks_on_grid, flatten_blocks
+from .kernels import eval_blocks_at_points, eval_blocks_on_grid
 from .laurent import LaurentPoly, NotDivisible, float_stencil
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "block_coeffs_oracle",
     "quasi_coeffs",
     "decompose",
-    "eval_partial_sum",
     "as_batch_function",
 ]
 
@@ -435,7 +434,6 @@ class HierCoeffs:
             if C.shape != expected:
                 raise ValueError(f"block {k} has shape {C.shape}, expected {expected}")
             self._blocks[k] = C
-        self._flat = None
 
     # -- access -------------------------------------------------------------
 
@@ -463,24 +461,16 @@ class HierCoeffs:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _flatten(self):
-        if self._flat is None:
-            items = self.block_items()
-            self._flat = flatten_blocks(items, self.ell) if items else flatten_blocks([], self.ell)
-        return self._flat
-
-    def eval_points(self, points: np.ndarray, backend: str | None = None) -> np.ndarray:
+    def eval_points(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.d:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
-        if not self._blocks:
-            return np.zeros(points.shape[0])
-        return eval_blocks_at_points(points, self._flatten(), piece_table(self.ell), backend=backend)
+        return eval_blocks_at_points(points, self.block_items(), piece_table(self.ell))
 
-    def eval_on_axes(self, axes: Sequence[np.ndarray], backend: str | None = None) -> np.ndarray:
+    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         if len(axes) != self.d:
             raise ValueError(f"{len(axes)} axes for dimension {self.d}")
-        return eval_blocks_on_grid(axes, self.block_items(), self.ell, piece_table(self.ell), backend=backend)
+        return eval_blocks_on_grid(axes, self.block_items(), self.ell, piece_table(self.ell))
 
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)
@@ -512,11 +502,6 @@ class HierCoeffs:
                 blocks[k] = np.zeros(tuple(shifts_per_level(ell, kj) for kj in k))
             blocks[k][tuple(int(v) for v in entry["s"])] = float(entry["c"])
         return cls(d, ell, m, blocks, scheme_id=str(data.get("scheme_id", "")))
-
-
-def eval_partial_sum(hc: HierCoeffs, x) -> float:
-    """Value at ``x`` of the spline combination held by ``hc``."""
-    return hc(x)
 
 
 # ---------------------------------------------------------------------------

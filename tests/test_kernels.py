@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from sparseqi import kernels
-from sparseqi.bspline import piece_table
-from sparseqi.quasi_interp import decompose
+from sparseqi.bspline import PeriodicSpline, eval_periodic, piece_table
+from sparseqi.quasi_interp import HierCoeffs, decompose, multi_indices
 from sparseqi.testfuncs import random_mixed_smooth
-from .conftest import rng_points
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
 
 @pytest.fixture(scope="module")
@@ -16,24 +13,17 @@ def combo_2d(cubic):
     return decompose(cubic, f, 3, 2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("ell", [2, 4, 6])
-def test_piece_values_match_scalar(backend, ell):
-    from sparseqi.bspline import eval_cardinal
-
+def test_piece_values_match_scalar(ell):
     table = piece_table(ell)
-    u = np.linspace(-1.0, ell + 1.0, 1777)
-    vals = kernels.spline_piece_values(table, u, backend=backend)
-    expect = np.array([eval_cardinal(ell, x) for x in u])
-    assert np.array_equal(vals, expect)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_scattered_eval(combo_2d):
-    pts = rng_points(4000, 2, seed=5)
-    a = combo_2d.eval_points(pts, backend="numba")
-    b = combo_2d.eval_points(pts, backend="numpy")
-    assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
+    xs = np.concatenate([np.linspace(-1.0, 2.0, 1777), np.arange(64) / 64])
+    for k in (0, 3):
+        B = kernels.spline_basis_matrix(xs, k, ell, table)
+        expect = np.array(
+            [[eval_periodic(PeriodicSpline(ell, k, s), x) for s in range(ell << k)] for x in xs]
+        )
+        assert np.max(np.abs(B - expect)) < 1e-14
+        assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-14
 
 
 def test_grid_path_matches_scattered(combo_2d):
@@ -54,36 +44,133 @@ def test_grid_path_3d(faber):
     assert np.max(np.abs(grid_vals - scattered)) < 1e-12
 
 
-def test_backend_selection():
-    assert kernels.active_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        kernels.active_backend("cuda")
+# ---------------------------------------------------------------------------
+# against the replaced kernels: per-block weights over all points at once,
+# and basis matrices filled from range-checked spline piece values
+# ---------------------------------------------------------------------------
 
 
-def test_env_flag_forces_numpy_fallback():
-    import os
-    import subprocess
-    import sys
+def _flatten_blocks_old(blocks):
+    nb = len(blocks)
+    d = len(blocks[0][0]) if nb else 1
+    dims = np.zeros((nb, d), dtype=np.int64)
+    offsets = np.zeros(nb + 1, dtype=np.int64)
+    chunks = []
+    for i, (k, C) in enumerate(blocks):
+        dims[i] = C.shape
+        offsets[i + 1] = offsets[i] + C.size
+        chunks.append(np.ascontiguousarray(C, dtype=np.float64).ravel())
+    return dims, offsets, np.concatenate(chunks)
 
-    import sparseqi
 
-    # The child inherits the caller's environment and imports the same
-    # checkout as this process, installed or not.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(sparseqi.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = pkg_root + (os.pathsep + inherited if inherited else "")
+def _points_kernel_old(points, dims, offsets, coeffs, table):
+    npts, d = points.shape
+    ell = table.shape[0]
+    out = np.zeros(npts, dtype=np.float64)
+    for ib in range(dims.shape[0]):
+        vals = []
+        idxs = []
+        for j in range(d):
+            L = dims[ib, j]
+            u = (points[:, j] % 1.0) * L
+            base = np.floor(u).astype(np.int64)
+            np.minimum(base, L - 1, out=base)
+            fr = u - base
+            vj = np.empty((ell, npts))
+            ij = np.empty((ell, npts), dtype=np.int64)
+            for t in range(ell):
+                acc = np.full(npts, table[t, 0])
+                for a in range(1, ell):
+                    acc = acc * fr + table[t, a]
+                vj[t] = acc
+                ij[t] = (base - t) % L
+            vals.append(vj)
+            idxs.append(ij)
+        block = coeffs[offsets[ib] : offsets[ib + 1]]
+        for combo in range(ell**d):
+            w = None
+            flat = None
+            cc = combo
+            for j in range(d):
+                t = cc % ell
+                cc //= ell
+                w = vals[j][t] if w is None else w * vals[j][t]
+                flat = idxs[j][t] if flat is None else flat * dims[ib, j] + idxs[j][t]
+            out += w * block[flat]
+    return out
 
-    def child_backend(flag):
-        env = {**os.environ, "PYTHONPATH": pythonpath, "SPARSEQI_NO_NUMBA": flag}
-        out = subprocess.run(
-            [sys.executable, "-c", "import sparseqi.kernels as k; print(k.active_backend())"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=False,
+
+def _basis_matrix_old(xs, k, ell, table):
+    def piece_values(u):
+        out = np.zeros_like(u)
+        jc = np.clip(np.floor(u).astype(np.int64), 0, ell - 1)
+        t = u - jc
+        acc = np.zeros_like(u)
+        for a in range(ell):
+            acc = acc * t + table[jc, a]
+        inside = (u > 0.0) & (u < ell)
+        out[inside] = acc[inside]
+        return out
+
+    L = ell << k
+    u = (xs % 1.0) * L
+    base = np.floor(u).astype(np.int64)
+    np.minimum(base, L - 1, out=base)
+    fr = u - base
+    B = np.zeros((xs.size, L))
+    rows = np.arange(xs.size)
+    for t in range(ell):
+        B[rows, (base - t) % L] = piece_values(fr + t)
+    return B
+
+
+def _random_combination(d, ell, m, seed):
+    rng = np.random.default_rng(seed)
+    blocks = {k: rng.standard_normal(tuple(ell << kj for kj in k)) for k in multi_indices(d, m)}
+    return HierCoeffs(d, ell, m, blocks)
+
+
+def _points(n, d, seed):
+    # mostly outside [0, 1), plus exact lattice points and their negatives
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-2.0, 3.0, size=(n, d))
+    P[: n // 8] = rng.integers(-64, 128, size=(n // 8, d)) / 64
+    return P
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_scattered_matches_replaced_kernel(d, m, ell):
+    hc = _random_combination(d, ell, m, seed=10 * d + ell)
+    n = kernels._SLAB + 37  # one full slab and a short one
+    P = _points(n, d, seed=d + ell)
+    dims, offsets, coeffs = _flatten_blocks_old(hc.block_items())
+    expect = _points_kernel_old(P, dims, offsets, coeffs, piece_table(ell))
+    assert np.array_equal(hc.eval_points(P), expect)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slab_size_does_not_change_bits(d, monkeypatch):
+    hc = _random_combination(d, 4, 6 - d, seed=d)
+    P = _points(101, d, seed=d)
+    whole = hc.eval_points(P)
+    monkeypatch.setattr(kernels, "_SLAB", 7)
+    assert np.array_equal(hc.eval_points(P), whole)
+
+
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_basis_matrix_matches_replaced_path(ell):
+    table = piece_table(ell)
+    dyadic = np.arange(-64, 192) / 128
+    odd = np.arange(-17, 40) / 17
+    for k in (0, 2, 5):
+        assert np.array_equal(
+            kernels.spline_basis_matrix(dyadic, k, ell, table), _basis_matrix_old(dyadic, k, ell, table)
         )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
+        # off the dyadic points Horner runs at fr, not at (fr + t) - t
+        B = kernels.spline_basis_matrix(odd, k, ell, table)
+        assert np.max(np.abs(B - _basis_matrix_old(odd, k, ell, table))) < 1e-15
 
-    assert child_backend("1") == "numpy"
-    assert child_backend("0") == ("numba" if kernels.HAVE_NUMBA else "numpy")
+
+def test_active_backend_is_numpy():
+    assert kernels.active_backend() == "numpy"

@@ -22,7 +22,6 @@ from sparseqi.quasi_interp import (
     decompose,
     detail_coeff,
     detail_coeff_oracle,
-    eval_partial_sum,
     multi_indices,
     quasi_coeffs,
 )
@@ -479,7 +478,7 @@ class TestHierCoeffs:
 
     def test_empty_evaluates_to_zero(self):
         hc = HierCoeffs(2, 2, 0, {})
-        assert eval_partial_sum(hc, (0.3, 0.7)) == 0.0
+        assert hc((0.3, 0.7)) == 0.0
 
     def test_single_entry_matches_basis(self, faber):
         from sparseqi.bspline import eval_tensor
