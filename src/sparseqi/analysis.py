@@ -2,20 +2,20 @@
 
 Integral norms on the torus use the uniform tensor lattice (the trapezoid
 rule collapses to the lattice mean for periodic integrands) for dimension up
-to three, and scrambled low-discrepancy sampling above that.  Reductions run
-in a fixed chunking order, so repeated runs give identical values.
+to three, and above that a deterministic rank-1 lattice rule with n = largest
+prime <= resolution (fast CBC generator, Nuyens & Cools, Math. Comp. 2006).
+Reductions run in a fixed chunking order, so repeated runs give identical values.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
-from math import comb, inf, isinf
+from functools import lru_cache
+from math import comb, inf, isinf, isqrt, pi
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .bspline import piece_table
 from .kernels import eval_blocks_on_grid
@@ -37,8 +37,6 @@ __all__ = [
     "difference",
     "fit_rate",
 ]
-
-logger = logging.getLogger(__name__)
 
 _CHUNK = 1 << 19  # points per evaluation slab; fixed so reductions are reproducible
 
@@ -158,7 +156,7 @@ class FieldDifference:
 
 
 def default_resolution(d: int, m: int) -> int:
-    """Points per axis (d <= 3) or sample count (d > 3) for level-m residuals."""
+    """Points per axis (d <= 3) or rank-1 lattice size bound (d > 3) for level-m residuals."""
     if d <= 2:
         return 2 ** (m + 3)
     if d == 3:
@@ -179,46 +177,51 @@ def _quasi_norm_on_lattice(field, d: int, q: float, resolution: int) -> float:
     return _power_mean_norm(values, q)
 
 
-def _quasi_norm_sampled(field, d: int, q: float, n: int, seed: int) -> float:
-    sampler = qmc.Sobol(d, scramble=True, seed=seed)
-    pts = sampler.random(n)
-    vals = _FunctionField(field, d).eval_points(pts)
-    a = np.abs(vals)
-    if isinf(q):
-        return float(a.max())
-    powers = a**q
-    batches = np.array_split(powers, 32)
-    means = np.array([b.mean() for b in batches])
-    est = float(powers.mean())
-    stderr = float(means.std(ddof=1) / np.sqrt(len(means)))
-    logger.info(
-        "low-discrepancy L%s estimate: mean power %.6e, batch stderr %.2e (n=%d)",
-        q, est, stderr, n,
-    )
-    return est ** (1.0 / q)
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % t for t in range(2, isqrt(p) + 1))
+
+
+@lru_cache(maxsize=None)
+def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
+    """Rank-1 lattice generator for prime ``n`` by fast CBC (``z_1 = 1``, unit weights):
+    each component minimises the worst-case error in the Korobov space of smoothness
+    one.  Indexing the units mod ``n`` by powers of a primitive root ``g`` makes the
+    search over all candidates one cyclic cross-correlation, done by FFT."""
+    factors = [t for t in range(2, n) if (n - 1) % t == 0 and _is_prime(t)]
+    g = next(g for g in range(1, n) if all(pow(g, (n - 1) // t, n) != 1 for t in factors))
+    # powers[a] = g**a mod n
+    powers = np.array(list(itertools.accumulate(range(n - 2), lambda x, _: x * g % n, initial=1)))
+    t = powers / n
+    omega = 2 * pi**2 * (t * t - t + 1 / 6)  # kernel term at g**a / n
+    prod = 1.0 + omega  # product over the chosen components at the point i = g**a
+    z = [1]
+    fft_omega = np.conj(np.fft.fft(omega))
+    for _ in range(1, d):
+        # entry b: sum_a prod[a] * omega[a - b], the criterion for z = g**(-b)
+        b = int(np.argmin(np.fft.ifft(np.fft.fft(prod) * fft_omega).real))
+        z.append(int(powers[-b % (n - 1)]))
+        prod = prod * (1.0 + np.roll(omega, b))
+    return tuple(z)
 
 
 def lq_norm(
-    f,
-    q: float,
-    d: int,
-    resolution: int | None = None,
-    *,
-    min_level: int | None = None,
-    seed: int = 0,
+    f, q: float, d: int, resolution: int | None = None, *, min_level: int | None = None
 ) -> float:
     """Integral quasi-norm of a torus function.
 
     ``f`` may be a callable, an object with ``eval_on_axes``/``eval_points``
     (hierarchical combinations, trigonometric polynomials, field
-    differences), and ``q = inf`` returns the max over the sample set.
+    differences), and ``q = inf`` returns the max over the point set: the
+    tensor lattice with ``resolution`` points per axis for ``d <= 3``, else a
+    deterministic rank-1 lattice of n = largest prime <= ``resolution`` points.
 
     ``min_level`` arms the aliasing guard: when measuring residuals of a
     level-``m`` recovery the lattice must have at least ``2**(m+2)`` points
     per axis.
 
     Raises:
-        ResolutionTooLow: the guard is armed and the resolution is below it.
+        ResolutionTooLow: the guard is armed and the resolution is below it,
+            or ``d > 3`` and the resolution is below 2.
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
@@ -231,13 +234,17 @@ def lq_norm(
         )
     if d <= 3:
         return _quasi_norm_on_lattice(f, d, q, resolution)
-    return _quasi_norm_sampled(f, d, q, resolution, seed)
+    if resolution < 2:
+        raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
+    n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
+    points = np.outer(np.arange(n), _cbc_generator(n, d)) % n / n
+    return _power_mean_norm(_FunctionField(f, d).eval_points(points), q)
 
 
-def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None, *, seed: int = 0) -> float:
+def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:
     """L_q distance between ``f`` and the recovered combination ``hc``."""
     residual = FieldDifference(f, hc, d=hc.d)
-    return lq_norm(residual, q, hc.d, resolution, min_level=hc.max_level, seed=seed)
+    return lq_norm(residual, q, hc.d, resolution, min_level=hc.max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +272,19 @@ def sobolev_norm_fourier(coeffs, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_block_resolution(d: int, m: int, resolution: int | None) -> int:
+def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, cache):
+    """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
+    if d > 3:
+        raise ValueError("block norms are quadrature-based and limited to d <= 3")
     resolution = default_resolution(d, m) if resolution is None else resolution
-    if d <= 3 and resolution < 2 ** (m + 2):
+    if resolution < 2 ** (m + 2):
         raise ResolutionTooLow(
             f"resolution {resolution} below 2**(m+2) for block levels up to {m}"
         )
-    return resolution
+    hc = decompose(scheme, f, m, d, cache=cache)
+    axes = [np.arange(resolution) / resolution] * d
+    table = piece_table(scheme.ell)
+    return ((k, eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)) for k, C in hc.block_items())
 
 
 def lp_block_norm(
@@ -292,16 +305,9 @@ def lp_block_norm(
     """
     if not (1 < p < inf):
         raise ValueError(f"need p in (1, inf), got {p}")
-    if d > 3:
-        raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = _resolve_block_resolution(d, m, resolution)
-    hc = decompose(scheme, f, m, d, cache=cache)
-    axes = [np.arange(resolution) / resolution] * d
-    table = piece_table(scheme.ell)
-    square = np.zeros(tuple(len(a) for a in axes))
-    for k, C in hc.block_items():
-        field = eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)
-        square += (4.0 ** (r * sum(k))) * field * field
+    square = 0.0
+    for k, field in _block_fields(f, scheme, m, d, resolution, cache):
+        square = square + (4.0 ** (r * sum(k))) * field * field
     return _power_mean_norm(np.sqrt(square), p)
 
 
@@ -325,16 +331,10 @@ def besov_block_norm(
     """
     if p <= 0 or theta <= 0:
         raise ValueError("need p > 0 and theta > 0")
-    if d > 3:
-        raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = _resolve_block_resolution(d, m, resolution)
-    hc = decompose(scheme, f, m, d, cache=cache)
-    axes = [np.arange(resolution) / resolution] * d
-    table = piece_table(scheme.ell)
-    weighted = []
-    for k, C in hc.block_items():
-        field = eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)
-        weighted.append(2.0 ** (r * sum(k)) * _power_mean_norm(field, p))
+    weighted = [
+        2.0 ** (r * sum(k)) * _power_mean_norm(field, p)
+        for k, field in _block_fields(f, scheme, m, d, resolution, cache)
+    ]
     if isinf(theta):
         return float(max(weighted))
     return float(np.sum(np.array(weighted) ** theta) ** (1.0 / theta))

@@ -46,20 +46,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_RESOLUTION_HELP = ("quadrature points per axis for d <= 3 (default by level); for d > 3 a "
+                    "deterministic rank-1 lattice of n = largest prime <= RESOLUTION (default 200000)")
+
+
 def _parse_q(text: str) -> float:
     if text.lower() in ("inf", "infinity", "oo"):
         return math.inf
     return float(text)
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        if not text.strip().lstrip("+-").isdigit() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def _parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-    else:
-        out = [int(text)]
+    lo, _, hi = text.partition("..")
+    level = _int_at_least(0)
+    out = list(range(level(lo), level(hi or lo) + 1))
     if not out:
-        raise ValueError(f"empty level range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty level range {text!r}")
     return out
 
 
@@ -350,10 +361,9 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
 
 def cmd_benchmark(args) -> int:
     scheme = _load_scheme(args)
-    m_range = _parse_m_range(args.m_range)
     if args.selftest:
         planted_rho, planted_beta = 1.5, 0.0
-        errors = {m: 2.0 ** (-planted_rho * m) for m in m_range}
+        errors = {m: 2.0 ** (-planted_rho * m) for m in args.m_range}
         fit = analysis.fit_rate(errors, "pure_dyadic", drop_lowest=0)
         ok = abs(fit.rho - planted_rho) < 1e-9 and fit.residual < 1e-9
         report = {
@@ -375,9 +385,9 @@ def cmd_benchmark(args) -> int:
         r_eff=args.r,
         p=args.p,
         q=args.q,
-        m_range=m_range,
+        m_range=args.m_range,
         seed=args.seed,
-        K=args.K if args.K else scheme.ell << max(m_range),
+        K=args.K if args.K else scheme.ell << max(args.m_range),
         resolution=args.resolution,
         probe=args.probe or _default_probe(args.p, args.q),
         model=model,
@@ -413,8 +423,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_witness(args) -> int:
     scheme = _load_scheme(args)
-    m_range = _parse_m_range(args.m_range)
-    d, r, p, q = args.d, args.r, args.p, args.q
+    d, r, p, q, m_range = args.d, args.r, args.p, args.q, args.m_range
     rows = []
     norms: dict[int, float] = {}
     for m in m_range:
@@ -475,16 +484,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="export the sparse sample grid")
     _add_scheme_flags(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("recover", help="recover a function from sparse-grid samples")
     _add_scheme_flags(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--samples", help="CSV with columns x_1..x_d,value covering the grid")
     src.add_argument("--function", choices=("sine",), help="builtin fixture to sample")
@@ -495,14 +504,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("benchmark", help="measure recovery error rates over a level sweep")
     _add_scheme_flags(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m-range", required=True, help="LO..HI")
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--m-range", type=_parse_m_range, required=True, help="LO..HI")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=_parse_q, default=2.0)
     p.add_argument("--r", type=float, default=1.25, help="target effective smoothness")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--K", type=int, default=0, help="spectral truncation of the random probe")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=None, help=_RESOLUTION_HELP)
     p.add_argument("--probe", choices=("random", "peak", "both"), default=None)
     p.add_argument("--model", choices=("pure_dyadic", "dyadic_logpow"), default=None)
     p.add_argument("--selftest", action="store_true", help="fit synthetic planted errors only")
@@ -512,13 +521,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="grid-vanishing and norm sweeps of the witness functions")
     _add_scheme_flags(p)
     p.add_argument("--kind", choices=("g1", "g2"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m-range", required=True, help="LO..HI")
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--m-range", type=_parse_m_range, required=True, help="LO..HI")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=_parse_q, default=2.0)
     p.add_argument("--level-offset", type=int, default=None)
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=None, help=_RESOLUTION_HELP)
     p.add_argument("--export-coeffs", action="store_true",
                    help="also write each witness in the coefficient JSON format")
     p.add_argument("--out", default=".")
@@ -532,15 +541,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, analysis.ResolutionTooLow) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MissingSamples as exc:
         print(f"sample error: {exc}", file=sys.stderr)
         return EXIT_SAMPLES
-    except analysis.ResolutionTooLow as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except analysis.DegenerateFit as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -443,12 +443,6 @@ class HierCoeffs:
     def block_items(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         return sorted(self._blocks.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def coeff(self, k: Sequence[int], s: Sequence[int]) -> float:
-        C = self._blocks.get(tuple(k))
-        if C is None:
-            return 0.0
-        return float(C[tuple(s)])
-
     def items(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float]]:
         """Nonzero entries sorted by (|k|_1, k, s)."""
         for k, C in self.block_items():

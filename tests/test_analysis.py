@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sparseqi.analysis import (
+    _cbc_generator,
     DegenerateFit,
     FieldDifference,
     NormSpec,
@@ -15,7 +18,7 @@ from sparseqi.analysis import (
     sobolev_norm_fourier,
 )
 from sparseqi.quasi_interp import HierCoeffs, decompose
-from sparseqi.testfuncs import random_mixed_smooth
+from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 
 
 class TestLqNorm:
@@ -45,10 +48,65 @@ class TestLqNorm:
         assert abs(fine - coarse) < 0.01 * fine
 
     def test_high_dimensional_sampled_path(self):
-        # product of sines in d=4 via scrambled low-discrepancy sampling
+        # product of sines in d=4 on the rank-1 lattice rule
         f = lambda P: np.prod(np.sin(2 * np.pi * P), axis=1)
-        val = lq_norm(f, 2.0, 4, 1 << 14, seed=1)
+        val = lq_norm(f, 2.0, 4, 1 << 14)
         assert val == pytest.approx(2.0 ** (-2.0), rel=0.02)
+
+
+class TestRankOneLattice:
+    @pytest.mark.parametrize(
+        "resolution, n", [(1 << 14, 16381), (200_000, 199_999), (98, 97), (97, 97)]
+    )
+    def test_points_are_the_rank1_lattice_of_the_largest_prime(self, resolution, n):
+        seen = []
+        f = lambda P: seen.append(P.copy()) or np.ones(len(P))
+        assert lq_norm(f, 2.0, 4, resolution) == 1.0
+        (P,) = seen
+        z = np.array(_cbc_generator(n, 4))
+        assert P.shape == (n, 4)
+        np.testing.assert_array_equal(P, np.outer(np.arange(n), z) % n / n)
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 16381])
+    def test_generator_range(self, n):
+        for d in (4, 5, 8):
+            z = np.array(_cbc_generator(n, d))
+            assert z.shape == (d,) and z[0] == 1
+            assert np.all((z >= 1) & (z < n))
+
+    def test_resolution_below_two_raises(self):
+        with pytest.raises(ResolutionTooLow):
+            lq_norm(lambda P: P[:, 0], 2.0, 4, 1)
+
+    def test_parseval_exact_off_the_dual_lattice(self):
+        # |f|**2 has frequencies nu - nu'; the lattice rule integrates each
+        # nonzero one to zero when it is off the dual lattice (h.z != 0 mod n)
+        d, resolution = 5, 1 << 14
+        n = 16381  # the largest prime <= resolution
+        z = _cbc_generator(n, d)
+        rng = np.random.default_rng(3)
+        modes = {}
+        for _ in range(8):  # a real polynomial: conjugate pairs of modes
+            nu, c = rng.integers(-4, 5, size=d), complex(*rng.standard_normal(2))
+            modes[tuple(nu.tolist())], modes[tuple((-nu).tolist())] = c, c.conjugate()
+        for nu, mu in itertools.permutations(modes, 2):
+            assert (np.subtract(nu, mu) @ z) % n != 0
+        f = TrigFunction(d, modes, real=True)
+        exact = np.sqrt(sum(abs(c) ** 2 for c in modes.values()))
+        assert lq_norm(f, 2.0, d, resolution) == pytest.approx(exact, rel=1e-12)
+
+    def test_fast_cbc_matches_exhaustive_search(self):
+        # every component minimises the worst-case error criterion over all
+        # candidates; ties (z and n - z give the same rule) may pick either
+        n, d = 101, 5
+        i = np.arange(n)
+        kernel = lambda z: 1 + 2 * np.pi**2 * ((i * z % n / n) ** 2 - i * z % n / n + 1 / 6)
+        z = _cbc_generator(n, d)
+        prod = kernel(1)
+        for zj in z[1:]:
+            best = min(np.sum(prod * kernel(c)) for c in range(1, n))
+            assert np.sum(prod * kernel(zj)) == pytest.approx(best, rel=1e-12)
+            prod = prod * kernel(zj)
 
 
 class TestSobolevNormFourier:

@@ -1,10 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparseqi
 from sparseqi.cli import main
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
@@ -54,6 +58,36 @@ class TestUsage:
 
     def test_missing_required_exits_1(self):
         assert run("grid") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("benchmark", "--d", 2, "--m-range", "5..3"),
+        ("benchmark", "--d", 2, "--m-range", "x..3"),
+        ("grid", "--d", 0, "--m", 2),
+        ("grid", "--d", 2, "--m", -1),
+    ])
+    def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
+        assert run(*argv, "--out", tmp_path) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(sparseqi.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_and_high_dimensional_norm_need_no_scipy():
+    blocked = _fresh_interpreter(
+        'sys.modules["scipy"] = None  # any scipy import now fails\n'
+        "import numpy as np, sparseqi.cli\n"
+        "from sparseqi.analysis import lq_norm\n"
+        "print(lq_norm(lambda P: np.prod(np.cos(2 * np.pi * P), axis=1), 2.0, 4, 1 << 12))\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert float(blocked.stdout) == pytest.approx(0.25, rel=1e-12)
+    plain = _fresh_interpreter('import sparseqi.cli\nprint("scipy" in sys.modules)\n')
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.strip() == "False"
 
 
 class TestGrid:
