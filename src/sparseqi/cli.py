@@ -305,14 +305,6 @@ def _default_probe(p: float, q: float) -> str:
     return "random" if (not math.isinf(q)) and p >= q else "both"
 
 
-def _peak_probe_error(scheme, d: int, m: int, r: float, p: float, q: float,
-                      resolution: int | None) -> float:
-    bump = testfuncs.witness_g2(scheme, d, m, r, p)
-    hc = decompose(scheme, bump, m, d)
-    residual = analysis.FieldDifference(bump, hc, d=d)
-    return analysis.lq_norm(residual, q, d, resolution, min_level=m)
-
-
 def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
     norm_kind = analysis.NormSpec("Lp", cfg.q).label if not math.isinf(cfg.q) else "Lp,p=inf"
@@ -326,8 +318,9 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
         err_random[m] = analysis.recovery_error(f, hc, cfg.q, cfg.resolution)
         counts[m] = smolyak.count_points(cfg.d, m, scheme)
         if cfg.probe in ("peak", "both"):
-            err_peak[m] = _peak_probe_error(
-                scheme, cfg.d, m, cfg.r_eff, cfg.p, cfg.q, cfg.resolution
+            bump = testfuncs.witness_g2(scheme, cfg.d, m, cfg.r_eff, cfg.p)
+            err_peak[m] = analysis.recovery_error(
+                bump, decompose(scheme, bump, m, cfg.d), cfg.q, cfg.resolution
             )
 
     if cfg.probe == "random":
@@ -424,6 +417,8 @@ def cmd_benchmark(args) -> int:
 def cmd_witness(args) -> int:
     scheme = _load_scheme(args)
     d, r, p, q, m_range = args.d, args.r, args.p, args.q, args.m_range
+    if m_range[0] < 1:
+        raise _UsageError(f"witnesses need levels m >= 1, got {m_range[0]}")
     rows = []
     norms: dict[int, float] = {}
     for m in m_range:
@@ -498,7 +493,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--samples", help="CSV with columns x_1..x_d,value covering the grid")
     src.add_argument("--function", choices=("sine",), help="builtin fixture to sample")
     p.add_argument("--eval", dest="eval_points", help="CSV of points to evaluate at")
-    p.add_argument("--eval-grid", type=int, default=32, help="uniform lattice size per axis")
+    p.add_argument("--eval-grid", type=_int_at_least(1), default=32, help="uniform lattice size per axis")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_recover)
 
@@ -510,7 +505,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=_parse_q, default=2.0)
     p.add_argument("--r", type=float, default=1.25, help="target effective smoothness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--K", type=int, default=0, help="spectral truncation of the random probe")
+    p.add_argument("--K", type=_int_at_least(0), default=0,
+                   help="spectral truncation of the random probe (0: ell * 2**max(m))")
     p.add_argument("--resolution", type=int, default=None, help=_RESOLUTION_HELP)
     p.add_argument("--probe", choices=("random", "peak", "both"), default=None)
     p.add_argument("--model", choices=("pure_dyadic", "dyadic_logpow"), default=None)

@@ -133,10 +133,6 @@ class QIScheme:
     stencil_odd_star: tuple[int, np.ndarray]
     stencil_delta: tuple[int, np.ndarray]
 
-    @property
-    def table(self) -> np.ndarray:
-        return piece_table(self.ell)
-
     def to_json(self) -> dict:
         return {
             "ell": self.ell,
@@ -296,18 +292,17 @@ class SampleCache:
 
     Block ``a`` holds the points whose minimal per-axis levels are exactly
     ``a``; the level-``k`` lattice is the union of the blocks ``a <= k``.  A
-    stored block is reused everywhere, so coefficients are reproducible
-    regardless of the order in which blocks are visited.  Lattice sweeps
-    (``eval_on_axes`` sources) may recompute values that are then discarded
-    in favor of the frozen ones.
+    missing block is fetched once, from its own points only, and then reused
+    everywhere, so the stored values do not depend on the order in which
+    lattices are visited.
     """
 
     def __init__(self, f, ell: int, d: int):
         self.ell = ell
         self.d = d
         self._blocks: dict[tuple[int, ...], np.ndarray] = {}
-        # value-map source: level, (n, d) positions on that level's lattice, values
-        self._table = (0, np.zeros((0, d), dtype=np.int64), np.zeros(0))
+        # value-table source: block -> block-local index of its first absent point
+        self._absent: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._batch = None if f is None else as_batch_function(f, d)
         self._grid = getattr(f, "eval_on_axes", None)
         self.evaluations = 0
@@ -336,58 +331,60 @@ class SampleCache:
         index = np.asarray(index, dtype=np.int64).reshape(-1, d)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         _, last = np.unique(index[::-1], axis=0, return_index=True)
-        keep = np.sort(len(index) - 1 - last)
+        keep = len(index) - 1 - last
+        index, values = index[keep], values[keep]
+        # block level per axis: level minus the trailing zero bits of the
+        # position (frexp of its lowest set bit), 0 on multiples of 2**level
+        a = np.where(index % (1 << level) == 0, 0, level + 1 - np.frexp(index & -index)[1])
+        local = index >> (level - a + (a > 0))
         cache = cls(None, ell, d)
-        cache._table = (level, index[keep], values[keep])
+        levels, group = np.unique(a, axis=0, return_inverse=True)
+        for g, lev in enumerate(map(tuple, levels.tolist())):
+            rows = group.reshape(-1) == g
+            at = tuple(local[rows].T)
+            block = np.zeros(cache._shape(lev))
+            block[at] = values[rows]
+            absent = np.ones(block.shape, dtype=bool)
+            absent[at] = False
+            if absent.any():
+                cache._absent[lev] = tuple(np.argwhere(absent)[0].tolist())
+            else:
+                block.flags.writeable = False
+                cache._blocks[lev] = block
         return cache
+
+    def _shape(self, a: Sequence[int]) -> tuple[int, ...]:
+        return tuple(self.ell << max(aj - 1, 0) for aj in a)
 
     def _ix(self, a: Sequence[int], k: Sequence[int]):
         return np.ix_(*(block_positions(self.ell, aj, kj) for aj, kj in zip(a, k)))
 
     def lattice_values(self, k: Sequence[int]) -> np.ndarray:
-        shape = tuple(self.ell << kj for kj in k)
-        levels = list(itertools.product(*(range(kj + 1) for kj in k)))
-        missing = [a for a in levels if a not in self._blocks]
-        if missing:
-            fresh = self._fresh(k, shape, missing)
-            for a in missing:  # publish whole blocks only: a racing reader never sees a partial one
-                block = fresh[self._ix(a, k)]
-                block.flags.writeable = False
-                self._blocks.setdefault(a, block)
-        out = np.empty(shape, dtype=np.float64)
-        for a in levels:
-            out[self._ix(a, k)] = self._blocks[a]
+        out = np.empty(tuple(self.ell << kj for kj in k), dtype=np.float64)
+        for a in itertools.product(*(range(kj + 1) for kj in k)):
+            block = self._blocks.get(a)
+            if block is None:  # publish whole blocks only: a racing reader never sees a partial one
+                block = self._blocks.setdefault(a, self._fetch(a))
+            out[self._ix(a, k)] = block
         return out
 
-    def _fresh(self, k: Sequence[int], shape: tuple[int, ...], missing: list[tuple[int, ...]]) -> np.ndarray:
-        # values at the points of the missing blocks of lattice k
-        want = np.zeros(shape, dtype=bool)
-        for a in missing:
-            want[self._ix(a, k)] = True
-        fresh = np.empty(shape, dtype=np.float64)
+    def _fetch(self, a: tuple[int, ...]) -> np.ndarray:
+        # the samples of block a, from its own points only
+        pos = [block_positions(self.ell, aj, aj) for aj in a]
         if self._batch is None:
-            level, index, values = self._table
-            shift = level - np.array(k, dtype=np.int64)
-            down, up = np.maximum(shift, 0), np.maximum(-shift, 0)
-            on = np.all(index % (1 << down) == 0, axis=1)  # rows on lattice k
-            pos, values = (index[on] >> down) << up, values[on]
-            sel = want[tuple(pos.T)]
-            at = tuple(pos[sel].T)
-            fresh[at] = values[sel]
-            want[at] = False
-            if want.any():
-                first = np.argwhere(want)[0]
-                raise MissingSamples(tuple(Fraction(int(t), L) for t, L in zip(first, shape)))
-            return fresh
-        n_missing = int(np.count_nonzero(want))
-        if self._grid is not None and n_missing > fresh.size // 4:
-            axes = [np.arange(L) / L for L in shape]
-            fresh = np.asarray(self._grid(axes), dtype=np.float64).reshape(shape)
+            first = self._absent.get(a, (0,) * self.d)
+            raise MissingSamples(
+                tuple(Fraction(int(p[i]), self.ell << aj) for p, i, aj in zip(pos, first, a))
+            )
+        axes = [p / (self.ell << aj) for p, aj in zip(pos, a)]
+        if self._grid is not None:
+            block = self._grid(axes)
         else:
-            idx = np.nonzero(want)  # row-major order of the missing points
-            fresh[idx] = self._batch(np.stack([i / L for i, L in zip(idx, shape)], axis=1))
-        self.evaluations += n_missing
-        return fresh
+            block = self._batch(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d))
+        block = np.array(block, dtype=np.float64).reshape(self._shape(a))
+        block.flags.writeable = False
+        self.evaluations += block.size
+        return block
 
     def __len__(self) -> int:
         return sum(block.size for block in self._blocks.values())

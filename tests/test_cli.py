@@ -64,6 +64,9 @@ class TestUsage:
         ("benchmark", "--d", 2, "--m-range", "x..3"),
         ("grid", "--d", 0, "--m", 2),
         ("grid", "--d", 2, "--m", -1),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--K", -1),
+        ("witness", "--kind", "g1", "--d", 1, "--m-range", "0..3", "--r", 0.75),
+        ("recover", "--function", "sine", "--d", 1, "--m", 2, "--eval-grid", 0),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1
@@ -282,6 +285,22 @@ class TestBenchmark:
             rows = list(csv.DictReader(fh))
         assert [int(r["m"]) for r in rows] == [2, 3, 4, 5]
         assert all(float(r["error"]) > 0 for r in rows)
+
+    def test_peak_probe_rows(self, tmp_path, faber):
+        # --q 4 > --p 2: the default probe is "both", so every row carries the
+        # recovery error of the peaked witness
+        from sparseqi.analysis import recovery_error
+        from sparseqi.quasi_interp import decompose
+        from sparseqi.testfuncs import witness_g2
+
+        assert run("benchmark", "--builtin", "faber", "--d", 1, "--m-range", "2..5",
+                   "--r", "0.75", "--q", 4, "--K", 32, "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "benchmark_report.json").read_text())
+        assert report["config"]["probe"] == "both"
+        for row in report["rows"]:
+            bump = witness_g2(faber, 1, row["m"], 0.75, 2.0)
+            expect = recovery_error(bump, decompose(faber, bump, row["m"], 1), 4.0)
+            assert row["error_peak"] == expect
 
 
 class TestWitness:
