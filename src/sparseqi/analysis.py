@@ -19,7 +19,7 @@ import numpy as np
 
 from .bspline import piece_table
 from .kernels import eval_blocks_on_grid
-from .quasi_interp import HierCoeffs, QIScheme, SampleCache, as_batch_function, decompose
+from .quasi_interp import HierCoeffs, QIScheme, SampleCache, as_batch_function, decompose, grid_values
 from .testfuncs import TrigFunction
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "difference",
     "fit_rate",
 ]
-
-_CHUNK = 1 << 19  # points per evaluation slab; fixed so reductions are reproducible
-
 
 class ResolutionTooLow(ValueError):
     """Quadrature resolution below the aliasing guard for the level measured."""
@@ -113,30 +110,6 @@ class RateFit:
 # ---------------------------------------------------------------------------
 
 
-class _FunctionField:
-    """Adapter giving any torus function grid and scattered evaluation."""
-
-    def __init__(self, f, d: int):
-        self.d = d
-        self._eval_axes = getattr(f, "eval_on_axes", None)
-        self._batch = as_batch_function(f, d)
-
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
-        return self._batch(np.asarray(P, dtype=np.float64))
-
-    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        if self._eval_axes is not None:
-            return np.asarray(self._eval_axes(axes), dtype=np.float64)
-        shape = tuple(len(a) for a in axes)
-        out = np.empty(shape).ravel()
-        mesh = np.stack(
-            np.meshgrid(*axes, indexing="ij"), axis=-1
-        ).reshape(-1, self.d)
-        for start in range(0, mesh.shape[0], _CHUNK):
-            out[start : start + _CHUNK] = self._batch(mesh[start : start + _CHUNK])
-        return out.reshape(shape)
-
-
 class FieldDifference:
     """Pointwise difference of two torus fields (e.g. f minus its recovery)."""
 
@@ -145,14 +118,14 @@ class FieldDifference:
         if d is None:
             raise ValueError("cannot infer dimension; pass d explicitly")
         self.d = d
-        self._a = _FunctionField(a, d)
-        self._b = _FunctionField(b, d)
+        self._a, self._b = a, b
 
     def eval_points(self, P):
-        return self._a.eval_points(P) - self._b.eval_points(P)
+        P = np.asarray(P, dtype=np.float64)
+        return as_batch_function(self._a, self.d)(P) - as_batch_function(self._b, self.d)(P)
 
     def eval_on_axes(self, axes):
-        return self._a.eval_on_axes(axes) - self._b.eval_on_axes(axes)
+        return grid_values(self._a, self.d, axes) - grid_values(self._b, self.d, axes)
 
 
 def default_resolution(d: int, m: int) -> int:
@@ -169,12 +142,6 @@ def _power_mean_norm(values: np.ndarray, q: float) -> float:
     if isinf(q):
         return float(a.max())
     return float(np.mean(a**q) ** (1.0 / q))
-
-
-def _quasi_norm_on_lattice(field, d: int, q: float, resolution: int) -> float:
-    axes = [np.arange(resolution) / resolution] * d
-    values = _FunctionField(field, d).eval_on_axes(axes)
-    return _power_mean_norm(values, q)
 
 
 def _is_prime(p: int) -> bool:
@@ -233,12 +200,12 @@ def lq_norm(
             f" required for level-{min_level} residuals"
         )
     if d <= 3:
-        return _quasi_norm_on_lattice(f, d, q, resolution)
+        return _power_mean_norm(grid_values(f, d, [np.arange(resolution) / resolution] * d), q)
     if resolution < 2:
         raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
     points = np.outer(np.arange(n), _cbc_generator(n, d)) % n / n
-    return _power_mean_norm(_FunctionField(f, d).eval_points(points), q)
+    return _power_mean_norm(as_batch_function(f, d)(points), q)
 
 
 def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:

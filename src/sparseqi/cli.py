@@ -419,6 +419,8 @@ def cmd_witness(args) -> int:
     d, r, p, q, m_range = args.d, args.r, args.p, args.q, args.m_range
     if m_range[0] < 1:
         raise _UsageError(f"witnesses need levels m >= 1, got {m_range[0]}")
+    if args.level_offset is not None and m_range[0] + args.level_offset < 1:
+        raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
     rows = []
     norms: dict[int, float] = {}
     for m in m_range:

@@ -9,8 +9,16 @@ spline's piece table, and both evaluation paths are built on it:
 
 * :func:`eval_blocks_at_points` - scattered points, summing the ``ell**d``
   tensor products of per-axis weights against each block;
-* :func:`eval_blocks_on_grid` - a tensor grid, contracting each block axis by
-  axis against dense basis matrices (:func:`spline_basis_matrix`) in BLAS.
+* :func:`eval_blocks_on_grid` - a tensor grid, one :func:`contract_axes` per
+  block against dense basis matrices (:func:`spline_basis_matrix`).
+
+:func:`contract_axes` is the package's one separable contraction, for every
+dimension: axis ``j`` of a box is contracted in BLAS against a matrix of shape
+``(n_j, L_j)``.  That costs ``n_j`` multiply-adds per entry of the current
+field and scales its size by ``n_j / L_j``; exchanging adjacent axes ``i, j``
+shows that ``i`` goes first when ``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which
+minimises the total.  The order depends on the shapes alone, so equal inputs
+always take the same summation order and give bit-identical results.
 
 An empty combination evaluates to zero on both paths.
 """
@@ -22,6 +30,7 @@ import numpy as np
 __all__ = [
     "active_backend",
     "spline_basis_matrix",
+    "contract_axes",
     "eval_blocks_at_points",
     "eval_blocks_on_grid",
 ]
@@ -100,37 +109,36 @@ def spline_basis_matrix(xs, k: int, ell: int, table: np.ndarray) -> np.ndarray:
     return B
 
 
+def _axis_order(shapes) -> list[int]:
+    """Cheapest order to contract axes with matrices of shapes ``(n_j, L_j)``:
+    ascending ``1/L_j - 1/n_j``, ties in axis order; an empty axis goes first."""
+    return sorted(range(len(shapes)), key=lambda j: 1 / shapes[j][1] - 1 / max(shapes[j][0], 1))
+
+
+def contract_axes(mats, C: np.ndarray) -> np.ndarray:
+    """``out[i_0, ..., i_{d-1}] = sum_s mats[0][i_0, s_0] ... mats[d-1][i_{d-1}, s_{d-1}] C[s]``.
+
+    Axis ``j`` of ``C`` (length ``L_j``) is contracted against ``mats[j]`` of
+    shape ``(n_j, L_j)`` and stays axis ``j`` of the result, in the cheapest
+    order (:func:`_axis_order`).
+    """
+    field = C
+    for j in _axis_order([M.shape for M in mats]):
+        field = np.moveaxis(np.tensordot(mats[j], field, axes=([1], [j])), 0, j)
+    return field
+
+
 def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
     """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``.
 
-    Each block is contracted axis by axis against its spline basis matrices;
-    contraction order is fixed, so results are run-to-run reproducible.
+    Each block is one :func:`contract_axes` against its spline basis
+    matrices, which are built once per axis and level.
     """
-    shape = tuple(len(a) for a in axes)
-    out = np.zeros(shape)
-    d = len(axes)
-    basis_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def basis(axis: int, k: int) -> np.ndarray:
-        key = (axis, k)
-        if key not in basis_cache:
-            basis_cache[key] = spline_basis_matrix(axes[axis], k, ell, table)
-        return basis_cache[key]
-
+    out = np.zeros(tuple(len(a) for a in axes))
+    basis: dict[tuple[int, int], np.ndarray] = {}
     for k, C in blocks:
-        mats = [basis(j, k[j]) for j in range(d)]
-        if d == 1:
-            out += mats[0] @ C
-        elif d == 2:
-            if C.shape[0] <= C.shape[1]:
-                out += (mats[0] @ C) @ mats[1].T
-            else:
-                out += mats[0] @ (C @ mats[1].T)
-        else:
-            field = C
-            for j in range(d):
-                field = np.tensordot(mats[j], field, axes=([1], [j]))
-            # tensordot prepends the new axis; after d passes the axis order
-            # is reversed relative to the grid.
-            out += np.transpose(field, axes=tuple(range(d - 1, -1, -1)))
+        for j, kj in enumerate(k):
+            if (j, kj) not in basis:
+                basis[j, kj] = spline_basis_matrix(axes[j], kj, ell, table)
+        out += contract_axes([basis[j, kj] for j, kj in enumerate(k)], C)
     return out

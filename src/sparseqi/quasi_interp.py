@@ -24,6 +24,7 @@ Their agreement is a core test of the package.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -61,7 +62,10 @@ __all__ = [
     "quasi_coeffs",
     "decompose",
     "as_batch_function",
+    "grid_values",
 ]
+
+_CHUNK = 1 << 19  # points per slab of a batch evaluation on a grid
 
 
 class NotAQuasiInterpolant(ValueError):
@@ -278,6 +282,23 @@ def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
     return batched
 
 
+def grid_values(f, d: int, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Values of ``f`` on the tensor grid ``axes[0] x ... x axes[d-1]``.
+
+    ``f.eval_on_axes(axes)`` when ``f`` has that method; otherwise the batch
+    form of ``f`` (:func:`as_batch_function`) on the row-major meshgrid, in
+    slabs of a fixed ``_CHUNK`` points.
+    """
+    if hasattr(f, "eval_on_axes"):
+        return np.asarray(f.eval_on_axes(axes), dtype=np.float64)
+    batch = as_batch_function(f, d)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    out = np.empty(mesh.shape[0])
+    for start in range(0, mesh.shape[0], _CHUNK):
+        out[start : start + _CHUNK] = batch(mesh[start : start + _CHUNK])
+    return out.reshape(tuple(len(a) for a in axes))
+
+
 def block_positions(ell: int, a: int, k: int) -> np.ndarray:
     """Positions ``i`` (points ``i / (ell * 2**k)``) of block level ``a <= k`` on
     the level-``k`` axis lattice: the level-0 lattice for ``a = 0``, else the
@@ -294,7 +315,8 @@ class SampleCache:
     ``a``; the level-``k`` lattice is the union of the blocks ``a <= k``.  A
     missing block is fetched once, from its own points only, and then reused
     everywhere, so the stored values do not depend on the order in which
-    lattices are visited.
+    lattices are visited.  Fetches run under one lock, so racing threads
+    evaluate each point once and ``evaluations`` counts each point once.
     """
 
     def __init__(self, f, ell: int, d: int):
@@ -303,8 +325,8 @@ class SampleCache:
         self._blocks: dict[tuple[int, ...], np.ndarray] = {}
         # value-table source: block -> block-local index of its first absent point
         self._absent: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._batch = None if f is None else as_batch_function(f, d)
-        self._grid = getattr(f, "eval_on_axes", None)
+        self._f = f
+        self._lock = threading.Lock()
         self.evaluations = 0
 
     @classmethod
@@ -342,7 +364,7 @@ class SampleCache:
         for g, lev in enumerate(map(tuple, levels.tolist())):
             rows = group.reshape(-1) == g
             at = tuple(local[rows].T)
-            block = np.zeros(cache._shape(lev))
+            block = np.zeros(tuple(ell << max(aj - 1, 0) for aj in lev))
             block[at] = values[rows]
             absent = np.ones(block.shape, dtype=bool)
             absent[at] = False
@@ -353,38 +375,32 @@ class SampleCache:
                 cache._blocks[lev] = block
         return cache
 
-    def _shape(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.ell << max(aj - 1, 0) for aj in a)
-
     def _ix(self, a: Sequence[int], k: Sequence[int]):
         return np.ix_(*(block_positions(self.ell, aj, kj) for aj, kj in zip(a, k)))
 
     def lattice_values(self, k: Sequence[int]) -> np.ndarray:
         out = np.empty(tuple(self.ell << kj for kj in k), dtype=np.float64)
         for a in itertools.product(*(range(kj + 1) for kj in k)):
-            block = self._blocks.get(a)
-            if block is None:  # publish whole blocks only: a racing reader never sees a partial one
-                block = self._blocks.setdefault(a, self._fetch(a))
-            out[self._ix(a, k)] = block
+            block = self._blocks.get(a)  # a published block is read without the lock
+            out[self._ix(a, k)] = self._fetch(a) if block is None else block
         return out
 
     def _fetch(self, a: tuple[int, ...]) -> np.ndarray:
         # the samples of block a, from its own points only
         pos = [block_positions(self.ell, aj, aj) for aj in a]
-        if self._batch is None:
+        if self._f is None:
             first = self._absent.get(a, (0,) * self.d)
             raise MissingSamples(
                 tuple(Fraction(int(p[i]), self.ell << aj) for p, i, aj in zip(pos, first, a))
             )
-        axes = [p / (self.ell << aj) for p, aj in zip(pos, a)]
-        if self._grid is not None:
-            block = self._grid(axes)
-        else:
-            block = self._batch(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d))
-        block = np.array(block, dtype=np.float64).reshape(self._shape(a))
-        block.flags.writeable = False
-        self.evaluations += block.size
-        return block
+        with self._lock:
+            if a not in self._blocks:  # else a racing thread fetched it first
+                axes = [p / (self.ell << aj) for p, aj in zip(pos, a)]
+                block = np.array(grid_values(self._f, self.d, axes))
+                block.flags.writeable = False
+                self._blocks[a] = block  # published whole: a racing reader never sees a partial one
+                self.evaluations += block.size
+            return self._blocks[a]
 
     def __len__(self) -> int:
         return sum(block.size for block in self._blocks.values())

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .kernels import contract_axes
 from .quasi_interp import HierCoeffs, QIScheme, _compositions
 from .smolyak import grid_level_gap
 
@@ -81,11 +82,8 @@ class TrigFunction:
     # -- evaluation -----------------------------------------------------------
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        field = self.C
-        for j in range(self.d):
-            E = np.exp(_TWO_PI * 1j * np.outer(np.asarray(axes[j]), self.freq_axes[j]))
-            field = np.tensordot(E, field, axes=([1], [j]))
-        field = np.transpose(field, axes=tuple(range(self.d - 1, -1, -1)))
+        phases = [np.exp(_TWO_PI * 1j * np.outer(np.asarray(x), s)) for x, s in zip(axes, self.freq_axes)]
+        field = contract_axes(phases, self.C)
         return field.real if self.real else field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
@@ -303,6 +301,8 @@ def witness_g1(
         raise ValueError("need m >= 1")
     offset = g1_level_offset(scheme.ell, d) if level_offset is None else level_offset
     M = m + offset
+    if M < 1:
+        raise ValueError(f"need m + level_offset >= 1, got {M}")
     amp = 2.0 ** (-r * M) * float(M) ** (-(d - 1) / 2.0)
     ell = scheme.ell
     blocks: dict[tuple[int, ...], np.ndarray] = {}
@@ -325,6 +325,8 @@ def witness_g2(
         raise ValueError("need p in (1, inf)")
     offset = g2_level_offset(scheme.ell, d) if level_offset is None else level_offset
     M = m + offset
+    if M < 1:
+        raise ValueError(f"need m + level_offset >= 1, got {M}")
     ell = scheme.ell
     k_star = (M,) + (0,) * (d - 1)
     C = np.zeros(tuple(ell << kj for kj in k_star))

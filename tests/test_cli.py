@@ -67,6 +67,9 @@ class TestUsage:
         ("benchmark", "--d", 1, "--m-range", "2..5", "--K", -1),
         ("witness", "--kind", "g1", "--d", 1, "--m-range", "0..3", "--r", 0.75),
         ("recover", "--function", "sine", "--d", 1, "--m", 2, "--eval-grid", 0),
+        ("witness", "--kind", "g1", "--d", 2, "--m-range", "1..4", "--r", 0.75, "--level-offset", -1),
+        ("witness", "--kind", "g1", "--d", 1, "--m-range", "1..4", "--r", 0.75, "--level-offset", -3),
+        ("witness", "--kind", "g2", "--d", 2, "--m-range", "1..4", "--r", 0.75, "--level-offset", -2),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1

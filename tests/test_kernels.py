@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,86 @@ def test_basis_matrix_matches_replaced_path(ell):
         # off the dyadic points Horner runs at fr, not at (fr + t) - t
         B = kernels.spline_basis_matrix(odd, k, ell, table)
         assert np.max(np.abs(B - _basis_matrix_old(odd, k, ell, table))) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the axis contraction, against einsum and against the replaced grid kernel
+# (a d == 1 matmul, a d == 2 matmul pair and a tensordot loop from axis 0)
+# ---------------------------------------------------------------------------
+
+
+def _grid_kernel_old(axes, blocks, ell, table):
+    out = np.zeros(tuple(len(a) for a in axes))
+    d = len(axes)
+    for k, C in blocks:
+        mats = [kernels.spline_basis_matrix(axes[j], k[j], ell, table) for j in range(d)]
+        if d == 1:
+            out += mats[0] @ C
+        elif d == 2:
+            if C.shape[0] <= C.shape[1]:
+                out += (mats[0] @ C) @ mats[1].T
+            else:
+                out += mats[0] @ (C @ mats[1].T)
+        else:
+            field = C
+            for j in range(d):
+                field = np.tensordot(mats[j], field, axes=([1], [j]))
+            out += np.transpose(field, axes=tuple(range(d - 1, -1, -1)))
+    return out
+
+
+def _contraction_cost(shapes, order):
+    size = int(np.prod([L for _, L in shapes]))
+    cost = 0
+    for j in order:
+        n, L = shapes[j]
+        cost += size * n
+        size = size // L * n
+    return cost
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_contract_axes_matches_einsum(d, dtype):
+    rng = np.random.default_rng(d)
+    for L, n in [((7, 3, 5, 4), (2, 9, 5, 6)), ((3, 8, 2, 6), (11, 4, 7, 1))]:
+        L, n = L[:d], n[:d]
+        C = rng.standard_normal(L).astype(dtype)
+        if dtype is np.complex128:
+            C += 1j * rng.standard_normal(L)
+        mats = [rng.standard_normal((nj, Lj)).astype(dtype) for nj, Lj in zip(n, L)]
+        letters = "abcd"[:d]
+        spec = ",".join(f"{u.upper()}{u}" for u in letters) + f",{letters}->{letters.upper()}"
+        expect = np.einsum(spec, *mats, C)
+        got = kernels.contract_axes(mats, C)
+        assert got.shape == n and got.dtype == expect.dtype
+        assert np.max(np.abs(got - expect)) < 1e-13 * np.abs(C).sum() * np.prod([np.abs(M).max() for M in mats])
+    # an empty axis empties the result in any order
+    mats = [np.ones((0, 3))] + [np.ones((2, 4))] * (d - 1)
+    assert kernels.contract_axes(mats, np.ones((3,) + (4,) * (d - 1))).shape == (0,) + (2,) * (d - 1)
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_grid_matches_replaced_kernel(d, m, ell):
+    hc = _random_combination(d, ell, m, seed=100 * d + ell)
+    # lattice axes of unequal length and an axis of scattered points
+    axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
+    axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
+    expect = _grid_kernel_old(axes, hc.block_items(), ell, piece_table(ell))
+    total = sum(np.abs(C).sum() for _, C in hc.block_items())
+    assert np.max(np.abs(hc.eval_on_axes(axes) - expect)) <= 1e-13 * total
+
+
+def test_contraction_order_is_cheapest():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4):
+        for _ in range(200):
+            shapes = [tuple(int(v) for v in rng.integers(1, 40, size=2)) for _ in range(d)]
+            if rng.random() < 0.3:  # equal lattice lengths, as on a quadrature lattice
+                shapes = [(shapes[0][0], L) for _, L in shapes]
+            best = min(_contraction_cost(shapes, order) for order in itertools.permutations(range(d)))
+            assert _contraction_cost(shapes, kernels._axis_order(shapes)) == best
 
 
 def test_active_backend_is_numpy():

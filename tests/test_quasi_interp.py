@@ -9,6 +9,7 @@ import pytest
 from sparseqi.bspline import InvalidOrder
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import (
+    _CHUNK,
     HierCoeffs,
     MissingSamples,
     NotAQuasiInterpolant,
@@ -23,6 +24,7 @@ from sparseqi.quasi_interp import (
     decompose,
     detail_coeff,
     detail_coeff_oracle,
+    grid_values,
     multi_indices,
     quasi_coeffs,
 )
@@ -291,6 +293,16 @@ class TestSampleCache:
         n_fine = len(cache)
         cache.lattice_values((1,))  # coarse lattice is a subset
         assert len(cache) == n_fine
+
+    @pytest.mark.parametrize("d, shape", [(1, (5 * _CHUNK // 2,)), (2, (1024, 600))])
+    def test_grid_values_fallback_chunks_bit_equal(self, d, shape):
+        # a plain vectorised callable on a grid of more than one _CHUNK slab
+        # gives the values of one unchunked batch call
+        f = lambda P: np.cos(2 * np.pi * P.reshape(len(P), -1)).prod(axis=1) + P.reshape(len(P), -1)[:, 0] ** 3
+        axes = [np.arange(n) / n for n in shape]
+        assert np.prod(shape) > _CHUNK
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        assert np.array_equal(grid_values(f, d, axes), f(mesh).reshape(shape))
 
     def test_value_map_missing_sample(self, faber):
         cache = SampleCache.from_values({(F(0), F(0)): 1.0}, faber.ell, 2)
@@ -569,28 +581,31 @@ class TestConcurrency:
             assert np.array_equal(got, expect)
 
     def test_concurrent_cache_races_benign(self, faber):
-        # racing threads fetch a block from the same points in the same call,
-        # so whichever publishes it, the outcome is bit-equal to serial
+        # racing threads fetch each block once, under the cache's lock, so the
+        # outcome is bit-equal to serial and every point is counted once
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
+        from sparseqi.smolyak import count_points
+
         tf = random_mixed_smooth(1.0, 4, 2, seed=12)
         plain = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, 1])
+        ks = list(multi_indices(2, 3)) * 4
         for f in (plain, tf):
-            cache = SampleCache(f, faber.ell, 2)
-            ks = list(multi_indices(2, 3)) * 4
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)  # switch threads often, to provoke races
-            try:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    list(pool.map(lambda k: block_coeffs(faber, cache, k), ks))
-            finally:
-                sys.setswitchinterval(interval)
-            serial = SampleCache(f, faber.ell, 2)
-            hc = decompose(faber, f, 3, 2, cache=serial)
-            hc2 = decompose(faber, f, 3, 2, cache=cache)
-            for k, C in hc.block_items():
-                assert np.array_equal(C, hc2.block(k))
+            hc = decompose(faber, f, 3, 2)
+            for _ in range(20):
+                cache = SampleCache(f, faber.ell, 2)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # switch threads often, to provoke races
+                try:
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        list(pool.map(lambda k: block_coeffs(faber, cache, k), ks))
+                finally:
+                    sys.setswitchinterval(interval)
+                assert cache.evaluations == len(cache) == count_points(2, 3, faber)
+                hc2 = decompose(faber, f, 3, 2, cache=cache)
+                for k, C in hc.block_items():
+                    assert np.array_equal(C, hc2.block(k))
 
 
 from hypothesis import given, settings

@@ -388,6 +388,13 @@ class TestWitnesses:
         for m in (2, 3, 4):
             assert norms[m + 1] / norms[m] == pytest.approx(target, rel=0.1)
 
+    @pytest.mark.parametrize("d, offset", [(1, -1), (2, -1), (1, -3)])
+    def test_block_level_below_one_rejected(self, faber, d, offset):
+        with pytest.raises(ValueError, match="m \\+ level_offset >= 1"):
+            witness_g1(faber, d, 1, 0.75, level_offset=offset)
+        with pytest.raises(ValueError, match="m \\+ level_offset >= 1"):
+            witness_g2(faber, d, 1, 0.75, 2.0, level_offset=offset)
+
     def test_offsets(self):
         assert g1_level_offset(2, 2) == 1
         assert g1_level_offset(4, 2) == 3
