@@ -8,6 +8,7 @@ equivalences and convergence rates.
 from .analysis import (
     DegenerateFit,
     FieldDifference,
+    LatticeTooLarge,
     NormSpec,
     RateFit,
     ResolutionTooLow,

@@ -24,6 +24,7 @@ from .testfuncs import TrigFunction
 
 __all__ = [
     "ResolutionTooLow",
+    "LatticeTooLarge",
     "DegenerateFit",
     "NormSpec",
     "RateFit",
@@ -42,8 +43,18 @@ class ResolutionTooLow(ValueError):
     """Quadrature resolution below the aliasing guard for the level measured."""
 
 
+class LatticeTooLarge(ValueError):
+    """Tensor quadrature lattice above ``MAX_LATTICE_POINTS`` points."""
+
+
 class DegenerateFit(ValueError):
     """Rate fit impossible: too few levels or errors that do not decay."""
+
+
+# Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**26 points
+# (a 406**3 lattice fits): its float64 values take 512 MiB, and evaluating a
+# field on it takes several times that in temporaries.
+MAX_LATTICE_POINTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -189,6 +200,8 @@ def lq_norm(
     Raises:
         ResolutionTooLow: the guard is armed and the resolution is below it,
             or ``d > 3`` and the resolution is below 2.
+        LatticeTooLarge: ``d <= 3`` and ``resolution**d`` exceeds
+            ``MAX_LATTICE_POINTS``; raised before anything is allocated.
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
@@ -200,6 +213,11 @@ def lq_norm(
             f" required for level-{min_level} residuals"
         )
     if d <= 3:
+        if resolution**d > MAX_LATTICE_POINTS:
+            raise LatticeTooLarge(
+                f"a quadrature lattice of {resolution}**{d} = {resolution**d} points exceeds"
+                f" the limit of {MAX_LATTICE_POINTS} points"
+            )
         return _power_mean_norm(grid_values(f, d, [np.arange(resolution) / resolution] * d), q)
     if resolution < 2:
         raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")

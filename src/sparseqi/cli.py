@@ -179,7 +179,11 @@ _SNAP_TOL = 1e-9  # farthest a sample coordinate may lie from its lattice point
 
 def _parse_number(text: str) -> float:
     num, slash, den = text.partition("/")
-    return float(num) / float(den) if slash else float(text)
+    if not slash:
+        return float(text)
+    if float(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return float(num) / float(den)
 
 
 def _read_points(path: str, d: int, *extra: str) -> np.ndarray:
@@ -421,6 +425,10 @@ def cmd_witness(args) -> int:
         raise _UsageError(f"witnesses need levels m >= 1, got {m_range[0]}")
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
+    if args.kind == "g2" and not 1 < p < math.inf:
+        raise _UsageError("p must lie in (1, inf)")
+    if not q > 1:
+        raise _UsageError("q must lie in (1, inf]")
     rows = []
     norms: dict[int, float] = {}
     for m in m_range:
@@ -539,7 +547,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, analysis.ResolutionTooLow) as exc:
+    except (_UsageError, analysis.ResolutionTooLow, analysis.LatticeTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MissingSamples as exc:

@@ -12,12 +12,13 @@ spline's piece table, and both evaluation paths are built on it:
 * :func:`eval_blocks_on_grid` - a tensor grid, one :func:`contract_axes` per
   block against dense basis matrices (:func:`spline_basis_matrix`).
 
-:func:`contract_axes` is the package's one separable contraction, for every
-dimension: axis ``j`` of a box is contracted in BLAS against a matrix of shape
-``(n_j, L_j)``.  That costs ``n_j`` multiply-adds per entry of the current
-field and scales its size by ``n_j / L_j``; exchanging adjacent axes ``i, j``
-shows that ``i`` goes first when ``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which
-minimises the total.  The order depends on the shapes alone, so equal inputs
+:func:`contract_axes` is the one separable contraction of spline coefficient
+boxes, for every dimension; trigonometric fixtures fold and transform instead
+(:mod:`sparseqi.testfuncs`).  Axis ``j`` of a box is contracted in BLAS against
+a matrix of shape ``(n_j, L_j)``.  That costs ``n_j`` multiply-adds per entry
+of the current field and scales its size by ``n_j / L_j``; exchanging
+adjacent axes ``i, j`` shows that ``i`` goes first when
+``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total.  The order depends on the shapes alone, so equal inputs
 always take the same summation order and give bit-identical results.
 
 An empty combination evaluates to zero on both paths.

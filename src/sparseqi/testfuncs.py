@@ -2,7 +2,13 @@
 
 Trigonometric polynomials carry their Fourier coefficients explicitly, as one
 coefficient array over a box of frequencies, so Sobolev norms are exact and
-evaluation is separable along the axes.  The witness builders return
+evaluation is separable along the axes.  Grid evaluation takes lattice axes
+only, each ``x_i = x0 + i/n`` for ``i < n``: the quadrature lattices
+``i/N`` and the hierarchical sample blocks, ``i/ell`` at level 0 and
+``(2i+1)/(ell*2**a)`` above it, are such lattices.  On one, a polynomial is an
+inverse DFT of its coefficients folded modulo ``n`` (aliasing), so each axis
+costs one pass over the box plus ``O(n log n)`` per line, instead of a dense
+phase matrix of ``n`` rows against the box.  The witness builders return
 hierarchical combinations that vanish identically on the sample grid they are
 built against; vanishing is always re-verified numerically by the callers
 that rely on it.
@@ -14,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernels import contract_axes
 from .quasi_interp import HierCoeffs, QIScheme, _compositions
 from .smolyak import grid_level_gap
 
@@ -32,6 +37,7 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _POINT_CHUNK = 1 << 22  # cap on points * row width of one scattered evaluation slab
 _SMOOTH_MARGIN = 0.05  # fixed spectral safety margin of the random fixtures
+_LATTICE_ULPS = 8  # tolerance of the lattice-axis check, in units in the last place
 
 
 class TrigFunction:
@@ -82,8 +88,23 @@ class TrigFunction:
     # -- evaluation -----------------------------------------------------------
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        phases = [np.exp(_TWO_PI * 1j * np.outer(np.asarray(x), s)) for x, s in zip(axes, self.freq_axes)]
-        field = contract_axes(phases, self.C)
+        """Values on the tensor grid ``axes[0] x ... x axes[d-1]``.
+
+        Each axis must be a shifted uniform lattice ``x_i = x0 + i/n`` with
+        ``n = len(axis)``; a single point and an empty axis are lattices too,
+        and any other axis raises ``ValueError``.  Axes are folded and
+        inverse-transformed one at a time, first to last
+        (:func:`_fold_transform`), at a cost of ``O(box + lattice * log(lattice))``.
+        """
+        if len(axes) != self.d:
+            raise ValueError(f"need {self.d} axes, got {len(axes)}")
+        lattices = [_lattice(x) for x in axes]
+        if any(n == 0 for _, n in lattices):
+            shape = tuple(n for _, n in lattices)
+            return np.zeros(shape, dtype=np.float64 if self.real else np.complex128)
+        field = self.C
+        for j, (x0, n) in enumerate(lattices):
+            field = _fold_transform(field, j, self.freq_axes[j], x0, n)
         return field.real if self.real else field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
@@ -180,6 +201,83 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
         idx = np.argwhere(bad)[0]
         s = tuple(int(c[i]) for c, i in zip(closed, idx))
         raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
+
+
+def _lattice(x) -> tuple[float, int]:
+    """``(x0, n)`` with ``x[i] == x0 + i/n`` for ``n = len(x)``, to within
+    ``_LATTICE_ULPS`` units in the last place; ``ValueError`` for any other axis."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("each axis must be one-dimensional")
+    n = x.size
+    if n == 0:
+        return 0.0, 0
+    x0 = float(x[0])
+    tol = _LATTICE_ULPS * np.finfo(np.float64).eps * max(1.0, float(np.abs(x).max()))
+    if np.max(np.abs(x - (x0 + np.arange(n) / n))) > tol:
+        raise ValueError(f"an axis of {n} points is not a shifted uniform lattice x0 + i/{n}")
+    return x0, n
+
+
+def _unit(turns: float) -> complex:
+    """``exp(2*pi*i*turns)``, exactly +-1 on whole and half turns."""
+    half = 2.0 * (turns % 1.0)
+    if half.is_integer():
+        return -1.0 if half else 1.0
+    return complex(np.exp(_TWO_PI * 1j * turns))
+
+
+def _add_scaled(out: np.ndarray, w: complex, part: np.ndarray) -> None:
+    """``out += w * part``, without a temporary when ``w`` is +-1."""
+    if w == 1:
+        out += part
+    elif w == -1:
+        out -= part
+    else:
+        out += w * part
+
+
+def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int) -> np.ndarray:
+    """Contract axis ``j`` of the contiguous ``field`` against
+    ``exp(2*pi*i*freqs[t]*(x0 + i/n))``, as a new contiguous array whose axis
+    ``j`` holds ``i < n``.
+
+    Frequency ``s = n*q + r`` (``0 <= r < n``) folds onto residue ``r`` with the
+    factor ``exp(2*pi*i*n*q*x0)``, a scalar per period ``q``.  The head and
+    tail partial periods are added as slices.  The whole periods are one view
+    of shape ``(P, n)`` along the axis; when their factors repeat every one or
+    two periods (always 1 at ``x0 = 0``, and ``+-1`` alternately on
+    half-shifted axes), the periods sharing a factor are summed as one strided
+    view, and otherwise each period is added on its own.  Each residue then
+    takes ``exp(2*pi*i*r*x0)``, and one unnormalised inverse DFT in place gives
+    the values.  The fold leaves axis ``j`` where it is, so the first fold,
+    which reads the whole box, sums along its leading axis over contiguous
+    rows.
+    """
+    shape = field.shape
+    pre, post = int(np.prod(shape[:j])), int(np.prod(shape[j + 1 :]))
+    src = field.reshape(pre, shape[j], post)
+    s0 = int(freqs[0])
+    if freqs[-1] - s0 + 1 != len(freqs):  # gaps: scatter into the consecutive range
+        full = np.zeros((pre, int(freqs[-1]) - s0 + 1, post), dtype=np.complex128)
+        full[:, freqs - s0] = src
+        src = full
+    L = src.shape[1]
+    head = min(-s0 % n, L)  # frequencies below the first multiple of n
+    P = (L - head) // n  # whole periods
+    q0 = -(-s0 // n)  # the first whole period
+    tail = head + P * n
+    acc = np.zeros((pre, n, post), dtype=np.complex128)
+    _add_scaled(acc[:, s0 % n : s0 % n + head], _unit(n * (q0 - 1) * x0), src[:, :head])
+    _add_scaled(acc[:, : L - tail], _unit(n * (q0 + P) * x0), src[:, tail:])
+    periods = src[:, head:tail].reshape(pre, P, n, post)
+    step = next((c for c in (1, 2) if _unit(n * c * x0) == 1), P)
+    for c in range(min(step, P)):
+        _add_scaled(acc, _unit(n * (q0 + c) * x0), periods[:, c::step].sum(axis=1))
+    if x0:
+        acc *= np.exp(_TWO_PI * 1j * x0 * np.arange(n))[:, None]
+    np.fft.ifft(acc, axis=1, norm="forward", out=acc)
+    return acc.reshape(shape[:j] + (n,) + shape[j + 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from sparseqi import analysis
 from sparseqi.analysis import (
     _cbc_generator,
     DegenerateFit,
     FieldDifference,
+    LatticeTooLarge,
     NormSpec,
     ResolutionTooLow,
     besov_block_norm,
@@ -36,6 +38,17 @@ class TestLqNorm:
     def test_resolution_guard(self):
         with pytest.raises(ResolutionTooLow):
             lq_norm(lambda x: x, 2.0, 1, 32, min_level=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_size_cap_raises_before_evaluating(self, monkeypatch, d):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        calls = []
+        f = lambda x: calls.append(1) or np.ones(len(x))
+        fits = int(1000 ** (1 / d) + 1e-9)
+        assert lq_norm(f, 2.0, d, fits) == 1.0
+        with pytest.raises(LatticeTooLarge, match=f"{fits + 1}\\*\\*{d} = {(fits + 1) ** d} points"):
+            lq_norm(f, 2.0, d, fits + 1)
+        assert len(calls) == 1
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparseqi
+from sparseqi import analysis
 from sparseqi.cli import main
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
@@ -70,10 +71,21 @@ class TestUsage:
         ("witness", "--kind", "g1", "--d", 2, "--m-range", "1..4", "--r", 0.75, "--level-offset", -1),
         ("witness", "--kind", "g1", "--d", 1, "--m-range", "1..4", "--r", 0.75, "--level-offset", -3),
         ("witness", "--kind", "g2", "--d", 2, "--m-range", "1..4", "--r", 0.75, "--level-offset", -2),
+        ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..2", "--r", 1.25, "--p", 1),
+        ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..2", "--r", 1.25, "--p", "inf"),
+        ("witness", "--kind", "g1", "--d", 1, "--m-range", "1..2", "--r", 0.75, "--q", 0.5),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_oversized_quadrature_lattice_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        assert run("witness", "--kind", "g1", "--builtin", "faber", "--d", 2, "--m-range", "1..2",
+                   "--r", 0.75, "--resolution", 32, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "32**2 = 1024 points" in err
+        assert not (tmp_path / "witness.csv").exists()
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -176,6 +188,28 @@ class TestRecover:
         assert blob["entries"] == []
         with open(out / "recovered.csv", newline="") as fh:
             assert all(float(row["value"]) == 0.0 for row in csv.DictReader(fh))
+
+
+class TestZeroDenominator:
+    """A ``p/0`` cell is an input error (exit 2), in either CSV."""
+
+    @staticmethod
+    def write(path, rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    def test_in_samples(self, tmp_path, capsys):
+        samples = self.write(tmp_path / "samples.csv", [["x_1", "x_2", "value"], ["1/0", "0", "1.0"]])
+        assert run("recover", "--builtin", "faber", "--d", 2, "--m", 1,
+                   "--samples", samples, "--out", tmp_path / "out") == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_in_eval_points(self, tmp_path, capsys):
+        points = self.write(tmp_path / "eval.csv", [["x_1", "x_2"], ["0.5", "3/0"]])
+        assert run("recover", "--builtin", "faber", "--d", 2, "--m", 1, "--function", "sine",
+                   "--eval", points, "--out", tmp_path / "out") == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestOrder6RoundTrip:

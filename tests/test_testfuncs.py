@@ -7,6 +7,7 @@ import pytest
 from sparseqi import testfuncs
 from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier
 from sparseqi.bspline import eval_tensor
+from sparseqi.quasi_interp import block_positions
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import (
     TrigFunction,
@@ -187,6 +188,94 @@ class TestBoxAgainstDictPath:
             else:
                 TrigFunction(d, modes, real=True)
         assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the phase-matrix contraction that the lattice fold and FFT replaced
+# ---------------------------------------------------------------------------
+
+
+def _contract_axes_eval(f, axes):
+    """Grid values by one dense phase matrix per axis, contracted in the
+    order with the fewest multiply-adds."""
+    phases = [np.exp(2.0 * np.pi * 1j * np.outer(np.asarray(x), s)) for x, s in zip(axes, f.freq_axes)]
+    order = sorted(range(f.d), key=lambda j: 1 / phases[j].shape[1] - 1 / max(phases[j].shape[0], 1))
+    field = f.C
+    for j in order:
+        field = np.moveaxis(np.tensordot(phases[j], field, axes=([1], [j])), 0, j)
+    return field.real if f.real else field
+
+
+def _block_axis(ell, a):
+    return block_positions(ell, a, a) / (ell << a)
+
+
+class TestLatticeEvaluation:
+    @staticmethod
+    def assert_matches_contraction(f, axes):
+        got = f.eval_on_axes(axes)
+        expect = _contract_axes_eval(f, axes)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        if got.size:
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.abs(f.C).sum()
+
+    @pytest.mark.parametrize("d,K", [(1, 40), (2, 9), (3, 3)])
+    def test_uniform_lattices(self, d, K):
+        f = random_mixed_smooth(1.25, K, d, seed=d)
+        L = 2 * K + 1
+        for n in (1, 2, 5, L - 1, L, L + 1, 2 * L + 3):  # n < L, n == L, n > L
+            self.assert_matches_contraction(f, [np.arange(n) / n] * d)
+        sizes = (3, L, 2 * L)[:d]
+        self.assert_matches_contraction(f, [np.arange(n) / n for n in sizes])
+
+    @pytest.mark.parametrize("d,K", [(1, 40), (2, 9), (3, 3)])
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_block_axes(self, d, K, ell):
+        f = random_mixed_smooth(1.25, K, d, seed=10 + d)
+        for a in range(6):
+            levels = [(a + 2 * j) % 6 for j in range(d)]
+            self.assert_matches_contraction(f, [_block_axis(ell, aj) for aj in levels])
+
+    def test_complex_box_and_shifted_lattice(self):
+        rng = np.random.default_rng(7)
+        C = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        f = TrigFunction.from_box([np.arange(-7, -1), np.arange(3, 12)], C)
+        for x0 in (0.0, 0.3, -1.7):
+            for n in (1, 4, 6, 13):
+                self.assert_matches_contraction(f, [x0 + np.arange(n) / n, np.arange(n) / n])
+
+    def test_mapping_box_with_gaps(self):
+        modes = {(5, -3): 1.0, (-5, 3): 1.0, (1, 0): 0.5j, (-1, 0): -0.5j, (0, 7): 2.0, (0, -7): 2.0}
+        f = TrigFunction(2, modes, real=True)
+        assert any(np.any(np.diff(a) > 1) for a in f.freq_axes)
+        for axes in (
+            [np.arange(4) / 4, np.arange(3) / 3],
+            [np.arange(16) / 16, _block_axis(4, 3)],
+            [_block_axis(6, 1), np.arange(15) / 15],
+        ):
+            self.assert_matches_contraction(f, axes)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_point_and_empty_axes(self, d):
+        f = random_mixed_smooth(1.25, 4, d, seed=3)
+        rng = np.random.default_rng(d)
+        self.assert_matches_contraction(f, [rng.random(1) for _ in range(d)])
+        for j in range(d):
+            axes = [np.arange(5) / 5] * d
+            axes[j] = np.array([])
+            self.assert_matches_contraction(f, axes)
+            axes[j] = np.array([0.25])
+            self.assert_matches_contraction(f, axes)
+
+    @pytest.mark.parametrize("axis", [[0.1, 0.5, 0.6], [0.0, 0.5, 0.75], [0.0, 0.25]])
+    def test_non_lattice_axis_rejected(self, axis):
+        f = bernoulli_partial(1.5, 3, 2)
+        with pytest.raises(ValueError, match="lattice"):
+            f.eval_on_axes([np.arange(4) / 4, np.array(axis)])
+
+    def test_wrong_axis_count_rejected(self):
+        with pytest.raises(ValueError):
+            bernoulli_partial(1.5, 3, 2).eval_on_axes([np.arange(4) / 4])
 
 
 class TestTrigFunction:
