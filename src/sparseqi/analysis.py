@@ -51,10 +51,10 @@ class DegenerateFit(ValueError):
     """Rate fit impossible: too few levels or errors that do not decay."""
 
 
-# Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**26 points
-# (a 406**3 lattice fits): its float64 values take 512 MiB, and evaluating a
-# field on it takes several times that in temporaries.
-MAX_LATTICE_POINTS = 1 << 26
+# Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**27
+# points: a 512**3 lattice fits.  Its float64 values take 1 GiB; a d = 3
+# witness norm peaks at about 23 bytes per lattice point, some 3 GiB here.
+MAX_LATTICE_POINTS = 1 << 27
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,14 @@ def cmd_recover(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_pq(p: float, q: float, need_p: bool) -> None:
+    """Usage errors for the class exponent ``p`` (when it is used) and the norm exponent ``q``."""
+    if need_p and not 1 < p < math.inf:
+        raise _UsageError("p must lie in (1, inf)")
+    if not q > 1:
+        raise _UsageError("q must lie in (1, inf]")
+
+
 @dataclass
 class BenchConfig:
     """Resolved configuration of a rate benchmark, embedded in its report."""
@@ -270,10 +278,7 @@ class BenchConfig:
         warnings: list[str] = []
         if len(self.m_range) < 4:
             raise _UsageError("rate fits need an m-range of at least 4 levels")
-        if not self.p > 1 or self.p == math.inf:
-            raise _UsageError("p must lie in (1, inf)")
-        if not self.q > 1:
-            raise _UsageError("q must lie in (1, inf]")
+        _check_pq(self.p, self.q, need_p=True)
         lo = max(1.0 / self.p, 0.5)
         hi = self.ell - 1
         if not lo < self.r_eff < hi:
@@ -425,10 +430,7 @@ def cmd_witness(args) -> int:
         raise _UsageError(f"witnesses need levels m >= 1, got {m_range[0]}")
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
-    if args.kind == "g2" and not 1 < p < math.inf:
-        raise _UsageError("p must lie in (1, inf)")
-    if not q > 1:
-        raise _UsageError("q must lie in (1, inf]")
+    _check_pq(p, q, need_p=args.kind == "g2")
     rows = []
     norms: dict[int, float] = {}
     for m in m_range:

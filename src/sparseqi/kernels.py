@@ -14,12 +14,13 @@ spline's piece table, and both evaluation paths are built on it:
 
 :func:`contract_axes` is the one separable contraction of spline coefficient
 boxes, for every dimension; trigonometric fixtures fold and transform instead
-(:mod:`sparseqi.testfuncs`).  Axis ``j`` of a box is contracted in BLAS against
-a matrix of shape ``(n_j, L_j)``.  That costs ``n_j`` multiply-adds per entry
-of the current field and scales its size by ``n_j / L_j``; exchanging
-adjacent axes ``i, j`` shows that ``i`` goes first when
-``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total.  The order depends on the shapes alone, so equal inputs
-always take the same summation order and give bit-identical results.
+(:mod:`sparseqi.testfuncs`).  Axis ``j`` of a box is contracted in BLAS
+against a matrix of shape ``(n_j, L_j)``.  That costs ``n_j`` multiply-adds
+per entry of the current field and scales its size by ``n_j / L_j``;
+exchanging adjacent axes ``i, j`` shows that ``i`` goes first when
+``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total.  The order
+depends on the shapes alone, so equal inputs always take the same summation
+order and give bit-identical results.
 
 An empty combination evaluates to zero on both paths.
 """

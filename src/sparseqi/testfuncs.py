@@ -219,22 +219,12 @@ def _lattice(x) -> tuple[float, int]:
     return x0, n
 
 
-def _unit(turns: float) -> complex:
-    """``exp(2*pi*i*turns)``, exactly +-1 on whole and half turns."""
-    half = 2.0 * (turns % 1.0)
-    if half.is_integer():
-        return -1.0 if half else 1.0
-    return complex(np.exp(_TWO_PI * 1j * turns))
-
-
 def _add_scaled(out: np.ndarray, w: complex, part: np.ndarray) -> None:
-    """``out += w * part``, without a temporary when ``w`` is +-1."""
-    if w == 1:
-        out += part
-    elif w == -1:
-        out -= part
-    else:
-        out += w * part
+    """``out += w * part`` in place for ``|w| = 1``, as ``out = w * (conj(w) * out + part)``,
+    so no temporary of the size of ``part`` is made."""
+    out *= np.conj(w)
+    out += part
+    out *= w
 
 
 def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int) -> np.ndarray:
@@ -243,16 +233,13 @@ def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: 
     ``j`` holds ``i < n``.
 
     Frequency ``s = n*q + r`` (``0 <= r < n``) folds onto residue ``r`` with the
-    factor ``exp(2*pi*i*n*q*x0)``, a scalar per period ``q``.  The head and
-    tail partial periods are added as slices.  The whole periods are one view
-    of shape ``(P, n)`` along the axis; when their factors repeat every one or
-    two periods (always 1 at ``x0 = 0``, and ``+-1`` alternately on
-    half-shifted axes), the periods sharing a factor are summed as one strided
-    view, and otherwise each period is added on its own.  Each residue then
-    takes ``exp(2*pi*i*r*x0)``, and one unnormalised inverse DFT in place gives
-    the values.  The fold leaves axis ``j`` where it is, so the first fold,
-    which reads the whole box, sums along its leading axis over contiguous
-    rows.
+    factor ``exp(2*pi*i*n*q*x0)``, a scalar per period ``q``.  The whole
+    periods are one view of shape ``(P, n)`` along the axis, contracted
+    against their factors in one ``matmul``; the head and tail partial periods
+    are added as slices.  Each residue then takes ``exp(2*pi*i*r*x0)``, and one
+    unnormalised inverse DFT in place gives the values.  The fold leaves axis
+    ``j`` where it is, so the first fold, which reads the whole box, runs over
+    contiguous rows.
     """
     shape = field.shape
     pre, post = int(np.prod(shape[:j])), int(np.prod(shape[j + 1 :]))
@@ -267,13 +254,12 @@ def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: 
     P = (L - head) // n  # whole periods
     q0 = -(-s0 // n)  # the first whole period
     tail = head + P * n
-    acc = np.zeros((pre, n, post), dtype=np.complex128)
-    _add_scaled(acc[:, s0 % n : s0 % n + head], _unit(n * (q0 - 1) * x0), src[:, :head])
-    _add_scaled(acc[:, : L - tail], _unit(n * (q0 + P) * x0), src[:, tail:])
-    periods = src[:, head:tail].reshape(pre, P, n, post)
-    step = next((c for c in (1, 2) if _unit(n * c * x0) == 1), P)
-    for c in range(min(step, P)):
-        _add_scaled(acc, _unit(n * (q0 + c) * x0), periods[:, c::step].sum(axis=1))
+    # factors of the head period, the P whole periods and the tail period
+    w = np.exp(_TWO_PI * 1j * n * x0 * np.arange(q0 - 1, q0 + P + 1))
+    periods = src[:, head:tail].reshape(pre, P, n * post)
+    acc = np.matmul(w[1:-1], periods).reshape(pre, n, post)
+    _add_scaled(acc[:, s0 % n : s0 % n + head], w[0], src[:, :head])
+    _add_scaled(acc[:, : L - tail], w[-1], src[:, tail:])
     if x0:
         acc *= np.exp(_TWO_PI * 1j * x0 * np.arange(n))[:, None]
     np.fft.ifft(acc, axis=1, norm="forward", out=acc)

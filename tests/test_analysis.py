@@ -50,6 +50,20 @@ class TestLqNorm:
             lq_norm(f, 2.0, d, fits + 1)
         assert len(calls) == 1
 
+    def test_lattice_size_cap_admits_512_cubed(self):
+        class Reached(Exception):
+            pass
+
+        class Stub:  # stops at the evaluation, so nothing of lattice size is allocated
+            def eval_on_axes(self, axes):
+                raise Reached([len(a) for a in axes])
+
+        with pytest.raises(Reached) as hit:
+            lq_norm(Stub(), 2.0, 3, 512)
+        assert hit.value.args[0] == [512, 512, 512]
+        with pytest.raises(LatticeTooLarge, match="513\\*\\*3 = 135005697 points"):
+            lq_norm(Stub(), 2.0, 3, 513)
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             lq_norm(lambda x: x, 1.0, 1, 64)
