@@ -9,7 +9,6 @@ from .analysis import (
     DegenerateFit,
     FieldDifference,
     LatticeTooLarge,
-    NormSpec,
     RateFit,
     ResolutionTooLow,
     besov_block_norm,
@@ -31,7 +30,7 @@ from .bspline import (
     eval_periodic,
     eval_tensor,
 )
-from .laurent import LaurentPoly, NotDivisible, apply_shift_operator
+from .laurent import LaurentPoly, NotDivisible
 from .quasi_interp import (
     BUILTIN_MASKS,
     HierCoeffs,
@@ -39,14 +38,12 @@ from .quasi_interp import (
     NotAQuasiInterpolant,
     QIScheme,
     SampleCache,
-    a_coeff,
     build_scheme,
     builtin_scheme,
     decompose,
     detail_coeff,
-    detail_coeff_oracle,
 )
-from .smolyak import SampleGrid, SmolyakIndexSet, count_points, enumerate_grid, recover
+from .smolyak import SampleGrid, count_points, enumerate_grid, recover
 from .testfuncs import (
     TrigFunction,
     bernoulli_partial,

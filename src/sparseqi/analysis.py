@@ -26,7 +26,6 @@ __all__ = [
     "ResolutionTooLow",
     "LatticeTooLarge",
     "DegenerateFit",
-    "NormSpec",
     "RateFit",
     "FieldDifference",
     "default_resolution",
@@ -58,39 +57,6 @@ MAX_LATTICE_POINTS = 1 << 27
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Descriptor of a norm used in error tables and reports."""
-
-    kind: str  # "Lp" | "SobolevMixed" | "BesovBlock" | "LPBlock"
-    p: float
-    r: float | None = None
-    theta: float | None = None
-
-    def __post_init__(self) -> None:
-        kinds = ("Lp", "SobolevMixed", "BesovBlock", "LPBlock")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}")
-        if self.kind == "SobolevMixed" and self.p != 2:
-            raise ValueError("the exact mixed Sobolev path requires p = 2")
-        if self.kind == "BesovBlock":
-            if self.p <= 0:
-                raise ValueError("BesovBlock needs p > 0")
-        elif self.p <= 1:
-            raise ValueError(f"{self.kind} quadrature needs p > 1")
-
-    @property
-    def label(self) -> str:
-        p = "inf" if isinf(self.p) else f"{self.p:g}"
-        bits = [self.kind, f"p={p}"]
-        if self.r is not None:
-            bits.append(f"r={self.r:g}")
-        if self.theta is not None:
-            t = "inf" if isinf(self.theta) else f"{self.theta:g}"
-            bits.append(f"theta={t}")
-        return ",".join(bits)
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Fitted decay model ``error(m) ~ C * 2**(-rho*m) * m**beta``."""
 
@@ -100,10 +66,6 @@ class RateFit:
     residual: float
     range: tuple[int, int]
     model: str
-
-    def predict(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=np.float64)
-        return self.C * 2.0 ** (-self.rho * m) * m**self.beta
 
     def to_json(self) -> dict:
         return {
@@ -369,15 +331,13 @@ def fit_rate(
     errors: Mapping[int, float],
     model: str = "dyadic_logpow",
     *,
-    beta: float | None = None,
     drop_lowest: int | None = None,
 ) -> RateFit:
     """Least-squares fit of ``log2 error`` against ``m`` (and ``log2 m``).
 
     ``model`` is ``"pure_dyadic"`` (no log-power term) or ``"dyadic_logpow"``
-    with ``beta`` free unless fixed via the keyword.  By default the two
-    smallest levels are dropped as pre-asymptotic, but never below the four
-    levels a fit requires.
+    with ``beta`` free.  By default the two smallest levels are dropped as
+    pre-asymptotic, but never below the four levels a fit requires.
 
     Raises:
         DegenerateFit: fewer than four levels (after dropping), any
@@ -399,30 +359,21 @@ def fit_rate(
     if np.all(np.diff(errs) >= 0):
         raise DegenerateFit("errors are non-decreasing over the fitted range")
 
-    y = np.log2(errs)
-    free_beta = model == "dyadic_logpow" and beta is None
-    fixed_beta = 0.0 if model == "pure_dyadic" else (beta or 0.0)
-    if model == "pure_dyadic" and beta not in (None, 0.0):
-        raise ValueError("pure_dyadic admits no log-power term")
+    free_beta = model == "dyadic_logpow"
     if free_beta and ms[0] < 1:
         raise ValueError("log-power fit needs levels m >= 1")
-
     cols = [np.ones_like(ms), -ms]
-    target = y if free_beta else y - fixed_beta * np.log2(np.maximum(ms, 1.0))
     if free_beta:
         cols.append(np.log2(ms))
-    A = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(A, target, rcond=None)
-    c0, rho = float(sol[0]), float(sol[1])
-    beta_hat = float(sol[2]) if free_beta else float(fixed_beta)
-    fit = RateFit(
+    sol, *_ = np.linalg.lstsq(np.stack(cols, axis=1), np.log2(errs), rcond=None)
+    C, rho = float(2.0 ** float(sol[0])), float(sol[1])
+    beta = float(sol[2]) if free_beta else 0.0
+    residual = float(np.max(np.abs(errs / (C * 2.0 ** (-rho * ms) * ms**beta) - 1.0)))
+    return RateFit(
         rho=rho,
-        beta=beta_hat,
-        C=float(2.0**c0),
-        residual=0.0,
+        beta=beta,
+        C=C,
+        residual=residual,
         range=(int(ms[0]), int(ms[-1])),
-        model=model if not free_beta else "dyadic_logpow(free)",
+        model="dyadic_logpow(free)" if free_beta else model,
     )
-    predicted = fit.predict(ms)
-    residual = float(np.max(np.abs(errs / predicted - 1.0)))
-    return RateFit(fit.rho, fit.beta, fit.C, residual, fit.range, fit.model)

@@ -209,6 +209,13 @@ def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
 def cmd_recover(args) -> int:
     scheme = _load_scheme(args)
     d, m = args.d, args.m
+    # the evaluation points are read before the first file is written
+    if args.eval_points:
+        pts = _read_points(args.eval_points, d)
+    else:
+        n = args.eval_grid
+        axes = [np.arange(n) / n] * d
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     f = None
     if args.samples:
         cache = _read_samples(args.samples, d, m, scheme.ell)
@@ -219,12 +226,6 @@ def cmd_recover(args) -> int:
     out = _out_dir(args)
     _write_json(out / "coeffs.json", hc.to_json())
 
-    if args.eval_points:
-        pts = _read_points(args.eval_points, d)
-    else:
-        n = args.eval_grid
-        axes = [np.arange(n) / n] * d
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     vals = hc.eval_points(pts)
     rows = [[repr(float(c)) for c in pt] + [repr(float(v))] for pt, v in zip(pts, vals)]
     _write_csv(out / "recovered.csv", [f"x_{j + 1}" for j in range(d)] + ["value"], rows)
@@ -279,6 +280,8 @@ class BenchConfig:
         if len(self.m_range) < 4:
             raise _UsageError("rate fits need an m-range of at least 4 levels")
         _check_pq(self.p, self.q, need_p=True)
+        if not self.r_eff > 0:
+            raise _UsageError("r must be positive")
         lo = max(1.0 / self.p, 0.5)
         hi = self.ell - 1
         if not lo < self.r_eff < hi:
@@ -316,7 +319,7 @@ def _default_probe(p: float, q: float) -> str:
 
 def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
-    norm_kind = analysis.NormSpec("Lp", cfg.q).label if not math.isinf(cfg.q) else "Lp,p=inf"
+    norm_kind = f"Lp,p={q_label}"
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
     cache = SampleCache(f, scheme.ell, cfg.d)
     err_random: dict[int, float] = {}
@@ -431,20 +434,25 @@ def cmd_witness(args) -> int:
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
     _check_pq(p, q, need_p=args.kind == "g2")
-    rows = []
-    norms: dict[int, float] = {}
-    for m in m_range:
+    # Highest level first, norm before grid: the largest quadrature lattice
+    # is refused (LatticeTooLarge, ResolutionTooLow) before any other work,
+    # and no file is written until every level is measured.
+    witnesses, measured = {}, {}
+    for m in reversed(m_range):
         if args.kind == "g1":
             w = testfuncs.witness_g1(scheme, d, m, r, level_offset=args.level_offset)
         else:
             w = testfuncs.witness_g2(scheme, d, m, r, p, level_offset=args.level_offset)
+        norm = analysis.lq_norm(w, q, d, args.resolution, min_level=w.max_level)
         grid = smolyak.enumerate_grid(d, m, scheme)
         grid_max = float(np.max(np.abs(w.eval_points(grid.as_array())))) if grid.n else 0.0
-        norm = analysis.lq_norm(w, q, d, args.resolution, min_level=w.max_level)
-        norms[m] = norm
-        rows.append({"m": m, "grid_max": grid_max, "norm_q": norm, "block_level": w.max_level})
-        if args.export_coeffs:
-            _write_json(_out_dir(args) / f"witness_{args.kind}_m{m}.json", w.to_json())
+        witnesses[m] = w
+        measured[m] = {"m": m, "grid_max": grid_max, "norm_q": norm, "block_level": w.max_level}
+    rows = [measured[m] for m in m_range]
+    norms = {m: measured[m]["norm_q"] for m in m_range}
+    if args.export_coeffs:
+        for m in m_range:
+            _write_json(_out_dir(args) / f"witness_{args.kind}_m{m}.json", witnesses[m].to_json())
     for i in range(1, len(m_range)):
         rows[i]["ratio"] = norms[m_range[i]] / norms[m_range[i - 1]]
     report: dict = {

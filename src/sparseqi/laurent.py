@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "LaurentPoly",
     "NotDivisible",
-    "apply_shift_operator",
     "float_stencil",
 ]
 
@@ -75,10 +74,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls(0, (Fraction(1),))
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls(exponent, (coeff,))
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[int, object] | Iterable[tuple[int, object]]) -> "LaurentPoly":
@@ -245,15 +240,3 @@ class LaurentPoly:
 def float_stencil(p: LaurentPoly) -> tuple[int, np.ndarray]:
     """Freeze a polynomial into ``(lo, weights)`` with float64 weights."""
     return p.lo, np.array([float(c) for c in p.coeffs], dtype=np.float64)
-
-
-def apply_shift_operator(p: LaurentPoly, h: float, f: Callable[[float], float], x: float) -> float:
-    """Apply the shift operator with symbol ``p`` and step ``h`` to ``f`` at ``x``.
-
-    Returns ``sum_e coeff(e) * f(x + e*h)``; coefficients are converted to
-    float here (schemes that sit in inner loops freeze their tables instead).
-    """
-    acc = 0.0
-    for e, c in p.terms():
-        acc += float(c) * f(x + e * h)
-    return acc

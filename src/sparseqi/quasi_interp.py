@@ -34,7 +34,6 @@ import numpy as np
 
 from .bspline import (
     InvalidOrder,
-    cardinal_spline,
     eval_cardinal_exact,
     mesh_size,
     piece_table,
@@ -54,9 +53,7 @@ __all__ = [
     "build_scheme",
     "builtin_scheme",
     "multi_indices",
-    "a_coeff",
     "detail_coeff",
-    "detail_coeff_oracle",
     "block_coeffs",
     "block_coeffs_oracle",
     "quasi_coeffs",
@@ -595,21 +592,6 @@ def block_coeffs_oracle(scheme: QIScheme, cache: SampleCache, k: Sequence[int]) 
     return total
 
 
-def a_coeff(scheme: QIScheme, k: int, s: int, f) -> float:
-    """Univariate quasi-interpolant coefficient ``Lambda(f, s)`` at level ``k``."""
-    if not 0 <= s < shifts_per_level(scheme.ell, k):
-        raise ValueError(f"shift {s} out of range at level {k}")
-    h = mesh_size(scheme.ell, k)
-    half = scheme.ell // 2
-    batch = as_batch_function(f, 1)
-    pts = np.array(
-        [[float(h * (s - j + half))] for j in range(-scheme.mu, scheme.mu + 1)]
-    )
-    vals = batch(pts)
-    weights = np.array([float(scheme.lam[j + scheme.mu]) for j in range(-scheme.mu, scheme.mu + 1)])
-    return float(weights @ vals)
-
-
 def _axis_operator(scheme: QIScheme, kj: int, sj: int) -> list[tuple[int, float]]:
     # literal composition: reduced detail symbol applied after the order-ell
     # difference for fine axes, the plain mask symbol at level 0
@@ -657,14 +639,6 @@ def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> flo
         return 0.0
     vals = batch(np.array(points, dtype=np.float64))
     return float(np.dot(weights, vals))
-
-
-def detail_coeff_oracle(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f, cache: SampleCache | None = None) -> float:
-    """Single detail coefficient via the refinement-expansion oracle."""
-    k = tuple(int(v) for v in k)
-    if cache is None:
-        cache = SampleCache(f, scheme.ell, len(k))
-    return float(block_coeffs_oracle(scheme, cache, k)[tuple(int(v) for v in s)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ are integer positions on the level-``m`` lattice and need no deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -27,7 +27,6 @@ from .quasi_interp import (
 )
 
 __all__ = [
-    "SmolyakIndexSet",
     "SampleGrid",
     "MissingSamples",
     "enumerate_grid",
@@ -40,26 +39,6 @@ __all__ = [
 def grid_level_gap(ell: int) -> int:
     """Levels separating the sampling lattice from the knot lattice: ceil(log2 ell)."""
     return (ell - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class SmolyakIndexSet:
-    """All level vectors k in Z_+^d with |k|_1 <= m, graded lexicographic."""
-
-    d: int
-    m: int
-    indices: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.m < 0:
-            raise ValueError("need d >= 1 and m >= 0")
-        object.__setattr__(self, "indices", tuple(multi_indices(self.d, self.m)))
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 PointKey = tuple[Fraction, ...]

@@ -139,25 +139,6 @@ class TrigFunction:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)
         return self.eval_points(pt)[0]
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "real": self.real,
-            "modes": [
-                {"s": list(s), "re": c.real, "im": c.imag} for s, c in sorted(self.modes.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TrigFunction":
-        modes = {
-            tuple(int(v) for v in entry["s"]): complex(entry["re"], entry["im"])
-            for entry in data["modes"]
-        }
-        return cls(int(data["d"]), modes, real=bool(data.get("real", False)))
-
 
 def _scatter_modes(d: int, modes: Mapping[Sequence[int], complex]):
     """(freq_axes, C) holding the nonzero entries of a mode mapping.

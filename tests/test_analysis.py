@@ -9,7 +9,6 @@ from sparseqi.analysis import (
     DegenerateFit,
     FieldDifference,
     LatticeTooLarge,
-    NormSpec,
     ResolutionTooLow,
     besov_block_norm,
     difference,
@@ -263,12 +262,6 @@ class TestFitRate:
         assert fit.beta == pytest.approx(0.5, abs=1e-10)
         assert fit.residual < 1e-10
 
-    def test_fixed_beta(self):
-        errors = {m: 3.0 * 2.0 ** (-0.75 * m) * m for m in range(2, 9)}
-        fit = fit_rate(errors, "dyadic_logpow", beta=1.0)
-        assert fit.rho == pytest.approx(0.75, abs=1e-10)
-        assert fit.C == pytest.approx(3.0, rel=1e-9)
-
     def test_too_few_levels(self):
         with pytest.raises(DegenerateFit):
             fit_rate({3: 1.0, 4: 0.5, 5: 0.25})
@@ -292,20 +285,6 @@ class TestFitRate:
         errors = {m: 2.0**-m for m in range(3, 9)}
         blob = fit_rate(errors, "pure_dyadic").to_json()
         assert set(blob) >= {"rho", "beta", "C", "residual", "range"}
-
-
-class TestNormSpec:
-    def test_labels(self):
-        assert "p=inf" in NormSpec("Lp", np.inf).label
-        assert NormSpec("BesovBlock", 0.5, r=1.0, theta=np.inf).label
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec("Lp", 1.0)
-        with pytest.raises(ValueError):
-            NormSpec("SobolevMixed", 3.0)
-        with pytest.raises(ValueError):
-            NormSpec("nope", 2.0)
 
 
 def test_recovery_error_decreases(faber):

@@ -74,6 +74,8 @@ class TestUsage:
         ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..2", "--r", 1.25, "--p", 1),
         ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..2", "--r", 1.25, "--p", "inf"),
         ("witness", "--kind", "g1", "--d", 1, "--m-range", "1..2", "--r", 0.75, "--q", 0.5),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--r", 0),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--r", -1),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1
@@ -86,6 +88,14 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage error" in err and "32**2 = 1024 points" in err
         assert not (tmp_path / "witness.csv").exists()
+
+    def test_lattice_refused_at_a_later_level_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # m = 1 and 2 fit under the cap, m = 3 does not
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 2**13)
+        assert run("witness", "--kind", "g1", "--builtin", "faber", "--d", 2, "--m-range", "1..3",
+                   "--r", 0.75, "--export-coeffs", "--out", tmp_path) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -212,6 +222,19 @@ class TestZeroDenominator:
         assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", [None, ["abc"]])
+def test_bad_eval_file_writes_no_coeffs(tmp_path, capsys, cells):
+    # a missing file, then a cell that is not a number
+    points = tmp_path / "eval.csv"
+    if cells is not None:
+        points.write_text("x_1\n" + "\n".join(cells) + "\n")
+    out = tmp_path / "out"
+    assert run("recover", "--builtin", "faber", "--d", 1, "--m", 2, "--function", "sine",
+               "--eval", points, "--out", out) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (out / "coeffs.json").exists()
+
+
 class TestOrder6RoundTrip:
     """`grid` then `recover --samples` on its own file, at order 6: the grid's
     coordinates are thirds of dyadic fractions, so the decimals `grid` writes
@@ -322,6 +345,13 @@ class TestBenchmark:
             rows = list(csv.DictReader(fh))
         assert [int(r["m"]) for r in rows] == [2, 3, 4, 5]
         assert all(float(r["error"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("q,label", [("2", "Lp,p=2"), ("4", "Lp,p=4"), ("inf", "Lp,p=inf")])
+    def test_norm_kind_label(self, tmp_path, q, label):
+        assert run("benchmark", "--builtin", "faber", "--d", 1, "--m-range", "2..5",
+                   "--r", "0.75", "--K", 32, "--q", q, "--out", tmp_path) == 0
+        with open(tmp_path / "benchmark_errors.csv", newline="") as fh:
+            assert [r["norm_kind"] for r in csv.DictReader(fh)] == [label] * 4
 
     def test_peak_probe_rows(self, tmp_path, faber):
         # --q 4 > --p 2: the default probe is "both", so every row carries the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseqi.laurent import LaurentPoly, NotDivisible, apply_shift_operator
+from sparseqi.laurent import LaurentPoly, NotDivisible
 
 
 def lp(lo, *coeffs):
@@ -135,25 +135,3 @@ def test_ring_identities(a, b, c):
 def test_json_round_trip_bit_exact(p):
     blob = json.dumps(p.to_json())
     assert LaurentPoly.from_json(json.loads(blob)) == p
-
-
-class TestShiftOperator:
-    def test_constant_symbol_is_identity(self):
-        f = lambda x: x**3 - 2 * x
-        assert apply_shift_operator(LaurentPoly.one(), 0.37, f, 0.9) == f(0.9)
-
-    def test_difference_symbol_annihilates_low_degree(self):
-        # (z-1)^ell kills polynomials of degree < ell on non-wrapping windows
-        for ell in (2, 4):
-            d = lp(0, -1, 1) ** ell
-            for j in range(ell):
-                f = lambda x, j=j: x**j
-                val = apply_shift_operator(d, 0.01, f, 0.25)
-                assert abs(val) < 1e-12 * max(1.0, 0.3**j)
-
-    def test_direct_substitution(self):
-        import math
-
-        f = lambda x: math.sin(2 * math.pi * x)
-        # symbol z with step 1/2 reads f(x + 1/2)
-        assert apply_shift_operator(Z, 0.5, f, 0.0) == pytest.approx(math.sin(math.pi), abs=1e-15)

@@ -14,7 +14,6 @@ from sparseqi.quasi_interp import (
     MissingSamples,
     NotAQuasiInterpolant,
     SampleCache,
-    a_coeff,
     as_batch_function,
     block_coeffs,
     block_coeffs_oracle,
@@ -23,7 +22,6 @@ from sparseqi.quasi_interp import (
     builtin_scheme,
     decompose,
     detail_coeff,
-    detail_coeff_oracle,
     grid_values,
     multi_indices,
     quasi_coeffs,
@@ -121,13 +119,18 @@ class TestBuildScheme:
                 assert abs(total - f(x)) < 1e-10 * scale
 
 
+def _a_coeff(scheme, k, s, f):
+    # univariate quasi-interpolant coefficient Lambda(f, s) at level k
+    return quasi_coeffs(scheme, SampleCache(f, scheme.ell, 1), (k,))[s]
+
+
 class TestACoeff:
     def test_unit_mass(self, faber):
-        assert a_coeff(faber, 3, 5, lambda x: np.ones_like(x)) == pytest.approx(1.0)
+        assert _a_coeff(faber, 3, 5, lambda x: np.ones_like(x)) == pytest.approx(1.0)
 
     def test_single_term_mask(self, faber):
         # order 2, level 0: reads f at (s + 1)/2
-        assert a_coeff(faber, 0, 0, lambda x: x) == pytest.approx(0.5)
+        assert _a_coeff(faber, 0, 0, lambda x: x) == pytest.approx(0.5)
 
     def test_matches_direct_sum(self, cubic):
         f = lambda x: np.cos(2 * np.pi * x)
@@ -135,7 +138,7 @@ class TestACoeff:
         expected = sum(
             float(cubic.lam[j + 1]) * f(h * (3 - j + 2)) for j in (-1, 0, 1)
         )
-        assert a_coeff(cubic, 2, 3, f) == pytest.approx(expected, abs=1e-14)
+        assert _a_coeff(cubic, 2, 3, f) == pytest.approx(expected, abs=1e-14)
 
 
 class TestDetailCoeff:
@@ -165,7 +168,7 @@ class TestDetailCoeff:
     def test_scalar_oracle_entry(self, cubic):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, 1])
         val = detail_coeff(cubic, (1, 2), (3, 5), f)
-        ora = detail_coeff_oracle(cubic, (1, 2), (3, 5), f)
+        ora = block_coeffs_oracle(cubic, SampleCache(f, cubic.ell, 2), (1, 2))[3, 5]
         assert val == pytest.approx(ora, abs=1e-13)
 
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -147,12 +146,6 @@ class TestBoxAgainstDictPath:
         ):
             _assert_same_box(f, *_dict_box(modes, d))
             _assert_same_values(f, TrigFunction(d, modes, real=True), seed=d)
-
-    def test_json_emits_sorted_nonzero_modes(self):
-        modes = _dict_bernoulli_partial(2.0, 2, 2)
-        entries = bernoulli_partial(2.0, 2, 2).to_json()["modes"]
-        assert [tuple(e["s"]) for e in entries] == sorted(modes)
-        assert [complex(e["re"], e["im"]) for e in entries] == [modes[s] for s in sorted(modes)]
 
     @pytest.mark.parametrize("d,K", [(1, 40), (2, 6), (3, 2)])
     def test_chunked_scattered_eval_is_bit_identical(self, monkeypatch, d, K):
@@ -337,12 +330,6 @@ class TestTrigFunction:
         assert f(x) == pytest.approx(expect, abs=1e-13)
         axes = [np.array([0.3]), np.array([0.7])]
         assert f.eval_on_axes(axes)[0, 0] == pytest.approx(expect, abs=1e-13)
-
-    def test_json_round_trip(self):
-        f = bernoulli_partial(1.5, 3, 2)
-        back = TrigFunction.from_json(json.loads(json.dumps(f.to_json())))
-        pts = rng_points(50, 2, seed=2)
-        assert np.array_equal(f.eval_points(pts), back.eval_points(pts))
 
 
 class TestBernoulli:
