@@ -21,6 +21,7 @@ from . import analysis, smolyak, testfuncs
 from .laurent import NotDivisible
 from .quasi_interp import (
     BUILTIN_MASKS,
+    HierCoeffs,
     MissingSamples,
     NotAQuasiInterpolant,
     QIScheme,
@@ -321,12 +322,15 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
     norm_kind = f"Lp,p={q_label}"
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
-    cache = SampleCache(f, scheme.ell, cfg.d)
+    # a block's coefficients do not depend on m: decompose once at the top
+    # level and restrict to |k|_1 <= m per level
+    sweep = decompose(scheme, f, max(cfg.m_range), cfg.d).block_items()
     err_random: dict[int, float] = {}
     err_peak: dict[int, float] = {}
     counts: dict[int, int] = {}
     for m in cfg.m_range:
-        hc = decompose(scheme, f, m, cfg.d, cache=cache)
+        blocks = {k: C for k, C in sweep if sum(k) <= m}
+        hc = HierCoeffs(cfg.d, scheme.ell, m, blocks, scheme_id=scheme.scheme_id)
         err_random[m] = analysis.recovery_error(f, hc, cfg.q, cfg.resolution)
         counts[m] = smolyak.count_points(cfg.d, m, scheme)
         if cfg.probe in ("peak", "both"):

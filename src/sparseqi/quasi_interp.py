@@ -425,6 +425,13 @@ class HierCoeffs:
     ``blocks[k]`` holds the coefficients of all shifts at level vector ``k``
     as a dense array of shape ``(ell * 2**k[0], ..., ell * 2**k[d-1])``.
     Built single-writer, then treated as immutable.
+
+    Evaluation collapses the blocks along the last axis first
+    (:meth:`_collapsed`): the blocks that share their leading levels
+    ``k[:-1]`` are lifted by the spline's two-scale identity to the last-axis
+    level ``max_level - |k[:-1]|_1`` and summed, which leaves
+    ``C(max_level + d - 1, d - 1)`` blocks in place of ``C(max_level + d, d)``.
+    Access, serialization and block norms keep the stored per-block form.
     """
 
     def __init__(self, d: int, ell: int, max_level: int, blocks: Mapping[tuple[int, ...], np.ndarray], scheme_id: str = ""):
@@ -465,16 +472,40 @@ class HierCoeffs:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _collapsed(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """The same combination with one block per leading levels ``k[:-1]``, at
+        last-axis level ``max_level - |k[:-1]|_1``, in ``(k, C)`` order.
+
+        Horner along the last axis: refine the running sum one level, then add
+        the stored block of that level.  The target level depends on
+        ``max_level`` alone, and a missing block adds nothing, so a combination
+        evaluates to the same bits with or without its all-zero blocks.
+        """
+        groups: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
+        for k, C in self._blocks.items():
+            groups.setdefault(k[:-1], {})[k[-1]] = C
+        out = []
+        for lead in sorted(groups):
+            levels = groups[lead]
+            top = self.max_level - sum(lead)
+            acc = levels[min(levels)]
+            for level in range(min(levels) + 1, top + 1):
+                acc = _refine_axis(acc, self.d - 1, self.ell)
+                if level in levels:
+                    acc += levels[level]
+            out.append((lead + (top,), acc))
+        return out
+
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.d:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
-        return eval_blocks_at_points(points, self.block_items(), piece_table(self.ell))
+        return eval_blocks_at_points(points, self._collapsed(), piece_table(self.ell))
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         if len(axes) != self.d:
             raise ValueError(f"{len(axes)} axes for dimension {self.d}")
-        return eval_blocks_on_grid(axes, self.block_items(), self.ell, piece_table(self.ell))
+        return eval_blocks_on_grid(axes, self._collapsed(), self.ell, piece_table(self.ell))
 
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)

@@ -353,6 +353,30 @@ class TestBenchmark:
         with open(tmp_path / "benchmark_errors.csv", newline="") as fh:
             assert [r["norm_kind"] for r in csv.DictReader(fh)] == [label] * 4
 
+    def test_one_decomposition_leaves_the_sweep_unchanged(self, tmp_path, cubic, monkeypatch):
+        from sparseqi import smolyak, testfuncs
+        from sparseqi.quasi_interp import SampleCache, decompose
+
+        caches = []
+        init = SampleCache.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            caches.append(self)
+
+        monkeypatch.setattr(SampleCache, "__init__", recording_init)
+        assert run("benchmark", "--d", 2, "--m-range", "1..4", "--K", 8, "--out", tmp_path) == 0
+        monkeypatch.undo()
+        assert [c.evaluations for c in caches] == [smolyak.count_points(2, 4, cubic)]
+        # against one decomposition per level over a shared cache
+        report = json.loads((tmp_path / "benchmark_report.json").read_text())
+        cfg = report["config"]
+        f = testfuncs.random_mixed_smooth(cfg["r_eff"], cfg["K"], 2, cfg["seed"])
+        cache = SampleCache(f, cubic.ell, 2)
+        for row in report["rows"]:
+            hc = decompose(cubic, f, row["m"], 2, cache=cache)
+            assert row["error"] == analysis.recovery_error(f, hc, 2.0, cfg["resolution"])
+
     def test_peak_probe_rows(self, tmp_path, faber):
         # --q 4 > --p 2: the default probe is "both", so every row carries the
         # recovery error of the peaked witness

@@ -6,7 +6,7 @@ import pytest
 from sparseqi import kernels
 from sparseqi.bspline import PeriodicSpline, eval_periodic, piece_table
 from sparseqi.quasi_interp import HierCoeffs, decompose, multi_indices
-from sparseqi.testfuncs import random_mixed_smooth
+from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 
 
 @pytest.fixture(scope="module")
@@ -146,9 +146,10 @@ def test_scattered_matches_replaced_kernel(d, m, ell):
     hc = _random_combination(d, ell, m, seed=10 * d + ell)
     n = kernels._SLAB + 37  # one full slab and a short one
     P = _points(n, d, seed=d + ell)
+    table = piece_table(ell)
     dims, offsets, coeffs = _flatten_blocks_old(hc.block_items())
-    expect = _points_kernel_old(P, dims, offsets, coeffs, piece_table(ell))
-    assert np.array_equal(hc.eval_points(P), expect)
+    expect = _points_kernel_old(P, dims, offsets, coeffs, table)
+    assert np.array_equal(kernels.eval_blocks_at_points(P, hc.block_items(), table), expect)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -256,3 +257,77 @@ def test_contraction_order_is_cheapest():
 
 def test_active_backend_is_numpy():
     assert kernels.active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# HierCoeffs evaluates its blocks collapsed along the last axis; against the
+# per-block path it replaces (the kernels on the stored blocks)
+# ---------------------------------------------------------------------------
+
+
+def _per_block(hc, P, axes):
+    table = piece_table(hc.ell)
+    return (
+        kernels.eval_blocks_at_points(P, hc.block_items(), table),
+        kernels.eval_blocks_on_grid(axes, hc.block_items(), hc.ell, table),
+    )
+
+
+def _grid_axes(d):
+    # lattice axes of unequal length and an axis of scattered points
+    axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
+    axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
+    return axes
+
+
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_collapse_matches_per_block_path(d, m, ell):
+    hc = _random_combination(d, ell, m, seed=1000 * d + ell)
+    P, axes = _points(501, d, seed=d * ell), _grid_axes(d)
+    scattered, grid = _per_block(hc, P, axes)
+    tol = 1e-13 * sum(np.abs(C).sum() for _, C in hc.block_items())
+    assert np.max(np.abs(hc.eval_points(P) - scattered)) <= tol
+    assert np.max(np.abs(hc.eval_on_axes(axes) - grid)) <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_collapse_of_missing_blocks_equals_stored_zero_blocks(d, seed):
+    rng = np.random.default_rng(seed)
+    full = _random_combination(d, 4, 5 - d, seed=seed)
+    items = full.block_items()
+    # drop about half the blocks; always a group's lowest and a group's top
+    # block, and with seed 0 a whole last-axis group
+    drop = {k for k, _ in items if rng.random() < 0.5}
+    drop |= {items[0][0], items[-1][0]}
+    if seed == 0 and d > 1:
+        drop |= {k for k, _ in items if k[:-1] == (1,) + (0,) * (d - 2)}
+    stored = HierCoeffs(d, 4, full.max_level, {k: 0 * C if k in drop else C for k, C in items})
+    sparse = HierCoeffs(d, 4, full.max_level, {k: C for k, C in items if k not in drop})
+    P, axes = _points(300, d, seed=seed), _grid_axes(d)
+    assert np.array_equal(sparse.eval_points(P), stored.eval_points(P))
+    assert np.array_equal(sparse.eval_on_axes(axes), stored.eval_on_axes(axes))
+    # and the sparse combination agrees with its own per-block path
+    scattered, grid = _per_block(sparse, P, axes)
+    tol = 1e-13 * sum(np.abs(C).sum() for _, C in sparse.block_items())
+    assert np.max(np.abs(sparse.eval_points(P) - scattered)) <= tol
+    assert np.max(np.abs(sparse.eval_on_axes(axes) - grid)) <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_empty_combination_evaluates_to_zero(d):
+    hc = HierCoeffs(d, 4, 3, {})
+    P, axes = _points(50, d, seed=d), _grid_axes(d)
+    assert np.array_equal(hc.eval_points(P), np.zeros(50))
+    assert np.array_equal(hc.eval_on_axes(axes), np.zeros(tuple(len(a) for a in axes)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_witnesses_evaluate_bitwise_as_per_block(faber, cubic, d):
+    # every witness block already sits at its group's top level
+    for w in (witness_g1(faber, d, 2, 0.75), witness_g2(cubic, d, 2, 1.25, 2.0)):
+        P, axes = _points(300, d, seed=d), _grid_axes(d)
+        scattered, grid = _per_block(w, P, axes)
+        assert np.array_equal(w.eval_points(P), scattered)
+        assert np.array_equal(w.eval_on_axes(axes), grid)
