@@ -22,7 +22,10 @@ exchanging adjacent axes ``i, j`` shows that ``i`` goes first when
 depends on the shapes alone, so equal inputs always take the same summation
 order and give bit-identical results.
 
-An empty combination evaluates to zero on both paths.
+An empty combination evaluates to zero on both paths.  The kernels take the
+blocks as given; :class:`sparseqi.quasi_interp.HierCoeffs` collapses its
+blocks along the last axis before calling them, so they see one block per
+leading levels ``k[:-1]``.
 """
 
 from __future__ import annotations

@@ -473,8 +473,9 @@ class HierCoeffs:
     # -- evaluation -----------------------------------------------------------
 
     def _collapsed(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """The same combination with one block per leading levels ``k[:-1]``, at
-        last-axis level ``max_level - |k[:-1]|_1``, in ``(k, C)`` order.
+        """The same combination with one block per leading levels ``k[:-1]``,
+        at last-axis level ``max_level - |k[:-1]|_1``, as ``(k, C)`` pairs
+        sorted by ``k``.
 
         Horner along the last axis: refine the running sum one level, then add
         the stored block of that level.  The target level depends on
@@ -488,8 +489,9 @@ class HierCoeffs:
         for lead in sorted(groups):
             levels = groups[lead]
             top = self.max_level - sum(lead)
-            acc = levels[min(levels)]
-            for level in range(min(levels) + 1, top + 1):
+            low = min(levels)
+            acc = levels[low]
+            for level in range(low + 1, top + 1):
                 acc = _refine_axis(acc, self.d - 1, self.ell)
                 if level in levels:
                     acc += levels[level]

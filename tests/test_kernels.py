@@ -132,6 +132,13 @@ def _random_combination(d, ell, m, seed):
     return HierCoeffs(d, ell, m, blocks)
 
 
+def _grid_axes(d):
+    # lattice axes of unequal length and an axis of scattered points
+    axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
+    axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
+    return axes
+
+
 def _points(n, d, seed):
     # mostly outside [0, 1), plus exact lattice points and their negatives
     rng = np.random.default_rng(seed)
@@ -236,9 +243,7 @@ def test_contract_axes_matches_einsum(d, dtype):
 @pytest.mark.parametrize("ell", [2, 4, 6])
 def test_grid_matches_replaced_kernel(d, m, ell):
     hc = _random_combination(d, ell, m, seed=100 * d + ell)
-    # lattice axes of unequal length and an axis of scattered points
-    axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
-    axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
+    axes = _grid_axes(d)
     expect = _grid_kernel_old(axes, hc.block_items(), ell, piece_table(ell))
     total = sum(np.abs(C).sum() for _, C in hc.block_items())
     assert np.max(np.abs(hc.eval_on_axes(axes) - expect)) <= 1e-13 * total
@@ -271,13 +276,6 @@ def _per_block(hc, P, axes):
         kernels.eval_blocks_at_points(P, hc.block_items(), table),
         kernels.eval_blocks_on_grid(axes, hc.block_items(), hc.ell, table),
     )
-
-
-def _grid_axes(d):
-    # lattice axes of unequal length and an axis of scattered points
-    axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
-    axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
-    return axes
 
 
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (4, 2)])
