@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -116,6 +117,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_float_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """What :func:`_write_csv` writes for a float table, cells as ``float.__repr__``.
+
+    Float cells and plain column names need no quoting, so the lines are
+    joined directly, with the ``\\r\\n`` terminator of ``csv.writer``.
+    """
+    lines = [",".join(header)] + [",".join(map(float.__repr__, row)) for row in table.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 # ---------------------------------------------------------------------------
 # derive-scheme
 # ---------------------------------------------------------------------------
@@ -188,12 +200,25 @@ def _parse_number(text: str) -> float:
 
 
 def _read_points(path: str, d: int, *extra: str) -> np.ndarray:
-    """Columns ``x_1..x_d``, then ``extra``, of a CSV as rows of floats; an
-    entry may also be a fraction such as ``1/6``."""
+    """Columns ``x_1..x_d``, then ``extra``, of a CSV as rows of floats.
+
+    The columns are found by name in the header row, which may order them
+    freely and hold others; a missing one is a ``KeyError``.  A cell is a
+    decimal float (``nan`` and ``inf`` included), optionally double-quoted, or
+    a fraction such as ``1/6``.  Blank lines are skipped; a short row or a cell
+    that is not a number is a ``ValueError``.
+    """
     cols = [f"x_{j + 1}" for j in range(d)] + list(extra)
     with open(path, newline="") as fh:
-        rows = [[_parse_number(row[c]) for c in cols] for row in csv.DictReader(fh)]
-    return np.array(rows, dtype=np.float64).reshape(-1, len(cols))
+        where = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+        pos = [where[c] for c in cols]
+        body = fh.read()
+    if not body.strip():  # loadtxt warns on a file without rows
+        return np.empty((0, len(cols)))
+    # the per-cell converter only where a fraction may occur
+    converters = _parse_number if "/" in body else None
+    return np.loadtxt(io.StringIO(body), delimiter=",", usecols=pos, comments=None,
+                      quotechar='"', ndmin=2, converters=converters)
 
 
 def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
@@ -225,11 +250,10 @@ def cmd_recover(args) -> int:
         f = testfuncs.builtin_function(args.function, d)
         hc = smolyak.recover(scheme, d, m, f=f)
     out = _out_dir(args)
-    _write_json(out / "coeffs.json", hc.to_json())
+    (out / "coeffs.json").write_text(hc.to_json_text())
 
-    vals = hc.eval_points(pts)
-    rows = [[repr(float(c)) for c in pt] + [repr(float(v))] for pt, v in zip(pts, vals)]
-    _write_csv(out / "recovered.csv", [f"x_{j + 1}" for j in range(d)] + ["value"], rows)
+    table = np.column_stack([pts, hc.eval_points(pts)])
+    _write_float_csv(out / "recovered.csv", [f"x_{j + 1}" for j in range(d)] + ["value"], table)
 
     report = {
         "config": {"d": d, "m": m, "scheme": scheme.scheme_id, "samples": args.samples,
@@ -456,7 +480,7 @@ def cmd_witness(args) -> int:
     norms = {m: measured[m]["norm_q"] for m in m_range}
     if args.export_coeffs:
         for m in m_range:
-            _write_json(_out_dir(args) / f"witness_{args.kind}_m{m}.json", witnesses[m].to_json())
+            (_out_dir(args) / f"witness_{args.kind}_m{m}.json").write_text(witnesses[m].to_json_text())
     for i in range(1, len(m_range)):
         rows[i]["ratio"] = norms[m_range[i]] / norms[m_range[i - 1]]
     report: dict = {

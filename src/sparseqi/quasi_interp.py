@@ -24,6 +24,7 @@ Their agreement is a core test of the package.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -419,6 +420,10 @@ class SampleCache:
 # ---------------------------------------------------------------------------
 
 
+# float.__repr__ spelling -> JSON spelling of the non-finite values
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 class HierCoeffs:
     """Sparse hierarchical representation: block level -> coefficient array.
 
@@ -526,6 +531,37 @@ class HierCoeffs:
             "scheme_id": self.scheme_id,
             "entries": entries,
         }
+
+    def to_json_text(self) -> str:
+        """The coefficient file: ``json.dumps(self.to_json(), indent=2) + "\\n"``,
+        byte for byte, formatted block by block from :meth:`block_items`.
+
+        ``indent`` turns off CPython's C encoder, so ``json.dumps`` would walk
+        one dict per entry in pure Python; here each block's entries are joined
+        as strings from its nonzero values and their row-major shifts.  Values
+        are ``float.__repr__``, except that non-finite ones take JSON's
+        ``NaN``/``Infinity``/``-Infinity`` spelling.
+        """
+        sep = ",\n        "
+        parts = []
+        for k, C in self.block_items():
+            flat = np.flatnonzero(C)  # row-major, as np.nonzero in items()
+            values = C.ravel()[flat]
+            cells = list(map(float.__repr__, values.tolist()))
+            if not np.isfinite(values).all():
+                cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+            # the "s" list of every shift of the block, row-major
+            shifts = list(map(sep.join, itertools.product(*(map(str, range(n)) for n in C.shape))))
+            head = f'    {{\n      "k": [\n        {sep.join(map(str, k))}\n      ],\n      "s": [\n        '
+            parts += [
+                f'{head}{shifts[i]}\n      ],\n      "c": {c}\n    }}'
+                for i, c in zip(flat.tolist(), cells)
+            ]
+        header = {"d": self.d, "ell": self.ell, "m": self.max_level, "scheme_id": self.scheme_id}
+        text = json.dumps(header, indent=2)[: -len("\n}")]  # open, after "scheme_id"
+        if not parts:
+            return text + ',\n  "entries": []\n}\n'
+        return text + ',\n  "entries": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HierCoeffs":

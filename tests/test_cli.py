@@ -10,7 +10,7 @@ import pytest
 
 import sparseqi
 from sparseqi import analysis
-from sparseqi.cli import main
+from sparseqi.cli import _parse_number, _read_points, _write_float_csv, main
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
 from sparseqi.smolyak import enumerate_grid
@@ -222,9 +222,97 @@ class TestZeroDenominator:
         assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cells", [None, ["abc"]])
+class TestShortRow:
+    """A row with fewer cells than the header is an input error (exit 2), in
+    either CSV, and no coefficient file is written."""
+
+    def test_in_samples(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x_1,x_2,value\n0.5,0.25,1.0\n0.5,0.25\n")
+        out = tmp_path / "out"
+        assert run("recover", "--builtin", "faber", "--d", 2, "--m", 1,
+                   "--samples", samples, "--out", out) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (out / "coeffs.json").exists()
+
+    def test_in_eval_points(self, tmp_path, capsys):
+        points = tmp_path / "eval.csv"
+        points.write_text("x_1,x_2\n0.5,0.25\n0.5\n")
+        out = tmp_path / "out"
+        assert run("recover", "--builtin", "faber", "--d", 2, "--m", 1, "--function", "sine",
+                   "--eval", points, "--out", out) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (out / "coeffs.json").exists()
+
+
+def _read_points_per_cell(path, d, *extra):
+    """The per-cell reader that ``cli._read_points`` replaced: ``csv.DictReader``
+    and ``_parse_number`` on every cell."""
+    cols = [f"x_{j + 1}" for j in range(d)] + list(extra)
+    with open(path, newline="") as fh:
+        rows = [[_parse_number(row[c]) for c in cols] for row in csv.DictReader(fh)]
+    return np.array(rows, dtype=np.float64).reshape(-1, len(cols))
+
+
+def _random_float_rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+
+
+class TestReadPoints:
+    """``_read_points`` parses as the per-cell reader it replaced did."""
+
+    @pytest.mark.parametrize("text", [
+        "value,id,x_2,x_1,extra\n1.5,a,0.25,0.5,\n-2,b,0.75,0.125,z\n",  # reordered, extra columns
+        'x_1,x_2,value\n"0.5","0.25",1\n0.125,"-3e-5","7"\n',  # quoted cells
+        '"x_1","x_2","value"\r\n0.5,0.25,1\r\n',  # quoted header, CRLF
+        "x_1,x_2,value\n\n0.5,0.25,1\n\n\n0.125,0.5,2\n\n",  # blank lines
+        "x_1,x_2,value\n",  # header only
+        "x_1,x_2,value\r\n\r\n",
+        'x_1,x_2,value\n1/3,2/3,1\n"1/8",0.5,-7/3\n 5/4 ,nan,0\n',  # fractions
+        "x_1,x_2,value\nnan,inf,-0.0\n1e-320,-inf,NaN\n+.5,5.,Infinity\n",  # special values
+        "x_1,x_2,value\r\n" + _random_float_rows(1000),
+    ])
+    def test_matches_per_cell_reader(self, tmp_path, text):
+        path = tmp_path / "points.csv"
+        path.write_bytes(text.encode())
+        new = _read_points(str(path), 2, "value")
+        old = _read_points_per_cell(str(path), 2, "value")
+        assert new.shape == old.shape and new.dtype == np.float64
+        assert np.array_equal(new, old, equal_nan=True)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x_1,x_2,x_3\n")
+        assert _read_points(str(path), 3).shape == (0, 3)
+
+    def test_missing_column_is_a_key_error(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x_1,value\n0.5,1\n")
+        with pytest.raises(KeyError, match="x_2"):
+            _read_points(str(path), 2, "value")
+
+
+def test_float_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, size=(200, 4))
+    table[0] = [np.nan, np.inf, -np.inf, -0.0]
+    table[1, 0] = 5e-324
+    header = ["x_1", "x_2", "x_3", "value"]
+    _write_float_csv(tmp_path / "fast.csv", header, table)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(c)) for c in row] for row in table)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cells", [None, ["abc"], ["1_000"]])
 def test_bad_eval_file_writes_no_coeffs(tmp_path, capsys, cells):
-    # a missing file, then a cell that is not a number
+    # a missing file, a cell that is not a number, and digits grouped by "_",
+    # which float() would take but the array reader does not
     points = tmp_path / "eval.csv"
     if cells is not None:
         points.write_text("x_1\n" + "\n".join(cells) + "\n")
@@ -405,19 +493,21 @@ class TestWitness:
         for row in report["rows"][1:]:
             assert row["ratio"] == pytest.approx(target, rel=0.1)
 
-    def test_export_coeffs_round_trip(self, tmp_path):
-        from sparseqi.quasi_interp import HierCoeffs
+    def test_export_coeffs_round_trip(self, tmp_path, cubic):
+        # every exported file reads back bitwise, and is the indented dump
         from sparseqi.testfuncs import witness_g2
 
         assert run("witness", "--kind", "g2", "--builtin", "cubic", "--d", 2,
                    "--m-range", "2..3", "--r", "1.25", "--export-coeffs",
                    "--out", tmp_path) == 0
-        blob = json.loads((tmp_path / "witness_g2_m2.json").read_text())
-        back = HierCoeffs.from_json(blob)
-        from sparseqi.quasi_interp import builtin_scheme
-
-        direct = witness_g2(builtin_scheme("cubic"), 2, 2, 1.25, 2.0)
-        assert list(back.items()) == list(direct.items())
+        for m in (2, 3):
+            text = (tmp_path / f"witness_g2_m{m}.json").read_text()
+            back = HierCoeffs.from_json(json.loads(text))
+            direct = witness_g2(cubic, 2, m, 1.25, 2.0)
+            assert text == json.dumps(direct.to_json(), indent=2) + "\n"
+            assert [k for k, _ in back.block_items()] == [k for k, _ in direct.block_items()]
+            for k, C in direct.block_items():
+                assert np.array_equal(back.block(k).view(np.int64), C.view(np.int64))
 
     def test_g1_d1_beta_degenerates(self, tmp_path):
         # no log factor in one dimension: free-beta fit stays near zero

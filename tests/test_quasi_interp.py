@@ -542,6 +542,28 @@ class TestHierCoeffs:
         assert all(type(v) is int for _, s, _ in got for v in s)
         assert np.array_equal([c for *_, c in got], [c for *_, c in scan], equal_nan=True)
 
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_json_text_is_the_indented_dump(self, d, ell):
+        rng = np.random.default_rng([d, ell])
+        m = 3 if d <= 2 else 2
+        blocks = {}
+        for k in multi_indices(d, m):
+            shape = tuple(ell << kj for kj in k)
+            C = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            C[rng.random(shape) < 0.3] = 0.0
+            C.flat[-1] = -0.0
+            blocks[k] = C
+        first, second, *_, last = sorted(blocks)
+        blocks[first].flat[0] = np.nan
+        blocks[second].flat[0] = np.inf
+        blocks[second].flat[1] = -np.inf
+        blocks[last].flat[0] = 5e-324  # subnormal
+        blocks[(0,) * d][...] = 0.0  # an all-zero block
+        scheme_id = f'ell{ell}["-1/6"] \u00e9 \\'  # a quote, non-ASCII and a backslash
+        for hc in (HierCoeffs(d, ell, m, blocks, scheme_id), HierCoeffs(d, ell, m, {}, scheme_id)):
+            assert hc.to_json_text() == json.dumps(hc.to_json(), indent=2) + "\n"
+
     def test_entries_sorted(self, faber):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) + np.cos(2 * np.pi * P[:, 1])
         hc = decompose(faber, f, 2, 2)
