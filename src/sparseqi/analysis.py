@@ -51,8 +51,12 @@ class DegenerateFit(ValueError):
 
 
 # Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**27
-# points: a 512**3 lattice fits.  Its float64 values take 1 GiB; a d = 3
-# witness norm peaks at about 23 bytes per lattice point, some 3 GiB here.
+# points: a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
+# bytes (tracemalloc) per lattice point: 24 for a d = 3 witness norm at
+# 256**3 (the values, their absolute values and q-th powers), so some
+# 3 GiB at the limit; 33 for a d = 3 recovery error at 128**3, where the
+# fixture's values, a real view of its complex transform, hold 16 while the
+# combination is evaluated.
 MAX_LATTICE_POINTS = 1 << 27
 
 

@@ -9,17 +9,23 @@ spline's piece table, and both evaluation paths are built on it:
 
 * :func:`eval_blocks_at_points` - scattered points, summing the ``ell**d``
   tensor products of per-axis weights against each block;
-* :func:`eval_blocks_on_grid` - a tensor grid, one :func:`contract_axes` per
-  block against dense basis matrices (:func:`spline_basis_matrix`).
+* :func:`eval_blocks_on_grid` - a tensor grid, one axis at a time against
+  dense basis matrices (:func:`spline_basis_matrix`).
 
-:func:`contract_axes` is the one separable contraction of spline coefficient
+:func:`_contract_axis` is the one separable contraction of spline coefficient
 boxes, for every dimension; trigonometric fixtures fold and transform instead
 (:mod:`sparseqi.testfuncs`).  Axis ``j`` of a box is contracted in BLAS
 against a matrix of shape ``(n_j, L_j)``.  That costs ``n_j`` multiply-adds
 per entry of the current field and scales its size by ``n_j / L_j``;
 exchanging adjacent axes ``i, j`` shows that ``i`` goes first when
-``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total.  The order
-depends on the shapes alone, so equal inputs always take the same summation
+``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total
+(:func:`_axis_order`).  The grid kernel contracts each block along all but
+the last axis of that order (on equal grid axes, its shortest coefficient
+axis) and sums the small partial fields of equal last axis and level; one product per axis then takes all of
+that axis's sums to the grid, so the grid-sized passes number at most ``d``
+however many blocks there are (the unidirectional principle of Bungartz &
+Griebel, *Sparse grids*, Acta Numerica 2004).  Orders and groups depend on
+the shapes and levels alone, so equal inputs always take the same summation
 order and give bit-identical results.
 
 An empty combination evaluates to zero on both paths.  The kernels take the
@@ -30,12 +36,13 @@ leading levels ``k[:-1]``.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 __all__ = [
     "active_backend",
     "spline_basis_matrix",
-    "contract_axes",
     "eval_blocks_at_points",
     "eval_blocks_on_grid",
 ]
@@ -120,30 +127,50 @@ def _axis_order(shapes) -> list[int]:
     return sorted(range(len(shapes)), key=lambda j: 1 / shapes[j][1] - 1 / max(shapes[j][0], 1))
 
 
-def contract_axes(mats, C: np.ndarray) -> np.ndarray:
-    """``out[i_0, ..., i_{d-1}] = sum_s mats[0][i_0, s_0] ... mats[d-1][i_{d-1}, s_{d-1}] C[s]``.
-
-    Axis ``j`` of ``C`` (length ``L_j``) is contracted against ``mats[j]`` of
-    shape ``(n_j, L_j)`` and stays axis ``j`` of the result, in the cheapest
-    order (:func:`_axis_order`).
-    """
-    field = C
-    for j in _axis_order([M.shape for M in mats]):
-        field = np.moveaxis(np.tensordot(mats[j], field, axes=([1], [j])), 0, j)
-    return field
+def _contract_axis(M: np.ndarray, field: np.ndarray, j: int) -> np.ndarray:
+    """Contract axis ``j`` of ``field`` (length ``L``) against ``M`` of shape
+    ``(n, L)``; the result, C-contiguous, has length ``n`` on axis ``j``."""
+    shape = field.shape
+    n, L = M.shape
+    if j == len(shape) - 1:
+        out = field.reshape(-1, L) @ M.T
+    else:
+        out = np.matmul(M, field.reshape(prod(shape[:j]), L, prod(shape[j + 1 :])))
+    return out.reshape(shape[:j] + (n,) + shape[j + 1 :])
 
 
 def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
     """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``.
 
-    Each block is one :func:`contract_axes` against its spline basis
-    matrices, which are built once per axis and level.
+    Each block contracts every axis but the last of its :func:`_axis_order`,
+    ``j``, into a partial field: grid-long on the other axes and ``L_j``-long
+    on axis ``j``.  One axis ``j`` at a time, the partial fields of the
+    blocks that end on ``j`` are summed per level ``k[j]`` in block order,
+    concatenated along ``j`` in ascending ``k[j]``, and contracted in one
+    product against their spline basis matrices side by side; that
+    grid-sized result is added to the output and released before the next
+    axis.  Basis matrices are built once per axis and level.
     """
-    out = np.zeros(tuple(len(a) for a in axes))
+    shape = tuple(len(a) for a in axes)
     basis: dict[tuple[int, int], np.ndarray] = {}
+    ending: list[list[tuple[tuple[int, ...], np.ndarray, list[int]]]] = [[] for _ in shape]
     for k, C in blocks:
         for j, kj in enumerate(k):
             if (j, kj) not in basis:
                 basis[j, kj] = spline_basis_matrix(axes[j], kj, ell, table)
-        out += contract_axes([basis[j, kj] for j, kj in enumerate(k)], C)
+        *order, last = _axis_order([basis[j, kj].shape for j, kj in enumerate(k)])
+        ending[last].append((k, C, order))
+    out = np.zeros(shape)
+    for j, group in enumerate(ending):
+        partial: dict[int, np.ndarray] = {}
+        for k, C, order in group:
+            field = C
+            for i in order:
+                field = _contract_axis(basis[i, k[i]], field, i)
+            partial[k[j]] = field if k[j] not in partial else partial[k[j]] + field
+        if partial:
+            levels = sorted(partial)
+            M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
+            field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
+            out += _contract_axis(M, field, j)
     return out

@@ -436,6 +436,9 @@ class HierCoeffs:
     ``k[:-1]`` are lifted by the spline's two-scale identity to the last-axis
     level ``max_level - |k[:-1]|_1`` and summed, which leaves
     ``C(max_level + d - 1, d - 1)`` blocks in place of ``C(max_level + d, d)``.
+    On a tensor grid the kernel then sums those blocks as small partial
+    fields and reaches the grid one axis at a time, with at most ``d``
+    grid-sized products (:func:`sparseqi.kernels.eval_blocks_on_grid`).
     Access, serialization and block norms keep the stored per-block form.
     """
 

@@ -222,21 +222,36 @@ def _contraction_cost(shapes, order):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_contract_axes_matches_einsum(d, dtype):
     rng = np.random.default_rng(d)
-    for L, n in [((7, 3, 5, 4), (2, 9, 5, 6)), ((3, 8, 2, 6), (11, 4, 7, 1))]:
-        L, n = L[:d], n[:d]
-        C = rng.standard_normal(L).astype(dtype)
-        if dtype is np.complex128:
-            C += 1j * rng.standard_normal(L)
-        mats = [rng.standard_normal((nj, Lj)).astype(dtype) for nj, Lj in zip(n, L)]
-        letters = "abcd"[:d]
-        spec = ",".join(f"{u.upper()}{u}" for u in letters) + f",{letters}->{letters.upper()}"
-        expect = np.einsum(spec, *mats, C)
-        got = kernels.contract_axes(mats, C)
-        assert got.shape == n and got.dtype == expect.dtype
-        assert np.max(np.abs(got - expect)) < 1e-13 * np.abs(C).sum() * np.prod([np.abs(M).max() for M in mats])
-    # an empty axis empties the result in any order
-    mats = [np.ones((0, 3))] + [np.ones((2, 4))] * (d - 1)
-    assert kernels.contract_axes(mats, np.ones((3,) + (4,) * (d - 1))).shape == (0,) + (2,) * (d - 1)
+    letters = "abcd"[:d]
+    for j in range(d):
+        for L, n in [((7, 3, 5, 4), 9), ((3, 8, 2, 6), 1)]:
+            L = L[:d]
+            C = rng.standard_normal(L).astype(dtype)
+            if dtype is np.complex128:
+                C += 1j * rng.standard_normal(L)
+            M = rng.standard_normal((n, L[j])).astype(dtype)
+            out = letters[:j] + letters[j].upper() + letters[j + 1 :]
+            expect = np.einsum(f"{letters[j].upper()}{letters[j]},{letters}->{out}", M, C)
+            got = kernels._contract_axis(M, C, j)
+            assert got.shape == expect.shape and got.dtype == expect.dtype
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - expect)) < 1e-13 * np.abs(C).sum() * np.abs(M).max()
+        # an empty axis, contracted or carried, empties the result
+        shape = (3,) * d
+        assert kernels._contract_axis(np.ones((0, 3)), np.ones(shape), j).shape == shape[:j] + (0,) + shape[j + 1 :]
+        if d > 1:
+            empty = shape[:-1] + (0,) if j < d - 1 else (0,) + shape[1:]
+            got = kernels._contract_axis(np.ones((2, 3)), np.ones(empty), j)
+            assert got.shape == empty[:j] + (2,) + empty[j + 1 :]
+
+
+def _grid_groups(axes, blocks):
+    # the (axis, level) groups the grid kernel sums its partial fields in
+    groups = set()
+    for k, C in blocks:
+        last = kernels._axis_order([(len(axes[j]), L) for j, L in enumerate(C.shape)])[-1]
+        groups.add((last, k[last]))
+    return groups
 
 
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
@@ -244,9 +259,57 @@ def test_contract_axes_matches_einsum(d, dtype):
 def test_grid_matches_replaced_kernel(d, m, ell):
     hc = _random_combination(d, ell, m, seed=100 * d + ell)
     axes = _grid_axes(d)
-    expect = _grid_kernel_old(axes, hc.block_items(), ell, piece_table(ell))
+    table = piece_table(ell)
+    expect = _grid_kernel_old(axes, hc.block_items(), ell, table)
     total = sum(np.abs(C).sum() for _, C in hc.block_items())
     assert np.max(np.abs(hc.eval_on_axes(axes) - expect)) <= 1e-13 * total
+    # the kernel itself, on the collapsed blocks
+    blocks = hc._collapsed()
+    got = kernels.eval_blocks_on_grid(axes, blocks, ell, table)
+    assert np.max(np.abs(got - _grid_kernel_old(axes, blocks, ell, table))) <= 1e-13 * total
+    # one block at a time, as the block norms pass them; blocks are only read
+    inputs = [C.copy() for _, C in hc.block_items()]
+    for k, C in hc.block_items():
+        got = kernels.eval_blocks_on_grid(axes, [(k, C)], ell, table)
+        assert np.max(np.abs(got - _grid_kernel_old(axes, [(k, C)], ell, table))) <= 1e-13 * np.abs(C).sum()
+    assert all(np.array_equal(C, C0) for (_, C), C0 in zip(hc.block_items(), inputs))
+
+
+def _grid_groups(axes, blocks):
+    # the (axis, level) groups the grid kernel sums its partial fields in
+    groups = set()
+    for k, C in blocks:
+        last = kernels._axis_order([(len(axes[j]), L) for j, L in enumerate(C.shape)])[-1]
+        groups.add((last, k[last]))
+    return groups
+
+
+@pytest.mark.parametrize("d, m, n_blocks, n_groups", [(2, 5, 6, 6), (3, 4, 15, 5)])
+@pytest.mark.parametrize("ell", [2, 4])
+def test_grid_matches_replaced_kernel_on_quadrature_lattice(d, m, n_blocks, n_groups, ell):
+    # equal lattice axes, as lq_norm passes them: at d = 3 collapsed blocks
+    # share groups, at d = 2 each block is a group of its own
+    hc = _random_combination(d, ell, m, seed=7 * d + ell)
+    axes = [np.arange(32) / 32] * d
+    blocks = hc._collapsed()
+    assert (len(blocks), len(_grid_groups(axes, blocks))) == (n_blocks, n_groups)
+    table = piece_table(ell)
+    got = kernels.eval_blocks_on_grid(axes, blocks, ell, table)
+    total = sum(np.abs(C).sum() for _, C in blocks)
+    assert np.max(np.abs(got - _grid_kernel_old(axes, blocks, ell, table))) <= 1e-13 * total
+    # two calls on equal input give the same bits
+    again = kernels.eval_blocks_on_grid(axes, [(k, C.copy()) for k, C in blocks], ell, table)
+    assert np.array_equal(got, again)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_kernel_empty_axis(d):
+    hc = _random_combination(d, 4, 5 - d, seed=d)
+    for j in range(d):
+        axes = [np.arange(16) / 16] * d
+        axes[j] = np.array([])
+        got = kernels.eval_blocks_on_grid(axes, hc._collapsed(), 4, piece_table(4))
+        assert got.shape == (16,) * j + (0,) + (16,) * (d - j - 1)
 
 
 def test_contraction_order_is_cheapest():
