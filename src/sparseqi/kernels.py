@@ -21,10 +21,11 @@ exchanging adjacent axes ``i, j`` shows that ``i`` goes first when
 ``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total
 (:func:`_axis_order`).  The grid kernel contracts each block along all but
 the last axis of that order (on equal grid axes, its shortest coefficient
-axis) and sums the small partial fields of equal last axis and level; one product per axis then takes all of
-that axis's sums to the grid, so the grid-sized passes number at most ``d``
-however many blocks there are (the unidirectional principle of Bungartz &
-Griebel, *Sparse grids*, Acta Numerica 2004).  Orders and groups depend on
+axis) and sums the small partial fields of equal last axis and level; one
+product per axis then takes all of that axis's sums to the grid, so the
+grid-sized passes number at most ``d`` however many blocks there are (the
+unidirectional principle of Bungartz & Griebel, *Sparse grids*, Acta
+Numerica 2004).  Orders and groups depend on
 the shapes and levels alone, so equal inputs always take the same summation
 order and give bit-identical results.
 

@@ -245,15 +245,6 @@ def test_contract_axes_matches_einsum(d, dtype):
             assert got.shape == empty[:j] + (2,) + empty[j + 1 :]
 
 
-def _grid_groups(axes, blocks):
-    # the (axis, level) groups the grid kernel sums its partial fields in
-    groups = set()
-    for k, C in blocks:
-        last = kernels._axis_order([(len(axes[j]), L) for j, L in enumerate(C.shape)])[-1]
-        groups.add((last, k[last]))
-    return groups
-
-
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
 @pytest.mark.parametrize("ell", [2, 4, 6])
 def test_grid_matches_replaced_kernel(d, m, ell):
