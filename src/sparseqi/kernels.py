@@ -25,9 +25,9 @@ axis) and sums the small partial fields of equal last axis and level; one
 product per axis then takes all of that axis's sums to the grid, so the
 grid-sized passes number at most ``d`` however many blocks there are (the
 unidirectional principle of Bungartz & Griebel, *Sparse grids*, Acta
-Numerica 2004).  Orders and groups depend on
-the shapes and levels alone, so equal inputs always take the same summation
-order and give bit-identical results.
+Numerica 2004).  Orders and groups depend on the shapes and levels alone,
+so equal inputs always take the same summation order and give bit-identical
+results.
 
 An empty combination evaluates to zero on both paths.  The kernels take the
 blocks as given; :class:`sparseqi.quasi_interp.HierCoeffs` collapses its
