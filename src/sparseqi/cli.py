@@ -117,13 +117,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_float_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """What :func:`_write_csv` writes for a float table, cells as ``float.__repr__``.
+def _write_number_csv(path: Path, header: list[str], rows) -> None:
+    """What :func:`_write_csv` writes for rows of Python floats and ints, cells as ``repr``.
 
-    Float cells and plain column names need no quoting, so the lines are
+    Number cells and plain column names need no quoting, so the lines are
     joined directly, with the ``\\r\\n`` terminator of ``csv.writer``.
     """
-    lines = [",".join(header)] + [",".join(map(float.__repr__, row)) for row in table.tolist()]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -159,12 +159,9 @@ def cmd_grid(args) -> int:
     out = _out_dir(args)
     if args.format == "csv":
         header = [f"x_{j + 1}" for j in range(args.d)] + [f"k_{j + 1}" for j in range(args.d)]
-        rows = [
-            [repr(c) for c in pt] + prov
-            for pt, prov in zip(grid.as_array().tolist(), grid.provenance.tolist())
-        ]
+        rows = map(list.__add__, grid.as_array().tolist(), grid.provenance.tolist())
         path = out / "grid.csv"
-        _write_csv(path, header, rows)
+        _write_number_csv(path, header, rows)
     else:
         path = out / "grid.json"
         _write_json(
@@ -253,7 +250,8 @@ def cmd_recover(args) -> int:
     (out / "coeffs.json").write_text(hc.to_json_text())
 
     table = np.column_stack([pts, hc.eval_points(pts)])
-    _write_float_csv(out / "recovered.csv", [f"x_{j + 1}" for j in range(d)] + ["value"], table)
+    header = [f"x_{j + 1}" for j in range(d)] + ["value"]
+    _write_number_csv(out / "recovered.csv", header, table.tolist())
 
     report = {
         "config": {"d": d, "m": m, "scheme": scheme.scheme_id, "samples": args.samples,

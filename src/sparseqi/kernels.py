@@ -7,8 +7,10 @@ most ``ell`` nonzero periodic splines of level ``k[j]``; :func:`_axis_weights`
 computes their values and shift indices by Horner's rule on the cardinal
 spline's piece table, and both evaluation paths are built on it:
 
-* :func:`eval_blocks_at_points` - scattered points, summing the ``ell**d``
-  tensor products of per-axis weights against each block;
+* :func:`eval_blocks_at_points` - scattered points, in slabs whose per-axis
+  weights are shared by all blocks: per block, one gather of the ``ell**d``
+  coefficients each point meets, then ``d`` contractions, one axis at a time
+  (sum factorization);
 * :func:`eval_blocks_on_grid` - a tensor grid, one axis at a time against
   dense basis matrices (:func:`spline_basis_matrix`).
 
@@ -48,9 +50,11 @@ __all__ = [
     "eval_blocks_on_grid",
 ]
 
-# Points per slab of scattered evaluation.  Per-axis weights are shared by
-# every block of a slab; the slab bounds the memory they take.
-_SLAB = 8192
+# Entries per slab of scattered evaluation: points times the ``ell**d``
+# coefficients each meets.  It sizes the index and value buffers, which are
+# allocated once per call; per-axis weights are shared by every block of a
+# slab.  2**17 entries are 2048 points at d = 3, ell = 4.
+_SLAB_ENTRIES = 2**17
 
 
 def active_backend() -> str:
@@ -65,7 +69,8 @@ def _axis_weights(x: np.ndarray, L: int, table: np.ndarray) -> tuple[np.ndarray,
     value of the spline with shift ``idx[t]`` at each point.
     """
     ell = table.shape[0]
-    u = (x % 1.0) * L
+    # x - floor(x) has the bits of x % 1.0 without numpy's slower float remainder
+    u = (x - np.floor(x)) * L
     base = np.floor(u).astype(np.int64)
     np.minimum(base, L - 1, out=base)
     fr = u - base
@@ -73,42 +78,74 @@ def _axis_weights(x: np.ndarray, L: int, table: np.ndarray) -> tuple[np.ndarray,
     idx = np.empty((ell, x.size), dtype=np.int64)
     for t in range(ell):
         # piece t of the cardinal spline, at local argument fr
-        acc = np.full(x.size, table[t, 0])
+        acc = vals[t]
+        acc[...] = table[t, 0]
         for a in range(1, ell):
-            acc = acc * fr + table[t, a]
-        vals[t] = acc
-        idx[t] = (base - t) % L
+            acc *= fr
+            acc += table[t, a]
+        # (base - t) % L, as base - t >= 1 - ell > -L
+        np.subtract(base, t, out=idx[t])
+        np.add(idx[t], L, out=idx[t], where=idx[t] < 0)
     return vals, idx
 
 
 def eval_blocks_at_points(points, blocks, table: np.ndarray) -> np.ndarray:
-    """Evaluate the combination ``blocks`` (``(k, C)`` pairs) at ``points`` of shape ``(n, d)``."""
+    """Evaluate the combination ``blocks`` (``(k, C)`` pairs) at ``points`` of shape ``(n, d)``.
+
+    Per slab of points and block, the ``ell**d`` coefficients each point
+    meets are gathered in one ``take`` into a tensor of shape
+    ``(ell,)*d + (s,)``, which is then contracted one axis at a time, last
+    axis first, against that axis's spline weights.  Every point takes the
+    same operations in the same order whatever the slab, so the slab size
+    does not change the result.
+    """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must have shape (n, d)")
     n, d = points.shape
     ell = table.shape[0]
     out = np.zeros(n)
-    for lo in range(0, n, _SLAB):
-        slab = points[lo : lo + _SLAB]
-        acc = out[lo : lo + _SLAB]
+    step = max(1, _SLAB_ENTRIES // ell**d)
+    # each block's coefficients in row-major order, with its axis strides
+    boxes = [(C.ravel(), C.shape, [prod(C.shape[j + 1 :]) for j in range(d)]) for _, C in blocks]
+    # index and value buffers, two of each, so that every step of the index
+    # sum and of the contraction reads one buffer and writes the other
+    size = ell**d * min(n, step)
+    ibuf = (np.empty(size, dtype=np.int64), np.empty(size // ell, dtype=np.int64))
+    vbuf = (np.empty(size), np.empty(size // ell))
+    for lo in range(0, n, step):
+        slab = points[lo : lo + step]
+        s = slab.shape[0]
         weights: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for _, C in blocks:
+        for coeffs, shape, strides in boxes:
             axes = []
-            for j, L in enumerate(C.shape):
+            for j, L in enumerate(shape):
                 if (j, L) not in weights:
                     weights[j, L] = _axis_weights(slab[:, j], L, table)
                 axes.append(weights[j, L])
-            coeffs = C.ravel()
-            # one fixed summation order (axis 0 fastest) keeps results
-            # bit-reproducible
-            for combo in range(ell**d):
-                w = flat = None
-                for j, (vals, idx) in enumerate(axes):
-                    t = combo // ell**j % ell
-                    w = vals[t] if w is None else w * vals[t]
-                    flat = idx[t] if flat is None else flat * C.shape[j] + idx[t]
-                acc += w * coeffs[flat]
+            # flat[t_0, ..., t_{d-1}, p] = sum_j idx_j[t_j, p] * strides[j],
+            # one axis more per step; the last step lands in ibuf[0]
+            for j, (_, idx) in enumerate(axes):
+                dst = ibuf[(d - 1 - j) % 2][: ell ** (j + 1) * s].reshape((ell,) * (j + 1) + (s,))
+                if j == 0:
+                    np.multiply(idx, strides[0], out=dst)
+                else:
+                    np.add(flat[..., None, :], idx * strides[j], out=dst)
+                flat = dst
+            field = vbuf[0][: ell**d * s].reshape(flat.shape)
+            np.take(coeffs, flat, out=field, mode="clip")  # in range by construction
+            # contract the last axis into the other buffer:
+            # dst[..., p] = sum_t field[..., t, p] * vals[t, p], in ascending t.
+            # Elementwise products and sums, not einsum, whose reduction
+            # order changes when a slab holds a single point.
+            for j in reversed(range(d)):
+                dst = vbuf[(d - j) % 2][: ell**j * s].reshape((ell,) * j + (s,))
+                np.multiply(field, axes[j][0], out=field)
+                np.copyto(dst, field[..., 0, :])
+                for t in range(1, ell):
+                    dst += field[..., t, :]
+                field = dst
+            out[lo : lo + s] += field
     return out
 
 

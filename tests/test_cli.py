@@ -10,7 +10,7 @@ import pytest
 
 import sparseqi
 from sparseqi import analysis
-from sparseqi.cli import _parse_number, _read_points, _write_float_csv, main
+from sparseqi.cli import _parse_number, _read_points, _write_number_csv, main
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
 from sparseqi.smolyak import enumerate_grid
@@ -127,6 +127,19 @@ class TestGrid:
         assert len(rows) == grid.n
         parsed = {(F(row["x_1"]), F(row["x_2"])) for row in rows}
         assert parsed == set(grid.points)
+
+    @pytest.mark.parametrize("d, m", [(1, 4), (3, 2)])
+    def test_csv_matches_csv_writer(self, tmp_path, cubic, d, m):
+        assert run("grid", "--builtin", "cubic", "--d", d, "--m", m, "--out", tmp_path) == 0
+        grid = enumerate_grid(d, m, cubic)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x_{j + 1}" for j in range(d)] + [f"k_{j + 1}" for j in range(d)])
+            writer.writerows(
+                [repr(c) for c in pt] + prov
+                for pt, prov in zip(grid.as_array().tolist(), grid.provenance.tolist())
+            )
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_json_format(self, tmp_path):
         assert run("grid", "--builtin", "cubic", "--d", 1, "--m", 2,
@@ -301,7 +314,7 @@ def test_float_csv_matches_csv_writer(tmp_path):
     table[0] = [np.nan, np.inf, -np.inf, -0.0]
     table[1, 0] = 5e-324
     header = ["x_1", "x_2", "x_3", "value"]
-    _write_float_csv(tmp_path / "fast.csv", header, table)
+    _write_number_csv(tmp_path / "fast.csv", header, table.tolist())
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

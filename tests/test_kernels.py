@@ -147,25 +147,56 @@ def _points(n, d, seed):
     return P
 
 
-@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])
+def _slab_points(ell, d):
+    return max(1, kernels._SLAB_ENTRIES // ell**d)
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
 @pytest.mark.parametrize("ell", [2, 4, 6])
 def test_scattered_matches_replaced_kernel(d, m, ell):
+    # the gather-and-contract kernel sums in another order than the
+    # per-combination loop, so it agrees to rounding, not bit for bit
     hc = _random_combination(d, ell, m, seed=10 * d + ell)
-    n = kernels._SLAB + 37  # one full slab and a short one
+    n = 2 * _slab_points(ell, d) + 37  # two full slabs and a short one
     P = _points(n, d, seed=d + ell)
     table = piece_table(ell)
-    dims, offsets, coeffs = _flatten_blocks_old(hc.block_items())
-    expect = _points_kernel_old(P, dims, offsets, coeffs, table)
-    assert np.array_equal(kernels.eval_blocks_at_points(P, hc.block_items(), table), expect)
+    for blocks in (hc.block_items(), hc._collapsed()):
+        expect = _points_kernel_old(P, *_flatten_blocks_old(blocks), table)
+        tol = 1e-13 * sum(np.abs(C).sum() for _, C in blocks)
+        assert np.max(np.abs(kernels.eval_blocks_at_points(P, blocks, table) - expect)) <= tol
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_slab_size_does_not_change_bits(d, monkeypatch):
     hc = _random_combination(d, 4, 6 - d, seed=d)
     P = _points(101, d, seed=d)
     whole = hc.eval_points(P)
-    monkeypatch.setattr(kernels, "_SLAB", 7)
-    assert np.array_equal(hc.eval_points(P), whole)
+    for points_per_slab in (7, 1):
+        monkeypatch.setattr(kernels, "_SLAB_ENTRIES", points_per_slab * 4**d)
+        assert _slab_points(4, d) == points_per_slab
+        assert np.array_equal(hc.eval_points(P), whole)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scattered_kernel_edge_inputs(d):
+    hc = _random_combination(d, 4, 5 - d, seed=d)
+    blocks, table = hc._collapsed(), piece_table(4)
+    P = _points(50, d, seed=d)
+    assert kernels.eval_blocks_at_points(np.empty((0, d)), blocks, table).shape == (0,)
+    assert np.array_equal(kernels.eval_blocks_at_points(P, [], table), np.zeros(50))
+    # read-only blocks and points are accepted and left as they were
+    frozen = [(k, C.copy()) for k, C in blocks]
+    for _, C in frozen:
+        C.flags.writeable = False
+    Pr = P.copy()
+    Pr.flags.writeable = False
+    got = kernels.eval_blocks_at_points(Pr, frozen, table)
+    assert np.array_equal(got, kernels.eval_blocks_at_points(P, blocks, table))
+    assert np.array_equal(Pr, P)
+    assert all(np.array_equal(C, C0) for (_, C), (_, C0) in zip(frozen, blocks))
+    for bad in (P[:, 0], P[None]):
+        with pytest.raises(ValueError):
+            kernels.eval_blocks_at_points(bad, blocks, table)
 
 
 @pytest.mark.parametrize("ell", [2, 4, 6])
