@@ -52,12 +52,14 @@ class DegenerateFit(ValueError):
 
 # Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**27
 # points: a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
-# bytes (tracemalloc) per lattice point: 24 for a d = 3 witness norm at
-# 256**3 (the values, their absolute values and q-th powers), so some
-# 3 GiB at the limit; 33 for a d = 3 recovery error at 128**3, where the
-# fixture's values, a real view of its complex transform, hold 16 while the
-# combination is evaluated.
+# bytes (tracemalloc) per lattice point: 16.5 for a d = 3 witness norm at
+# 128**3 (the grid kernel's output and one grid-sized product), so some
+# 2 GiB at the limit; 25 for a d = 3 recovery error at 128**3, where the
+# fixture's real values hold 8 more while the combination is evaluated.
 MAX_LATTICE_POINTS = 1 << 27
+
+# entries per chunk of a power-mean norm: 512 KiB of float64 temporaries
+_NORM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,20 @@ def default_resolution(d: int, m: int) -> int:
 
 
 def _power_mean_norm(values: np.ndarray, q: float) -> float:
-    a = np.abs(values)
+    """``(mean |v|**q)**(1/q)``, or ``max |v|`` at ``q = inf``, with no temporary
+    the size of real ``values``: ``q = 2`` is one dot product, and other ``q``
+    are summed in chunks of :data:`_NORM_CHUNK` entries."""
+    v = np.ravel(values)
+    if np.iscomplexobj(v):
+        v = np.abs(v)
     if isinf(q):
-        return float(a.max())
-    return float(np.mean(a**q) ** (1.0 / q))
+        return float(np.maximum(v.max(), -v.min()))
+    if q == 2:
+        return float(np.sqrt(np.vdot(v, v) / v.size))
+    total = 0.0
+    for lo in range(0, v.size, _NORM_CHUNK):
+        total += float(np.sum(np.abs(v[lo : lo + _NORM_CHUNK]) ** q))
+    return (total / v.size) ** (1.0 / q)
 
 
 def _is_prime(p: int) -> bool:

@@ -233,6 +233,7 @@ def cmd_recover(args) -> int:
     scheme = _load_scheme(args)
     d, m = args.d, args.m
     # the evaluation points are read before the first file is written
+    axes = None
     if args.eval_points:
         pts = _read_points(args.eval_points, d)
     else:
@@ -249,7 +250,9 @@ def cmd_recover(args) -> int:
     out = _out_dir(args)
     (out / "coeffs.json").write_text(hc.to_json_text())
 
-    table = np.column_stack([pts, hc.eval_points(pts)])
+    # a lattice goes to the grid kernel; its 'ij' rows are the C order of the values
+    values = hc.eval_points(pts) if axes is None else hc.eval_on_axes(axes).ravel()
+    table = np.column_stack([pts, values])
     header = [f"x_{j + 1}" for j in range(d)] + ["value"]
     _write_number_csv(out / "recovered.csv", header, table.tolist())
 

@@ -28,7 +28,7 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .bspline import (
     piece_table,
     shifts_per_level,
 )
-from .kernels import eval_blocks_at_points, eval_blocks_on_grid
+from .kernels import _SLAB_ENTRIES, eval_blocks_at_points, eval_blocks_on_grid
 from .laurent import LaurentPoly, NotDivisible, float_stencil
 
 __all__ = [
@@ -424,6 +424,14 @@ class SampleCache:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+# Most coefficients that scattered evaluation lifts its blocks to: four slabs
+# of the scattered kernel (4 MiB), as much again as the kernel's own index and
+# value buffers (2.5 slabs of 8-byte entries).  At d = 3, m = 5, ell = 4 it
+# admits the two-axis lift (129 024 entries) but not the full 128**3 lattice,
+# whose refinement takes 0.2 s and some 70 MiB.
+_LIFT_ENTRIES = 4 * _SLAB_ENTRIES
+
+
 class HierCoeffs:
     """Sparse hierarchical representation: block level -> coefficient array.
 
@@ -431,15 +439,20 @@ class HierCoeffs:
     as a dense array of shape ``(ell * 2**k[0], ..., ell * 2**k[d-1])``.
     Built single-writer, then treated as immutable.
 
-    Evaluation collapses the blocks along the last axis first
-    (:meth:`_collapsed`): the blocks that share their leading levels
-    ``k[:-1]`` are lifted by the spline's two-scale identity to the last-axis
-    level ``max_level - |k[:-1]|_1`` and summed, which leaves
-    ``C(max_level + d - 1, d - 1)`` blocks in place of ``C(max_level + d, d)``.
+    Evaluation first collapses the blocks along their trailing axes
+    (:meth:`_collapsed`): the blocks that share their leading levels ``lead``
+    are lifted by the spline's two-scale identity to level
+    ``max_level - |lead|_1`` on every trailing axis and summed.  Along the
+    last axis alone that leaves ``C(max_level + d - 1, d - 1)`` blocks in
+    place of ``C(max_level + d, d)`` (21 in place of 56 at d = 3, m = 5).
     On a tensor grid the kernel then sums those blocks as small partial
     fields and reaches the grid one axis at a time, with at most ``d``
-    grid-sized products (:func:`sparseqi.kernels.eval_blocks_on_grid`).
-    Access, serialization and block norms keep the stored per-block form.
+    grid-sized products (:func:`sparseqi.kernels.eval_blocks_on_grid`), so
+    one axis is enough there.  The scattered kernel gathers ``ell**d``
+    coefficients per point and block, so :meth:`eval_points` collapses more
+    trailing axes when there are many points (:meth:`_scattered_axes`): 6
+    blocks at d = 3, m = 5.  Access, serialization and block norms keep the
+    stored per-block form.
     """
 
     def __init__(self, d: int, ell: int, max_level: int, blocks: Mapping[tuple[int, ...], np.ndarray], scheme_id: str = ""):
@@ -480,37 +493,75 @@ class HierCoeffs:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _collapsed(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """The same combination with one block per leading levels ``k[:-1]``,
-        at last-axis level ``max_level - |k[:-1]|_1``, as ``(k, C)`` pairs
+    def _collapsed(self, axes: int = 1) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """The same combination collapsed along its last ``axes`` axes: one
+        block per leading levels ``lead = k[:d - axes]``, at level
+        ``max_level - |lead|_1`` on every collapsed axis, as ``(k, C)`` pairs
         sorted by ``k``.
 
-        Horner along the last axis: refine the running sum one level, then add
-        the stored block of that level.  The target level depends on
-        ``max_level`` alone, and a missing block adds nothing, so a combination
-        evaluates to the same bits with or without its all-zero blocks.
+        One Horner step per axis, last axis first.  A step groups the current
+        blocks by their levels ahead of its axis and runs up that axis to the
+        group's target level ``max_level - |lead|_1``: refine the running sum
+        one level, then add the block of that level, whose axes collapsed by
+        earlier steps are first lifted to the same target.  The targets depend
+        on ``max_level`` alone, and a missing block adds nothing, so a
+        combination evaluates to the same bits with or without its all-zero
+        blocks.
         """
-        groups: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
-        for k, C in self._blocks.items():
-            groups.setdefault(k[:-1], {})[k[-1]] = C
-        out = []
-        for lead in sorted(groups):
-            levels = groups[lead]
-            top = self.max_level - sum(lead)
-            low = min(levels)
-            acc = levels[low]
-            for level in range(low + 1, top + 1):
-                acc = _refine_axis(acc, self.d - 1, self.ell)
-                if level in levels:
-                    acc += levels[level]
-            out.append((lead + (top,), acc))
-        return out
+        blocks = list(self._blocks.items())
+        for j in range(self.d - 1, self.d - 1 - axes, -1):
+            groups: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
+            for k, C in blocks:
+                groups.setdefault(k[:j], {})[k[j]] = C
+            blocks = []
+            for lead in sorted(groups):
+                levels = groups[lead]
+                top = self.max_level - sum(lead)
+                # a block at level a on axis j has its later axes at top - a
+                low = min(levels)
+                acc = self._lift(levels[low], j + 1, low)
+                for level in range(low + 1, top + 1):
+                    acc = _refine_axis(acc, j, self.ell)
+                    if level in levels:
+                        acc += self._lift(levels[level], j + 1, level)
+                blocks.append((lead + (top,) * (self.d - j), acc))
+        return blocks
+
+    def _lift(self, C: np.ndarray, first: int, levels: int) -> np.ndarray:
+        """``C`` refined by ``levels`` levels on each axis from ``first`` on."""
+        for axis in range(first, self.d):
+            for _ in range(levels):
+                C = _refine_axis(C, axis, self.ell)
+        return C
+
+    def _collapsed_entries(self, axes: int) -> int:
+        """Coefficients of the full combination collapsed along its last ``axes`` axes."""
+        leads = multi_indices(self.d - axes, self.max_level) if axes < self.d else [()]
+        return sum(
+            prod(self.ell << kj for kj in lead) * (self.ell << (self.max_level - sum(lead))) ** axes
+            for lead in leads
+        )
+
+    def _scattered_axes(self, n: int) -> int:
+        """Trailing axes that :meth:`eval_points` collapses for ``n`` points.
+
+        The scattered kernel's work grows with the number of blocks, and each
+        collapsed axis more leaves fewer, larger blocks.  Writing their
+        entries costs about 100 ns each, which only more than one slab of
+        points pays back; past that, the most axes whose collapsed entries
+        stay within :data:`_LIFT_ENTRIES`.  The choice depends on ``d``,
+        ``ell``, ``max_level`` and ``n`` alone, not on the stored blocks.
+        """
+        if n <= max(1, _SLAB_ENTRIES // self.ell**self.d):
+            return 1
+        return max(c for c in range(1, self.d + 1) if c == 1 or self._collapsed_entries(c) <= _LIFT_ENTRIES)
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.d:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
-        return eval_blocks_at_points(points, self._collapsed(), piece_table(self.ell))
+        blocks = self._collapsed(self._scattered_axes(points.shape[0]))
+        return eval_blocks_at_points(points, blocks, piece_table(self.ell))
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         if len(axes) != self.d:

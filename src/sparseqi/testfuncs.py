@@ -105,7 +105,8 @@ class TrigFunction:
         field = self.C
         for j, (x0, n) in enumerate(lattices):
             field = _fold_transform(field, j, self.freq_axes[j], x0, n)
-        return field.real if self.real else field
+        # a copy, so that the real values do not keep the complex transform alive
+        return field.real.copy() if self.real else field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))

@@ -23,6 +23,30 @@ from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 
 
 class TestLqNorm:
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, np.inf])
+    def test_power_mean_matches_replaced_formula(self, q):
+        # the replaced formula: np.abs, then a**q, both the size of the values
+        rng = np.random.default_rng(int(q) if np.isfinite(q) else 9)
+        n = 3 * analysis._NORM_CHUNK + 17
+        values = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
+        for v in (values, values[2::7], values[: n - n % 12].reshape(-1, 4, 3), (1 - 2j) * values):
+            a = np.abs(v)
+            old = float(a.max()) if np.isinf(q) else float(np.mean(a**q) ** (1.0 / q))
+            assert analysis._power_mean_norm(v, q) == pytest.approx(old, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, np.inf])
+    def test_power_mean_makes_no_value_sized_temporary(self, q):
+        import tracemalloc
+
+        values = np.random.default_rng(0).standard_normal(1 << 20)
+        tracemalloc.start()
+        try:
+            analysis._power_mean_norm(values, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * analysis._NORM_CHUNK < values.nbytes / 2
+
     def test_zero(self):
         assert lq_norm(lambda x: 0.0 * x, 2.0, 1, 64) == 0.0
 

@@ -158,6 +158,19 @@ class TestRecover:
             res[m] = json.loads((out / "recover_report.json").read_text())["l2_residual"]
         assert res[5] < res[4]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_eval_grid_matches_scattered_evaluation(self, tmp_path, d):
+        # the lattice is evaluated on the grid path, in 'ij' row order
+        assert run("recover", "--builtin", "cubic", "--d", d, "--m", 3, "--function", "sine",
+                   "--eval-grid", 9, "--out", tmp_path) == 0
+        hc = HierCoeffs.from_json(json.loads((tmp_path / "coeffs.json").read_text()))
+        table = np.loadtxt(tmp_path / "recovered.csv", delimiter=",", skiprows=1, ndmin=2)
+        axes = [np.arange(9) / 9] * d
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        assert np.array_equal(table[:, :d], pts)
+        tol = 1e-13 * sum(np.abs(C).sum() for _, C in hc.block_items())
+        assert np.max(np.abs(table[:, d] - hc.eval_points(pts))) <= tol
+
     def test_round_trip_from_exported_samples(self, tmp_path, faber):
         # recover a spline combination from its own grid samples: the
         # recovered coefficients reproduce the source (interpolatory order)
@@ -501,10 +514,23 @@ class TestWitness:
                    "--m-range", "2..5", "--r", "0.75", "--p", 2, "--q", 4,
                    "--out", tmp_path) == 0
         report = json.loads((tmp_path / "witness_report.json").read_text())
-        assert all(row["grid_max"] < 1e-12 for row in report["rows"])
+        assert all(row["grid_max"] == 0.0 for row in report["rows"])
         target = report["expected_ratio"]
         for row in report["rows"][1:]:
             assert row["ratio"] == pytest.approx(target, rel=0.1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("builtin", ["faber", "cubic"])
+    @pytest.mark.parametrize("kind", ["g1", "g2"])
+    def test_grid_max_is_exactly_zero(self, tmp_path, kind, builtin, d):
+        # refinement keeps each spline's support, so the witnesses vanish
+        # exactly on the sample grids; the cubic g1 norm at d = 3 needs
+        # 256**3 points from m = 2 on, so it stops at m = 1
+        hi = 1 if (kind, builtin, d) == ("g1", "cubic", 3) else 4
+        assert run("witness", "--kind", kind, "--builtin", builtin, "--d", d,
+                   "--m-range", f"1..{hi}", "--r", "1.25", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "witness_report.json").read_text())
+        assert [row["grid_max"] for row in report["rows"]] == [0.0] * hi
 
     def test_export_coeffs_round_trip(self, tmp_path, cubic):
         # every exported file reads back bitwise, and is the indented dump

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sparseqi import kernels
+from sparseqi import kernels, quasi_interp
 from sparseqi.bspline import PeriodicSpline, eval_periodic, piece_table
 from sparseqi.quasi_interp import HierCoeffs, decompose, multi_indices
+from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 
 
@@ -350,7 +351,7 @@ def test_active_backend_is_numpy():
 
 
 # ---------------------------------------------------------------------------
-# HierCoeffs evaluates its blocks collapsed along the last axis; against the
+# HierCoeffs evaluates its blocks collapsed along trailing axes; against the
 # per-block path it replaces (the kernels on the stored blocks)
 # ---------------------------------------------------------------------------
 
@@ -372,6 +373,21 @@ def test_collapse_matches_per_block_path(d, m, ell):
     tol = 1e-13 * sum(np.abs(C).sum() for _, C in hc.block_items())
     assert np.max(np.abs(hc.eval_points(P) - scattered)) <= tol
     assert np.max(np.abs(hc.eval_on_axes(axes) - grid)) <= tol
+    table = piece_table(ell)
+    for c in range(1, d + 1):
+        blocks = hc._collapsed(c)
+        # one block per leading levels, at the top level on every lifted axis
+        leads = sorted(multi_indices(d - c, m)) if c < d else [()]
+        assert [k[: d - c] for k, _ in blocks] == leads
+        assert all(k[d - c :] == (m - sum(k[: d - c]),) * c for k, _ in blocks)
+        assert sum(C.size for _, C in blocks) == hc._collapsed_entries(c)
+        assert np.max(np.abs(kernels.eval_blocks_at_points(P, blocks, table) - scattered)) <= tol
+        assert np.max(np.abs(kernels.eval_blocks_on_grid(axes, blocks, ell, table) - grid)) <= tol
+    # above one slab, eval_points lifts every axis at these small levels
+    Q = _points(_slab_points(ell, d) + 37, d, seed=d + ell)
+    assert hc._scattered_axes(len(Q)) == d
+    expect = kernels.eval_blocks_at_points(Q, hc.block_items(), table)
+    assert np.max(np.abs(hc.eval_points(Q) - expect)) <= tol
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -396,6 +412,60 @@ def test_collapse_of_missing_blocks_equals_stored_zero_blocks(d, seed):
     tol = 1e-13 * sum(np.abs(C).sum() for _, C in sparse.block_items())
     assert np.max(np.abs(sparse.eval_points(P) - scattered)) <= tol
     assert np.max(np.abs(sparse.eval_on_axes(axes) - grid)) <= tol
+    # the same at every number of lifted axes
+    table = piece_table(4)
+    for c in range(1, d + 1):
+        at_points = [kernels.eval_blocks_at_points(P, hc._collapsed(c), table) for hc in (sparse, stored)]
+        on_grid = [kernels.eval_blocks_on_grid(axes, hc._collapsed(c), 4, table) for hc in (sparse, stored)]
+        assert np.array_equal(*at_points)
+        assert np.array_equal(*on_grid)
+        assert np.max(np.abs(at_points[0] - scattered)) <= tol
+        assert np.max(np.abs(on_grid[0] - grid)) <= tol
+    # and above one slab, where eval_points itself lifts
+    Q = _points(_slab_points(4, d) + 37, d, seed=seed)
+    assert np.array_equal(sparse.eval_points(Q), stored.eval_points(Q))
+    expect = kernels.eval_blocks_at_points(Q, sparse.block_items(), table)
+    assert np.max(np.abs(sparse.eval_points(Q) - expect)) <= tol
+
+
+def test_scattered_axes_selection():
+    hc = _random_combination(3, 4, 5, seed=0)
+    slab = _slab_points(4, 3)
+    # roundtrip-d3: 50 000 points take the two-axis lift, 6 blocks of 21 504
+    # entries on average in place of 21 blocks
+    assert hc._scattered_axes(50_000) == 2
+    assert len(hc._collapsed(2)) == 6 and len(hc._collapsed(1)) == 21
+    # one slab or fewer keeps the last-axis collapse
+    assert [hc._scattered_axes(n) for n in (0, 1, slab, slab + 1)] == [1, 1, 1, 2]
+    # the cap admits 129 024 entries but not the full 128**3 lift
+    assert hc._collapsed_entries(2) == 129_024 <= quasi_interp._LIFT_ENTRIES
+    assert hc._collapsed_entries(3) == 128**3 > quasi_interp._LIFT_ENTRIES
+    # the choice depends on d, ell, max_level and the point count alone:
+    # the same with and without the zero blocks of a combination
+    items = hc.block_items()
+    stored = HierCoeffs(3, 4, 5, {k: 0 * C if sum(k) % 2 else C for k, C in items})
+    sparse = HierCoeffs(3, 4, 5, {k: C for k, C in items if sum(k) % 2 == 0})
+    for n in (1, slab, slab + 1, 50_000, 10**6):
+        assert stored._scattered_axes(n) == sparse._scattered_axes(n) == hc._scattered_axes(n)
+    # other levels and dimensions, at 50 000 points
+    chosen = {(d, m): HierCoeffs(d, 4, m, {})._scattered_axes(50_000) for d, m in [(2, 7), (2, 8), (4, 4)]}
+    assert chosen == {(2, 7): 2, (2, 8): 1, (4, 4): 2}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_witnesses_vanish_on_the_grid_at_every_lift(faber, cubic, d, m):
+    # refinement keeps each spline's support, so the witnesses stay exactly
+    # zero on their sample grids however many axes are lifted; every count
+    # eval_points may choose, that is up to _LIFT_ENTRIES entries
+    for scheme in (faber, cubic):
+        grid = enumerate_grid(d, m, scheme).as_array()
+        table = piece_table(scheme.ell)
+        for w in (witness_g1(scheme, d, m, 0.75), witness_g2(scheme, d, m, 1.25, 2.0)):
+            lifts = [c for c in range(1, d + 1) if c == 1 or w._collapsed_entries(c) <= quasi_interp._LIFT_ENTRIES]
+            for c in lifts:
+                vals = kernels.eval_blocks_at_points(grid, w._collapsed(c), table)
+                assert np.array_equal(vals, np.zeros(len(grid))), (c, np.max(np.abs(vals)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -229,6 +229,17 @@ class TestLatticeEvaluation:
             levels = [(a + 2 * j) % 6 for j in range(d)]
             self.assert_matches_contraction(f, [_block_axis(ell, aj) for aj in levels])
 
+    @pytest.mark.parametrize("d,K", [(1, 40), (2, 9), (3, 3)])
+    def test_real_values_own_their_data(self, d, K):
+        # the real part is copied out, so the complex transform is released,
+        # with the bits of the complex evaluation's real part
+        f = random_mixed_smooth(1.25, K, d, seed=d)
+        axes = [np.arange(n) / n for n in (7, 12, 5)[:d]]
+        got = f.eval_on_axes(axes)
+        assert got.flags.owndata and got.flags.c_contiguous and got.dtype == np.float64
+        field = TrigFunction.from_box(f.freq_axes, f.C).eval_on_axes(axes)
+        assert np.array_equal(got, field.real)
+
     def test_complex_box_and_shifted_lattice(self):
         rng = np.random.default_rng(7)
         C = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
