@@ -33,8 +33,10 @@ results.
 
 An empty combination evaluates to zero on both paths.  The kernels take the
 blocks as given; :class:`sparseqi.quasi_interp.HierCoeffs` collapses its
-blocks along the last axis before calling them, so they see one block per
-leading levels ``k[:-1]``.
+blocks along trailing axes before calling them.  The grid kernel sees one
+block per leading levels ``k[:-1]``; the scattered kernel, given more than
+one slab of points, sees one block per shorter leading levels, such as
+``k[:1]`` at d = 3, m = 5.
 """
 
 from __future__ import annotations

@@ -431,8 +431,7 @@ def test_collapse_of_missing_blocks_equals_stored_zero_blocks(d, seed):
 def test_scattered_axes_selection():
     hc = _random_combination(3, 4, 5, seed=0)
     slab = _slab_points(4, 3)
-    # roundtrip-d3: 50 000 points take the two-axis lift, 6 blocks of 21 504
-    # entries on average in place of 21 blocks
+    # roundtrip-d3: 50 000 points take the two-axis lift, 6 blocks in place of 21
     assert hc._scattered_axes(50_000) == 2
     assert len(hc._collapsed(2)) == 6 and len(hc._collapsed(1)) == 21
     # one slab or fewer keeps the last-axis collapse
