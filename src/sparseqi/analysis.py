@@ -20,7 +20,7 @@ import numpy as np
 from .bspline import piece_table
 from .kernels import eval_blocks_on_grid
 from .quasi_interp import HierCoeffs, QIScheme, SampleCache, as_batch_function, decompose, grid_values
-from .testfuncs import TrigFunction
+from .testfuncs import _LATTICE_ULPS, TrigFunction, _lattice
 
 __all__ = [
     "ResolutionTooLow",
@@ -28,7 +28,9 @@ __all__ = [
     "DegenerateFit",
     "RateFit",
     "FieldDifference",
+    "LatticeField",
     "default_resolution",
+    "sweep_field",
     "lq_norm",
     "recovery_error",
     "sobolev_norm_fourier",
@@ -160,6 +162,27 @@ def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
     return tuple(z)
 
 
+def _checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
+    """The resolution :func:`lq_norm` measures at: ``resolution``, or the
+    default for ``min_level`` (level 4 when unset), once it passes the guards
+    that :func:`lq_norm` documents."""
+    if resolution is None:
+        resolution = default_resolution(d, min_level if min_level is not None else 4)
+    if min_level is not None and d <= 3 and resolution < 2 ** (min_level + 2):
+        raise ResolutionTooLow(
+            f"resolution {resolution} per axis is below 2**(m+2) = {2 ** (min_level + 2)}"
+            f" required for level-{min_level} residuals"
+        )
+    if d <= 3 and resolution**d > MAX_LATTICE_POINTS:
+        raise LatticeTooLarge(
+            f"a quadrature lattice of {resolution}**{d} = {resolution**d} points exceeds"
+            f" the limit of {MAX_LATTICE_POINTS} points"
+        )
+    if d > 3 and resolution < 2:
+        raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
+    return resolution
+
+
 def lq_norm(
     f, q: float, d: int, resolution: int | None = None, *, min_level: int | None = None
 ) -> float:
@@ -183,25 +206,76 @@ def lq_norm(
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
-    if resolution is None:
-        resolution = default_resolution(d, min_level if min_level is not None else 4)
-    if min_level is not None and d <= 3 and resolution < 2 ** (min_level + 2):
-        raise ResolutionTooLow(
-            f"resolution {resolution} per axis is below 2**(m+2) = {2 ** (min_level + 2)}"
-            f" required for level-{min_level} residuals"
-        )
+    resolution = _checked_resolution(d, resolution, min_level)
     if d <= 3:
-        if resolution**d > MAX_LATTICE_POINTS:
-            raise LatticeTooLarge(
-                f"a quadrature lattice of {resolution}**{d} = {resolution**d} points exceeds"
-                f" the limit of {MAX_LATTICE_POINTS} points"
-            )
         return _power_mean_norm(grid_values(f, d, [np.arange(resolution) / resolution] * d), q)
-    if resolution < 2:
-        raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
     points = np.outer(np.arange(n), _cbc_generator(n, d)) % n / n
     return _power_mean_norm(as_batch_function(f, d)(points), q)
+
+
+class LatticeField:
+    """A torus function evaluated once on the lattice ``(i/N)**d`` and read
+    back on its sub-lattices.
+
+    :meth:`eval_on_axes` returns a read-only strided view of the stored
+    values when every axis is a sub-lattice ``x0 + i/n`` of ``i/N``: ``n``
+    divides ``N`` and ``x0 * N`` is an integer below ``N/n``.  Any other
+    grid, and every scattered point, is evaluated by ``f`` itself.  A view
+    differs from a fresh evaluation of ``f`` on the same points by rounding
+    only (the lattice transforms have other lengths).
+    """
+
+    def __init__(self, f, d: int, N: int):
+        self.d, self.N, self._f = d, N, f
+        self.values = grid_values(f, d, [np.arange(N) / N] * d)
+        self.values.flags.writeable = False
+
+    def _view(self, axes: Sequence[np.ndarray]) -> np.ndarray | None:
+        """The stored values on the grid ``axes``, or ``None`` if an axis is not a sub-lattice."""
+        if len(axes) != self.d:
+            return None
+        # x0 * N may miss an integer by the tolerance of the lattice check
+        tol = _LATTICE_ULPS * np.finfo(np.float64).eps * self.N
+        index = []
+        for x in axes:
+            try:
+                x0, n = _lattice(x)
+            except ValueError:
+                return None
+            if n == 0 or self.N % n:
+                return None
+            step, start = self.N // n, round(x0 * self.N)
+            if not 0 <= start < step or abs(x0 * self.N - start) > tol:
+                return None
+            index.append(slice(start, None, step))
+        return self.values[tuple(index)]
+
+    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        view = self._view(axes)
+        return grid_values(self._f, self.d, axes) if view is None else view
+
+    def eval_points(self, P) -> np.ndarray:
+        return as_batch_function(self._f, self.d)(np.asarray(P, dtype=np.float64))
+
+
+def sweep_field(f, d: int, m: int, resolution: int | None = None):
+    """``f`` as a level sweep up to ``m`` reads it, for sampling and for
+    :func:`recovery_error`.
+
+    For ``d <= 3`` that is a :class:`LatticeField` on the level-``m``
+    quadrature lattice of ``N = resolution`` (default
+    ``default_resolution(d, m)``) points per axis.  The coarser levels'
+    lattices divide it, and so does every sample grid of order ``ell`` when
+    ``ell * 2**m`` divides ``N``, as it does at the default resolution for
+    orders 2 and 4; other sample blocks are evaluated by ``f``.  For
+    ``d > 3`` the norms use rank-1 lattices and ``f`` is returned unchanged.
+    The resolution passes the guards of :func:`lq_norm` at level ``m``
+    first, so ``ResolutionTooLow`` and ``LatticeTooLarge`` are raised
+    before anything is evaluated.
+    """
+    resolution = _checked_resolution(d, resolution, m)
+    return LatticeField(f, d, resolution) if d <= 3 else f
 
 
 def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:

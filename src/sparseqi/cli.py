@@ -346,17 +346,22 @@ def _default_probe(p: float, q: float) -> str:
 def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
     norm_kind = f"Lp,p={q_label}"
+    m_hi = max(cfg.m_range)
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
+    # f evaluated once on the top level's quadrature lattice (d <= 3), which
+    # is refused here if too large, before any sample is taken
+    field = analysis.sweep_field(f, cfg.d, m_hi, cfg.resolution)
+    cache = SampleCache(field, scheme.ell, cfg.d)
     # a block's coefficients do not depend on m: decompose once at the top
     # level and restrict to |k|_1 <= m per level
-    sweep = decompose(scheme, f, max(cfg.m_range), cfg.d).block_items()
+    sweep = decompose(scheme, field, m_hi, cfg.d, cache=cache).block_items()
     err_random: dict[int, float] = {}
     err_peak: dict[int, float] = {}
     counts: dict[int, int] = {}
     for m in cfg.m_range:
         blocks = {k: C for k, C in sweep if sum(k) <= m}
         hc = HierCoeffs(cfg.d, scheme.ell, m, blocks, scheme_id=scheme.scheme_id)
-        err_random[m] = analysis.recovery_error(f, hc, cfg.q, cfg.resolution)
+        err_random[m] = analysis.recovery_error(field, hc, cfg.q, cfg.resolution)
         counts[m] = smolyak.count_points(cfg.d, m, scheme)
         if cfg.probe in ("peak", "both"):
             bump = testfuncs.witness_g2(scheme, cfg.d, m, cfg.r_eff, cfg.p)
@@ -390,6 +395,11 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
         "rows": rows,
         "fit": fit.to_json(),
         "theory": cfg.theoretical(),
+        "sampling": {
+            "evaluated": cache.evaluations,
+            "grid_points": counts[m_hi],
+            "fixture_lattice": field.N if isinstance(field, analysis.LatticeField) else None,
+        },
     }
 
 

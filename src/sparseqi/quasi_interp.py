@@ -675,18 +675,23 @@ def block_coeffs(scheme: QIScheme, cache: SampleCache, k: Sequence[int]) -> np.n
 
 def _refine_axis(A: np.ndarray, axis: int, ell: int) -> np.ndarray:
     # Re-express level-(k-1) coefficients on level k through the two-scale
-    # identity of the cardinal spline (periodic indices wrap).
-    L = 2 * A.shape[axis]
+    # identity of the cardinal spline (periodic indices wrap):
+    #   out[2i + p] = sum over j = p, p + 2, ... <= ell of
+    #                 comb(ell, j) / 2**(ell - 1) * A[i - (j - p) / 2],
+    # summed in increasing j onto zeros, so the even (p = 0) and odd (p = 1)
+    # outputs are strided sums over one wrap-padded copy of A.
+    n, half = A.shape[axis], ell // 2
+    padded = np.take(A, np.arange(-half, n) % n, axis=axis)  # padded[half + i] = A[i mod n]
     shape = list(A.shape)
-    shape[axis] = L
-    up = np.zeros(shape, dtype=np.float64)
-    sel = [slice(None)] * A.ndim
-    sel[axis] = slice(0, None, 2)
-    up[tuple(sel)] = A
+    shape[axis] = 2 * n
+    out = np.zeros(shape, dtype=np.float64)
     scale = 2.0 ** (1 - ell)
-    out = np.zeros_like(up)
-    for j in range(ell + 1):
-        out += (scale * comb(ell, j)) * np.roll(up, j, axis=axis)
+    lead = (slice(None),) * (axis % A.ndim)
+    for p in (0, 1):
+        dst = out[lead + (slice(p, None, 2),)]
+        for j in range(p, ell + 1, 2):
+            lo = half - (j - p) // 2
+            dst += (scale * comb(ell, j)) * padded[lead + (slice(lo, lo + n),)]
     return out
 
 

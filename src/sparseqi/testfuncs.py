@@ -170,11 +170,15 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
     within ``1e-12 * max(1, |c|)`` of ``conj(c)``.
 
     Each axis is first extended to its symmetric closure, so reversing every
-    axis of the coefficient array maps ``s`` to ``-s``.
+    axis of the coefficient array maps ``s`` to ``-s``; when every axis is
+    its own closure, ``C`` is tested as it is, without a copy.
     """
     closed = [np.union1d(a, -a) for a in freq_axes]
-    full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
-    full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
+    if all(len(c) == len(a) for c, a in zip(closed, freq_axes)):
+        full = C
+    else:
+        full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
+        full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
     # At a zero coefficient this tests |c(-s)| > 1e-12, which is the test at
     # the nonzero mirror, so zero entries need no mask.
     mirror = np.conj(full[(slice(None, None, -1),) * len(closed)])
@@ -295,15 +299,14 @@ def bernoulli_partial(r: float, K: int, d: int) -> TrigFunction:
 
 def _symmetric_signs(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Random +-1 array over the frequency box with sign[-s] == sign[s]."""
-    shape = (2 * K + 1,) * d
-    raw = rng.choice(np.array([-1.0, 1.0]), size=shape)
-    grids = np.indices(shape) - K
-    first_nonzero = np.zeros(shape, dtype=np.int8)
-    for axis_vals in grids:
-        undecided = first_nonzero == 0
-        first_nonzero = np.where(undecided, np.sign(axis_vals).astype(np.int8), first_nonzero)
-    mirrored = raw[(slice(None, None, -1),) * d]
-    return np.where(first_nonzero >= 0, raw, mirrored)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=(2 * K + 1,) * d)
+    # Row-major, s and -s sit at flat indices t and size - 1 - t, and the
+    # first nonzero coordinate of s is negative exactly when t < size // 2:
+    # that lower half takes the upper half's signs, reversed.
+    flat = signs.reshape(-1)
+    half = flat.size // 2
+    flat[:half] = flat[:half:-1]
+    return signs
 
 
 def random_mixed_smooth(r_eff: float, K: int, d: int, seed: int) -> TrigFunction:

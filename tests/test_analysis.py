@@ -8,6 +8,7 @@ from sparseqi.analysis import (
     _cbc_generator,
     DegenerateFit,
     FieldDifference,
+    LatticeField,
     LatticeTooLarge,
     ResolutionTooLow,
     besov_block_norm,
@@ -17,6 +18,7 @@ from sparseqi.analysis import (
     lq_norm,
     recovery_error,
     sobolev_norm_fourier,
+    sweep_field,
 )
 from sparseqi.quasi_interp import HierCoeffs, decompose
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
@@ -326,3 +328,56 @@ def test_recovery_error_decreases(faber):
 def test_field_difference_requires_dimension():
     with pytest.raises(ValueError):
         FieldDifference(lambda x: x, lambda x: x)
+
+
+class TestLatticeField:
+    @staticmethod
+    def candidate_axes(N):
+        # sub-lattices of i/N (N = 64): the lattice itself, i/8, the level-3
+        # block axis (2i+1)/16 of order 2, and 3/64 + i/4
+        return [np.arange(N) / N, np.arange(8) / 8, (2 * np.arange(8) + 1) / 16, 3 / N + np.arange(4) / 4]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sub_lattice_reads_match_the_function(self, d):
+        f = random_mixed_smooth(1.25, 6, d, seed=d)
+        field = LatticeField(f, d, 64)
+        for axes in itertools.product(self.candidate_axes(64), repeat=d):
+            got, expect = field.eval_on_axes(list(axes)), f.eval_on_axes(list(axes))
+            assert got.shape == expect.shape and not got.flags.writeable
+            assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("axis", [
+        np.arange(6) / 6,  # 6 does not divide 64
+        1 / 128 + np.arange(8) / 8,  # x0 * N = 0.5
+        0.5 + np.arange(4) / 4,  # x0 * N = 32 is not below N / n = 16: the axis wraps
+        np.array([]),
+    ])
+    def test_other_axes_are_evaluated_by_the_function(self, axis):
+        f = random_mixed_smooth(1.25, 6, 2, seed=0)
+        field = LatticeField(f, 2, 64)
+        axes = [np.arange(8) / 8, axis]
+        assert np.array_equal(field.eval_on_axes(axes), f.eval_on_axes(axes))
+        with pytest.raises(ValueError, match="not a shifted uniform lattice"):
+            field.eval_on_axes([np.arange(8) / 8, np.array([0.0, 0.1, 0.5])])
+        pts = np.random.default_rng(1).random((50, 2))
+        assert np.array_equal(field.eval_points(pts), f.eval_points(pts))
+
+    def test_sweep_field_by_dimension(self):
+        f = random_mixed_smooth(1.25, 2, 4, seed=0)
+        assert sweep_field(f, 4, 3) is f
+        g = random_mixed_smooth(1.25, 4, 2, seed=0)
+        assert sweep_field(g, 2, 3).N == analysis.default_resolution(2, 3) == 64
+        assert sweep_field(g, 2, 3, 96).N == 96
+
+    @pytest.mark.parametrize("d,resolution,error", [
+        (2, 32, LatticeTooLarge),  # 32**2 points > 1000
+        (2, 16, ResolutionTooLow),  # below 2**(3+2) = 32 at m = 3
+        (4, 1, ResolutionTooLow),  # a rank-1 lattice needs two points
+    ])
+    def test_sweep_field_guards_run_before_evaluating(self, monkeypatch, d, resolution, error):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        calls = []
+        f = lambda x: calls.append(1) or np.ones(len(x))
+        with pytest.raises(error):
+            sweep_field(f, d, 3, resolution)
+        assert calls == []

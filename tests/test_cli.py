@@ -467,9 +467,54 @@ class TestBenchmark:
         with open(tmp_path / "benchmark_errors.csv", newline="") as fh:
             assert [r["norm_kind"] for r in csv.DictReader(fh)] == [label] * 4
 
-    def test_one_decomposition_leaves_the_sweep_unchanged(self, tmp_path, cubic, monkeypatch):
+    # At --resolution 96 the level-4 sample blocks, (2i+1)/64 on one axis,
+    # are not on the lattice i/96: the blocks (4, 0) and (0, 4) are evaluated
+    # by the fixture itself, beside its one evaluation on the lattice.
+    @pytest.mark.parametrize("extra,fixture_calls", [((), 1), (("--resolution", 96), 3)])
+    def test_one_decomposition_leaves_the_sweep_unchanged(self, tmp_path, cubic, monkeypatch,
+                                                          extra, fixture_calls):
         from sparseqi import smolyak, testfuncs
         from sparseqi.quasi_interp import SampleCache, decompose
+
+        caches, calls = [], []
+        init, on_axes = SampleCache.__init__, testfuncs.TrigFunction.eval_on_axes
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            caches.append(self)
+
+        def counting_on_axes(self, axes):
+            calls.append(len(axes[0]))
+            return on_axes(self, axes)
+
+        monkeypatch.setattr(SampleCache, "__init__", recording_init)
+        monkeypatch.setattr(testfuncs.TrigFunction, "eval_on_axes", counting_on_axes)
+        assert run("benchmark", "--d", 2, "--m-range", "1..4", "--K", 8, *extra,
+                   "--out", tmp_path) == 0
+        monkeypatch.undo()
+        assert [c.evaluations for c in caches] == [smolyak.count_points(2, 4, cubic)]
+        assert len(calls) == fixture_calls
+        # against one decomposition per level over a shared cache, each read
+        # from f itself: the sweep reads f from the top quadrature lattice,
+        # whose transforms round differently (measured within 1e-14)
+        report = json.loads((tmp_path / "benchmark_report.json").read_text())
+        cfg = report["config"]
+        f = testfuncs.random_mixed_smooth(cfg["r_eff"], cfg["K"], 2, cfg["seed"])
+        cache = SampleCache(f, cubic.ell, 2)
+        for row in report["rows"]:
+            hc = decompose(cubic, f, row["m"], 2, cache=cache)
+            expect = analysis.recovery_error(f, hc, 2.0, cfg["resolution"])
+            assert row["error"] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d,m_range,K,extra,lattice", [
+        (1, "2..5", 16, (), 256),
+        (2, "1..4", 8, (), 128),
+        (3, "1..4", 4, (), 64),
+        (4, "1..4", 2, ("--resolution", 500), None),
+    ])
+    def test_sampling_report(self, tmp_path, cubic, monkeypatch, d, m_range, K, extra, lattice):
+        from sparseqi import smolyak
+        from sparseqi.quasi_interp import SampleCache
 
         caches = []
         init = SampleCache.__init__
@@ -479,17 +524,32 @@ class TestBenchmark:
             caches.append(self)
 
         monkeypatch.setattr(SampleCache, "__init__", recording_init)
-        assert run("benchmark", "--d", 2, "--m-range", "1..4", "--K", 8, "--out", tmp_path) == 0
+        assert run("benchmark", "--d", d, "--m-range", m_range, "--K", K, *extra,
+                   "--out", tmp_path) == 0
         monkeypatch.undo()
-        assert [c.evaluations for c in caches] == [smolyak.count_points(2, 4, cubic)]
-        # against one decomposition per level over a shared cache
-        report = json.loads((tmp_path / "benchmark_report.json").read_text())
-        cfg = report["config"]
-        f = testfuncs.random_mixed_smooth(cfg["r_eff"], cfg["K"], 2, cfg["seed"])
-        cache = SampleCache(f, cubic.ell, 2)
-        for row in report["rows"]:
-            hc = decompose(cubic, f, row["m"], 2, cache=cache)
-            assert row["error"] == analysis.recovery_error(f, hc, 2.0, cfg["resolution"])
+        sampling = json.loads((tmp_path / "benchmark_report.json").read_text())["sampling"]
+        m_hi = int(m_range.partition("..")[2])
+        assert sampling == {"evaluated": smolyak.count_points(d, m_hi, cubic),
+                            "grid_points": smolyak.count_points(d, m_hi, cubic),
+                            "fixture_lattice": lattice}
+        assert [c.evaluations for c in caches] == [sampling["evaluated"]]
+
+    def test_oversized_lattice_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        from sparseqi.quasi_interp import SampleCache
+
+        caches = []
+        init = SampleCache.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            caches.append(self)
+
+        monkeypatch.setattr(SampleCache, "__init__", recording_init)
+        assert run("benchmark", "--d", 3, "--m-range", "2..5", "--K", 16,
+                   "--resolution", 1024, "--out", tmp_path) == 1
+        assert "1024**3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert sum(c.evaluations for c in caches) == 0
 
     def test_peak_probe_rows(self, tmp_path, faber):
         # --q 4 > --p 2: the default probe is "both", so every row carries the

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from sparseqi.bspline import InvalidOrder
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import (
     _CHUNK,
+    _refine_axis,
     HierCoeffs,
     MissingSamples,
     NotAQuasiInterpolant,
@@ -28,6 +30,33 @@ from sparseqi.quasi_interp import (
 )
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 from .conftest import rng_points
+
+
+def _rolled_refine_axis(A, axis, ell):
+    """The two-scale refinement that the polyphase form replaced: zero-stuff
+    the coarse coefficients, then sum ``ell + 1`` rolled, scaled copies."""
+    shape = list(A.shape)
+    shape[axis] = 2 * A.shape[axis]
+    up = np.zeros(shape)
+    sel = [slice(None)] * A.ndim
+    sel[axis] = slice(0, None, 2)
+    up[tuple(sel)] = A
+    out = np.zeros_like(up)
+    for j in range(ell + 1):
+        out += (2.0 ** (1 - ell) * math.comb(ell, j)) * np.roll(up, j, axis=axis)
+    return out
+
+
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_refine_axis_matches_the_rolled_form(ell):
+    rng = np.random.default_rng(ell)
+    for shape in [(1,), (ell,), (ell, 2 * ell), (3, ell, 5), (2, 3, 4, 8)]:
+        A = rng.standard_normal(shape)
+        A.flat[0] = -0.0
+        for axis in range(len(shape)):
+            got, expect = _refine_axis(A, axis, ell), _rolled_refine_axis(A, axis, ell)
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 def lp(lo, *coeffs):

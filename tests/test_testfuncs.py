@@ -93,6 +93,20 @@ def _unchunked_eval_points(axes, C, P):
     return out
 
 
+def _first_nonzero_symmetric_signs(K, d, rng):
+    """The sign construction that the flat-index mirror replaced: a sign is
+    drawn where the first nonzero coordinate of s is >= 0 and mirrored elsewhere."""
+    shape = (2 * K + 1,) * d
+    raw = rng.choice(np.array([-1.0, 1.0]), size=shape)
+    grids = np.indices(shape) - K
+    first_nonzero = np.zeros(shape, dtype=np.int8)
+    for axis_vals in grids:
+        undecided = first_nonzero == 0
+        first_nonzero = np.where(undecided, np.sign(axis_vals).astype(np.int8), first_nonzero)
+    mirrored = raw[(slice(None, None, -1),) * d]
+    return np.where(first_nonzero >= 0, raw, mirrored)
+
+
 def _per_mode_breaks_symmetry(modes):
     nonzero = {tuple(s): complex(c) for s, c in modes.items() if complex(c) != 0}
     for s, c in nonzero.items():
@@ -158,6 +172,34 @@ class TestBoxAgainstDictPath:
                 monkeypatch.setattr(testfuncs, "_POINT_CHUNK", cap)
                 assert np.array_equal(f.eval_points_complex(pts), whole)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize("K,d", [(512, 2), (16, 3), (8, 4), (5, 1), (1, 2)])
+    def test_symmetric_signs_match_the_first_nonzero_rule(self, K, d):
+        for seed in (0, 3, 7):
+            expect = _first_nonzero_symmetric_signs(K, d, np.random.default_rng(seed))
+            got = testfuncs._symmetric_signs(K, d, np.random.default_rng(seed))
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_symmetry_check_on_closed_and_one_sided_axes(self):
+        # random_mixed_smooth's axes are their own symmetric closures, so C is
+        # compared with its mirror directly; a one-sided axis goes through the
+        # zero-filled closure.  Both reject a broken pair with the same message.
+        f = random_mixed_smooth(1.25, 4, 2, seed=3)
+        C = np.array(f.C)
+        C[5, 2] *= 1.0 + 1e-9  # mode (1, -2); its mirror (-1, 2) comes first
+        TrigFunction.from_box(f.freq_axes, f.C, real=True)
+        with pytest.raises(ValueError, match=r"mode \(-1, 2\) breaks") as closed:
+            TrigFunction.from_box(f.freq_axes, C, real=True)
+        one_sided = [np.arange(-4, 6), f.freq_axes[1]]  # frequency 5 has no mirror
+        padded = np.concatenate([C, np.zeros((1, 9))])
+        with pytest.raises(ValueError) as closure:
+            TrigFunction.from_box(one_sided, padded, real=True)
+        assert str(closure.value) == str(closed.value)
+        TrigFunction.from_box(one_sided, np.concatenate([f.C, np.zeros((1, 9))]), real=True)
+        padded = np.concatenate([f.C, np.zeros((1, 9))])
+        padded[9, 4] = 1.0  # mode (5, 0)
+        with pytest.raises(ValueError, match=r"mode \(-5, 0\) breaks"):
+            TrigFunction.from_box(one_sided, padded, real=True)
 
     def test_symmetry_check_rejects_what_the_per_mode_check_rejects(self):
         rng = np.random.default_rng(11)
