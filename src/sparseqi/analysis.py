@@ -228,8 +228,8 @@ class LatticeField:
 
     def __init__(self, f, d: int, N: int):
         self.d, self.N, self._f = d, N, f
-        self.values = grid_values(f, d, [np.arange(N) / N] * d)
-        self.values.flags.writeable = False
+        self._values = grid_values(f, d, [np.arange(N) / N] * d)
+        self._values.flags.writeable = False
 
     def _view(self, axes: Sequence[np.ndarray]) -> np.ndarray | None:
         """The stored values on the grid ``axes``, or ``None`` if an axis is not a sub-lattice."""
@@ -249,7 +249,7 @@ class LatticeField:
             if not 0 <= start < step or abs(x0 * self.N - start) > tol:
                 return None
             index.append(slice(start, None, step))
-        return self.values[tuple(index)]
+        return self._values[tuple(index)]
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         view = self._view(axes)

@@ -331,17 +331,16 @@ def test_field_difference_requires_dimension():
 
 
 class TestLatticeField:
-    @staticmethod
-    def candidate_axes(N):
-        # sub-lattices of i/N (N = 64): the lattice itself, i/8, the level-3
-        # block axis (2i+1)/16 of order 2, and 3/64 + i/4
-        return [np.arange(N) / N, np.arange(8) / 8, (2 * np.arange(8) + 1) / 16, 3 / N + np.arange(4) / 4]
+    # sub-lattices of i/64: the lattice itself, i/8, the level-3 block axis
+    # (2i+1)/16 of order 2, and 3/64 + i/4
+    SUB_LATTICES = [np.arange(64) / 64, np.arange(8) / 8, (2 * np.arange(8) + 1) / 16,
+                    3 / 64 + np.arange(4) / 4]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sub_lattice_reads_match_the_function(self, d):
         f = random_mixed_smooth(1.25, 6, d, seed=d)
         field = LatticeField(f, d, 64)
-        for axes in itertools.product(self.candidate_axes(64), repeat=d):
+        for axes in itertools.product(self.SUB_LATTICES, repeat=d):
             got, expect = field.eval_on_axes(list(axes)), f.eval_on_axes(list(axes))
             assert got.shape == expect.shape and not got.flags.writeable
             assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))

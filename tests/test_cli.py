@@ -425,6 +425,22 @@ class TestOrder6RoundTrip:
         self.assert_coeffs(out, expect)
 
 
+@pytest.fixture
+def caches(monkeypatch):
+    """Every sample cache made while the test runs, until ``monkeypatch.undo()``."""
+    from sparseqi.quasi_interp import SampleCache
+
+    made = []
+    init = SampleCache.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(SampleCache, "__init__", recording_init)
+    return made
+
+
 class TestBenchmark:
     def test_selftest_recovers_planted_exponent(self, tmp_path):
         assert run("benchmark", "--d", 1, "--m-range", "3..8", "--selftest",
@@ -470,24 +486,20 @@ class TestBenchmark:
     # At --resolution 96 the level-4 sample blocks, (2i+1)/64 on one axis,
     # are not on the lattice i/96: the blocks (4, 0) and (0, 4) are evaluated
     # by the fixture itself, beside its one evaluation on the lattice.
-    @pytest.mark.parametrize("extra,fixture_calls", [((), 1), (("--resolution", 96), 3)])
+    @pytest.mark.parametrize("extra,fixture_calls", [((), 1), (("--resolution", 96), 3)],
+                             ids=["default", "resolution96"])
     def test_one_decomposition_leaves_the_sweep_unchanged(self, tmp_path, cubic, monkeypatch,
-                                                          extra, fixture_calls):
+                                                          caches, extra, fixture_calls):
         from sparseqi import smolyak, testfuncs
         from sparseqi.quasi_interp import SampleCache, decompose
 
-        caches, calls = [], []
-        init, on_axes = SampleCache.__init__, testfuncs.TrigFunction.eval_on_axes
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            caches.append(self)
+        calls = []
+        on_axes = testfuncs.TrigFunction.eval_on_axes
 
         def counting_on_axes(self, axes):
             calls.append(len(axes[0]))
             return on_axes(self, axes)
 
-        monkeypatch.setattr(SampleCache, "__init__", recording_init)
         monkeypatch.setattr(testfuncs.TrigFunction, "eval_on_axes", counting_on_axes)
         assert run("benchmark", "--d", 2, "--m-range", "1..4", "--K", 8, *extra,
                    "--out", tmp_path) == 0
@@ -512,21 +524,11 @@ class TestBenchmark:
         (3, "1..4", 4, (), 64),
         (4, "1..4", 2, ("--resolution", 500), None),
     ])
-    def test_sampling_report(self, tmp_path, cubic, monkeypatch, d, m_range, K, extra, lattice):
+    def test_sampling_report(self, tmp_path, cubic, caches, d, m_range, K, extra, lattice):
         from sparseqi import smolyak
-        from sparseqi.quasi_interp import SampleCache
 
-        caches = []
-        init = SampleCache.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            caches.append(self)
-
-        monkeypatch.setattr(SampleCache, "__init__", recording_init)
         assert run("benchmark", "--d", d, "--m-range", m_range, "--K", K, *extra,
                    "--out", tmp_path) == 0
-        monkeypatch.undo()
         sampling = json.loads((tmp_path / "benchmark_report.json").read_text())["sampling"]
         m_hi = int(m_range.partition("..")[2])
         assert sampling == {"evaluated": smolyak.count_points(d, m_hi, cubic),
@@ -534,17 +536,7 @@ class TestBenchmark:
                             "fixture_lattice": lattice}
         assert [c.evaluations for c in caches] == [sampling["evaluated"]]
 
-    def test_oversized_lattice_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        from sparseqi.quasi_interp import SampleCache
-
-        caches = []
-        init = SampleCache.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            caches.append(self)
-
-        monkeypatch.setattr(SampleCache, "__init__", recording_init)
+    def test_oversized_lattice_refused_before_sampling(self, tmp_path, capsys, caches):
         assert run("benchmark", "--d", 3, "--m-range", "2..5", "--K", 16,
                    "--resolution", 1024, "--out", tmp_path) == 1
         assert "1024**3" in capsys.readouterr().err
