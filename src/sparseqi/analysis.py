@@ -313,11 +313,7 @@ def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, c
     """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
     if d > 3:
         raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = default_resolution(d, m) if resolution is None else resolution
-    if resolution < 2 ** (m + 2):
-        raise ResolutionTooLow(
-            f"resolution {resolution} below 2**(m+2) for block levels up to {m}"
-        )
+    resolution = _checked_resolution(d, resolution, m)
     hc = decompose(scheme, f, m, d, cache=cache)
     axes = [np.arange(resolution) / resolution] * d
     table = piece_table(scheme.ell)

@@ -13,12 +13,16 @@ Three independent code paths produce detail coefficients:
 
 * :func:`detail_coeff` - literal per-axis composition of the reduced symbol
   with the order-``ell`` difference operator (scalar, used for spot checks);
-* :func:`block_coeffs` - the same functionals applied as periodic stencil
-  correlations over a whole lattice at once (the production path);
+* :func:`block_coeffs` - the same functionals over a whole lattice at once
+  (the production path);
 * :func:`block_coeffs_oracle` - differences of plain quasi-interpolants
   re-expanded one level down through the spline refinement identity.
 
-Their agreement is a core test of the package.
+Their agreement is a core test of the package.  Every lattice operation is
+one periodic polyphase filter along one axis (:func:`_periodic_filter`):
+output ``P*i + p`` sums the taps of phase ``p`` at input ``stride*i``.  The
+mask stencil is one phase at stride 1, the even and odd detail stencils are
+two phases at stride 2, and the two-scale lift is two phases at stride 1.
 """
 
 from __future__ import annotations
@@ -284,17 +288,18 @@ def grid_values(f, d: int, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Values of ``f`` on the tensor grid ``axes[0] x ... x axes[d-1]``.
 
     ``f.eval_on_axes(axes)`` when ``f`` has that method; otherwise the batch
-    form of ``f`` (:func:`as_batch_function`) on the row-major meshgrid, in
-    slabs of a fixed ``_CHUNK`` points.
+    form of ``f`` (:func:`as_batch_function`) on row-major slabs of a fixed
+    ``_CHUNK`` points, each built from its own range of flat indices.
     """
     if hasattr(f, "eval_on_axes"):
         return np.asarray(f.eval_on_axes(axes), dtype=np.float64)
     batch = as_batch_function(f, d)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    out = np.empty(mesh.shape[0])
-    for start in range(0, mesh.shape[0], _CHUNK):
-        out[start : start + _CHUNK] = batch(mesh[start : start + _CHUNK])
-    return out.reshape(tuple(len(a) for a in axes))
+    shape = tuple(len(a) for a in axes)
+    out = np.empty(prod(shape))
+    for start in range(0, out.size, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, out.size)), shape)
+        out[start : start + _CHUNK] = batch(np.stack([a[i] for a, i in zip(axes, index)], axis=-1))
+    return out.reshape(shape)
 
 
 def block_positions(ell: int, a: int, k: int) -> np.ndarray:
@@ -636,12 +641,28 @@ class HierCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _axis_correlate(F: np.ndarray, axis: int, lo: int, weights: np.ndarray) -> np.ndarray:
-    # out[s] = sum_i weights[i] * F[(s + lo + i) mod L] along the given axis
-    out = np.zeros_like(F)
-    for i, w in enumerate(weights):
-        if w != 0.0:
-            out += w * np.roll(F, -(lo + i), axis=axis)
+def _taps(stencil: tuple[int, np.ndarray], shift: int = 0) -> list[tuple[int, float]]:
+    """The nonzero taps ``(offset, weight)`` of a ``(lo, weights)`` stencil, in
+    order, with every offset moved by ``shift``."""
+    lo, weights = stencil
+    return [(shift + lo + i, float(w)) for i, w in enumerate(weights) if w != 0.0]
+
+
+def _periodic_filter(A: np.ndarray, axis: int, phases: Sequence[list[tuple[int, float]]], stride: int) -> np.ndarray:
+    """``out[P*i + p] = sum over (o, w) in phases[p] of w * A[(stride*i + o) mod n]``
+    along ``axis`` of length ``n``, for ``P = len(phases)`` and ``i < n / stride``,
+    summed in list order onto zeros from strided slices of one wrap-padded copy of ``A``."""
+    n = A.shape[axis]
+    count = n // stride  # outputs per phase
+    offsets = [o for taps in phases for o, _ in taps] or [0]
+    lo, span = min(offsets), stride * (count - 1) + 1
+    padded = np.take(A, np.arange(lo, max(offsets) + span) % n, axis=axis)  # padded[t] = A[(lo + t) mod n]
+    out = np.zeros(A.shape[:axis] + (len(phases) * count,) + A.shape[axis + 1 :])
+    lead = (slice(None),) * axis
+    for p, taps in enumerate(phases):
+        dst = out[lead + (slice(p, None, len(phases)),)]
+        for o, w in taps:
+            dst += w * padded[lead + (slice(o - lo, o - lo + span, stride),)]
     return out
 
 
@@ -649,27 +670,22 @@ def quasi_coeffs(scheme: QIScheme, cache: SampleCache, k: Sequence[int]) -> np.n
     """Plain quasi-interpolant coefficients of ``f`` on the level-``k`` lattice."""
     F = cache.lattice_values(k)
     for axis in range(len(k)):
-        F = _axis_correlate(F, axis, *scheme.stencil_lambda)
+        F = _periodic_filter(F, axis, [_taps(scheme.stencil_lambda)], 1)
     return F
 
 
 def block_coeffs(scheme: QIScheme, cache: SampleCache, k: Sequence[int]) -> np.ndarray:
-    """Detail coefficients of block ``k``: stencil correlations per axis.
+    """Detail coefficients of block ``k``: one stencil filter per axis.
 
     Axes at level 0 carry the plain mask stencil; finer axes carry the even
-    or odd detail stencil according to the parity of the shift index.
+    detail stencil at even shift indices and the odd one at odd indices.
     """
     F = cache.lattice_values(k)
     for axis, kj in enumerate(k):
         if kj == 0:
-            F = _axis_correlate(F, axis, *scheme.stencil_lambda)
+            F = _periodic_filter(F, axis, [_taps(scheme.stencil_lambda)], 1)
         else:
-            even = _axis_correlate(F, axis, *scheme.stencil_even)
-            odd = _axis_correlate(F, axis, *scheme.stencil_odd)
-            sel = [slice(None)] * F.ndim
-            sel[axis] = slice(1, None, 2)
-            even[tuple(sel)] = odd[tuple(sel)]
-            F = even
+            F = _periodic_filter(F, axis, [_taps(scheme.stencil_even), _taps(scheme.stencil_odd, 1)], 2)
     return F
 
 
@@ -678,21 +694,10 @@ def _refine_axis(A: np.ndarray, axis: int, ell: int) -> np.ndarray:
     # identity of the cardinal spline (periodic indices wrap):
     #   out[2i + p] = sum over j = p, p + 2, ... <= ell of
     #                 comb(ell, j) / 2**(ell - 1) * A[i - (j - p) / 2],
-    # summed in increasing j onto zeros, so the even (p = 0) and odd (p = 1)
-    # outputs are strided sums over one wrap-padded copy of A.
-    n, half = A.shape[axis], ell // 2
-    padded = np.take(A, np.arange(-half, n) % n, axis=axis)  # padded[half + i] = A[i mod n]
-    shape = list(A.shape)
-    shape[axis] = 2 * n
-    out = np.zeros(shape, dtype=np.float64)
+    # summed in increasing j.
     scale = 2.0 ** (1 - ell)
-    lead = (slice(None),) * (axis % A.ndim)
-    for p in (0, 1):
-        dst = out[lead + (slice(p, None, 2),)]
-        for j in range(p, ell + 1, 2):
-            lo = half - (j - p) // 2
-            dst += (scale * comb(ell, j)) * padded[lead + (slice(lo, lo + n),)]
-    return out
+    phases = [[((p - j) // 2, scale * comb(ell, j)) for j in range(p, ell + 1, 2)] for p in (0, 1)]
+    return _periodic_filter(A, axis, phases, 1)
 
 
 def block_coeffs_oracle(scheme: QIScheme, cache: SampleCache, k: Sequence[int]) -> np.ndarray:
@@ -724,18 +729,9 @@ def _axis_operator(scheme: QIScheme, kj: int, sj: int) -> list[tuple[int, float]
     # literal composition: reduced detail symbol applied after the order-ell
     # difference for fine axes, the plain mask symbol at level 0
     if kj == 0:
-        lo, w = scheme.stencil_lambda
-        return [(lo + i, float(wi)) for i, wi in enumerate(w) if wi != 0.0]
-    star_lo, star_w = scheme.stencil_even_star if sj % 2 == 0 else scheme.stencil_odd_star
-    delta_lo, delta_w = scheme.stencil_delta
-    pairs = []
-    for i, wi in enumerate(star_w):
-        if wi == 0.0:
-            continue
-        for j, wj in enumerate(delta_w):
-            if wj != 0.0:
-                pairs.append((star_lo + i + delta_lo + j, float(wi) * float(wj)))
-    return pairs
+        return _taps(scheme.stencil_lambda)
+    star = scheme.stencil_even_star if sj % 2 == 0 else scheme.stencil_odd_star
+    return [(a + b, wa * wb) for a, wa in _taps(star) for b, wb in _taps(scheme.stencil_delta)]
 
 
 def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> float:

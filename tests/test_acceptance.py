@@ -156,7 +156,7 @@ def test_criterion_2_formula_vs_oracle():
                         assert scalar == pytest.approx(
                             blocks[k][s_idx], abs=1e-11 * max(1.0, fn_scale)
                         )
-    _report(2, f"two coefficient paths agree; worst relative deviation {worst:.2e}")
+    _report(2, f"three coefficient paths agree; worst relative deviation {worst:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,25 @@ class TestBlockNorms:
         sup = besov_block_norm(f, faber, 0.75, 2.0, np.inf, m, d=1, resolution=2**7, cache=cache)
         assert sup == pytest.approx(max(norms), rel=1e-12)
 
+    @pytest.mark.parametrize("norm", ["lp", "besov"])
+    @pytest.mark.parametrize("d,resolution,error", [
+        (2, 16, ResolutionTooLow),  # below 2**(3+2) = 32 at m = 3
+        (2, 32, LatticeTooLarge),  # 32**2 points > 1000
+        (3, 32, LatticeTooLarge),
+    ])
+    def test_guards_run_before_sampling(self, monkeypatch, cubic, norm, d, resolution, error):
+        from sparseqi.quasi_interp import SampleCache
+
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        f = random_mixed_smooth(1.25, 2, d, seed=0)
+        cache = SampleCache(f, cubic.ell, d)
+        with pytest.raises(error):
+            if norm == "lp":
+                lp_block_norm(f, cubic, 1.25, 2.0, 3, d=d, resolution=resolution, cache=cache)
+            else:
+                besov_block_norm(f, cubic, 1.25, 2.0, 1.0, 3, d=d, resolution=resolution, cache=cache)
+        assert cache.evaluations == 0
+
 
 class TestDifference:
     def test_empty_axes_identity(self):

@@ -59,6 +59,116 @@ def test_refine_axis_matches_the_rolled_form(ell):
             assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
+def _rolled_correlate(F, axis, lo, weights):
+    """The stencil correlation that the periodic filter replaced: one rolled
+    copy of ``F`` per nonzero tap, ``out[s] = sum_i w[i] * F[(s + lo + i) mod L]``."""
+    out = np.zeros_like(F)
+    for i, w in enumerate(weights):
+        if w != 0.0:
+            out += w * np.roll(F, -(lo + i), axis=axis)
+    return out
+
+
+def _split_block_coeffs(scheme, F, k):
+    """The replaced ``block_coeffs`` on the level-``k`` samples ``F``: both
+    detail stencils over every fine axis, even outputs from one, odd from the other."""
+    for axis, kj in enumerate(k):
+        if kj == 0:
+            F = _rolled_correlate(F, axis, *scheme.stencil_lambda)
+        else:
+            even = _rolled_correlate(F, axis, *scheme.stencil_even)
+            odd = _rolled_correlate(F, axis, *scheme.stencil_odd)
+            sel = [slice(None)] * F.ndim
+            sel[axis] = slice(1, None, 2)
+            even[tuple(sel)] = odd[tuple(sel)]
+            F = even
+    return F
+
+
+def _double_loop_operator(scheme, kj, sj):
+    """The replaced ``_axis_operator``: reduced detail stencil times the
+    order-``ell`` difference, by a hand-written double loop."""
+    if kj == 0:
+        lo, w = scheme.stencil_lambda
+        return [(lo + i, float(wi)) for i, wi in enumerate(w) if wi != 0.0]
+    star_lo, star_w = scheme.stencil_even_star if sj % 2 == 0 else scheme.stencil_odd_star
+    delta_lo, delta_w = scheme.stencil_delta
+    pairs = []
+    for i, wi in enumerate(star_w):
+        if wi == 0.0:
+            continue
+        for j, wj in enumerate(delta_w):
+            if wj != 0.0:
+                pairs.append((star_lo + i + delta_lo + j, float(wi) * float(wj)))
+    return pairs
+
+
+ORDER6_MASK = ("13/240", "-7/15", "73/40", "-7/15", "13/240")
+SCHEMES = {"faber": lambda: builtin_scheme("faber"), "cubic": lambda: builtin_scheme("cubic"),
+           "sextic": lambda: build_scheme(6, ORDER6_MASK)}
+
+
+def _same_bits(got, expect):
+    return (got.shape == expect.shape and np.array_equal(got, expect)
+            and np.array_equal(np.signbit(got), np.signbit(expect)))
+
+
+class TestAgainstReplacedPaths:
+    """The periodic filter against the rolled correlations it replaced, bit for
+    bit with sign bits, on every axis; the order-6 stencils (15 taps on a
+    12-point level-1 axis) wrap round the lattice more than once."""
+
+    @staticmethod
+    def _samples(seed):
+        # random samples with scattered negative zeros
+        rng = np.random.default_rng(seed)
+        return lambda P: np.where(rng.random(len(P)) < 0.1, -0.0, rng.standard_normal(len(P)))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_and_quasi_coeffs(self, name, d):
+        scheme = SCHEMES[name]()
+        cache = SampleCache(self._samples(d), scheme.ell, d)
+        for k in multi_indices(d, 3 if d < 3 else 2):
+            F = cache.lattice_values(k)
+            assert _same_bits(block_coeffs(scheme, cache, k), _split_block_coeffs(scheme, F, k))
+            expect = F
+            for axis in range(d):
+                expect = _rolled_correlate(expect, axis, *scheme.stencil_lambda)
+            assert _same_bits(quasi_coeffs(scheme, cache, k), expect)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_stencil_longer_than_the_axis(self, name):
+        # every stencil, alone and as the stride-2 even/odd pair, on every axis
+        # of a (6, 12, 4) array: the axis of 4 is shorter than every order-6
+        # stencil, and the 15-tap even one is longer than the axis of 12
+        from sparseqi.quasi_interp import _periodic_filter, _taps
+
+        scheme = SCHEMES[name]()
+        rng = np.random.default_rng(len(name))
+        A = rng.standard_normal((6, 12, 4))
+        A[rng.random(A.shape) < 0.1] = -0.0
+        for axis in range(A.ndim):
+            for stencil in (scheme.stencil_lambda, scheme.stencil_even, scheme.stencil_odd):
+                got = _periodic_filter(A, axis, [_taps(stencil)], 1)
+                assert _same_bits(got, _rolled_correlate(A, axis, *stencil))
+            got = _periodic_filter(A, axis, [_taps(scheme.stencil_even), _taps(scheme.stencil_odd, 1)], 2)
+            even = _rolled_correlate(A, axis, *scheme.stencil_even)
+            odd = _rolled_correlate(A, axis, *scheme.stencil_odd)
+            sel = [slice(None)] * A.ndim
+            sel[axis] = slice(1, None, 2)
+            even[tuple(sel)] = odd[tuple(sel)]
+            assert _same_bits(got, even)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_axis_operator(self, name):
+        from sparseqi.quasi_interp import _axis_operator
+
+        scheme = SCHEMES[name]()
+        for kj, sj in itertools.product(range(3), range(4)):
+            assert _axis_operator(scheme, kj, sj) == _double_loop_operator(scheme, kj, sj)
+
+
 def lp(lo, *coeffs):
     return LaurentPoly(lo, coeffs)
 
@@ -294,12 +404,10 @@ class TestDecompose:
 
 
 class TestSampleCache:
-    ORDER6_MASK = ("13/240", "-7/15", "73/40", "-7/15", "13/240")
-
     def test_each_point_evaluated_once(self):
         from sparseqi.smolyak import count_points
 
-        schemes = [builtin_scheme("faber"), builtin_scheme("cubic"), build_scheme(6, self.ORDER6_MASK)]
+        schemes = [builtin_scheme("faber"), builtin_scheme("cubic"), build_scheme(6, ORDER6_MASK)]
         for scheme, (d, m) in itertools.product(schemes, [(1, 4), (2, 3), (3, 2)]):
             rng = np.random.default_rng(d)
             sources = [
@@ -335,6 +443,22 @@ class TestSampleCache:
         assert np.prod(shape) > _CHUNK
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(grid_values(f, d, axes), f(mesh).reshape(shape))
+
+    def test_grid_values_fallback_peak_below_the_mesh(self):
+        # the slabs bound the temporaries: a 2048**2 grid with a plain callable
+        # stays below the 64 MiB of its (n, d) point mesh, values included
+        import tracemalloc
+
+        n, d = 2048, 2
+        axes = [np.arange(n) / n] * d
+        tracemalloc.start()
+        try:
+            values = grid_values(lambda P: P[:, 0] + P[:, 1], d, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (n, n) and values[3, 5] == (3 + 5) / n
+        assert peak < n**d * d * 8
 
     def test_value_map_missing_sample(self, faber):
         cache = SampleCache.from_values({(F(0), F(0)): 1.0}, faber.ell, 2)
