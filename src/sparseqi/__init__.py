@@ -34,6 +34,7 @@ from .laurent import LaurentPoly, NotDivisible
 from .quasi_interp import (
     BUILTIN_MASKS,
     HierCoeffs,
+    LatticeAxis,
     MissingSamples,
     NotAQuasiInterpolant,
     QIScheme,

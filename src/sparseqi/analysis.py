@@ -19,8 +19,8 @@ import numpy as np
 
 from .bspline import piece_table
 from .kernels import eval_blocks_on_grid
-from .quasi_interp import HierCoeffs, QIScheme, SampleCache, as_batch_function, decompose, grid_values
-from .testfuncs import _LATTICE_ULPS, TrigFunction, _lattice
+from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, SampleCache, as_batch_function, decompose, grid_values
+from .testfuncs import TrigFunction
 
 __all__ = [
     "ResolutionTooLow",
@@ -208,7 +208,7 @@ def lq_norm(
         raise ValueError(f"need q > 1, got {q}")
     resolution = _checked_resolution(d, resolution, min_level)
     if d <= 3:
-        return _power_mean_norm(grid_values(f, d, [np.arange(resolution) / resolution] * d), q)
+        return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
     points = np.outer(np.arange(n), _cbc_generator(n, d)) % n / n
     return _power_mean_norm(as_batch_function(f, d)(points), q)
@@ -219,41 +219,22 @@ class LatticeField:
     back on its sub-lattices.
 
     :meth:`eval_on_axes` returns a read-only strided view of the stored
-    values when every axis is a sub-lattice ``x0 + i/n`` of ``i/N``: ``n``
-    divides ``N`` and ``x0 * N`` is an integer below ``N/n``.  Any other
-    grid, and every scattered point, is evaluated by ``f`` itself.  A view
-    differs from a fresh evaluation of ``f`` on the same points by rounding
-    only (the lattice transforms have other lengths).
+    values when every axis lies on ``i/N`` (:meth:`LatticeAxis.within`).
+    Any other grid, and every scattered point, is evaluated by ``f`` itself.
+    A view differs from a fresh evaluation of ``f`` on the same points by
+    rounding only (the lattice transforms have other lengths).
     """
 
     def __init__(self, f, d: int, N: int):
         self.d, self.N, self._f = d, N, f
-        self._values = grid_values(f, d, [np.arange(N) / N] * d)
+        self._values = grid_values(f, d, [LatticeAxis(0, 1, N)] * d)
         self._values.flags.writeable = False
 
-    def _view(self, axes: Sequence[np.ndarray]) -> np.ndarray | None:
-        """The stored values on the grid ``axes``, or ``None`` if an axis is not a sub-lattice."""
-        if len(axes) != self.d:
-            return None
-        # x0 * N may miss an integer by the tolerance of the lattice check
-        tol = _LATTICE_ULPS * np.finfo(np.float64).eps * self.N
-        index = []
-        for x in axes:
-            try:
-                x0, n = _lattice(x)
-            except ValueError:
-                return None
-            if n == 0 or self.N % n:
-                return None
-            step, start = self.N // n, round(x0 * self.N)
-            if not 0 <= start < step or abs(x0 * self.N - start) > tol:
-                return None
-            index.append(slice(start, None, step))
-        return self._values[tuple(index)]
-
-    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        view = self._view(axes)
-        return grid_values(self._f, self.d, axes) if view is None else view
+    def eval_on_axes(self, axes: Sequence[LatticeAxis]) -> np.ndarray:
+        index = tuple(a.within(self.N) for a in axes)
+        if len(axes) != self.d or None in index:
+            return grid_values(self._f, self.d, axes)
+        return self._values[index]
 
     def eval_points(self, P) -> np.ndarray:
         return as_batch_function(self._f, self.d)(np.asarray(P, dtype=np.float64))
@@ -315,7 +296,7 @@ def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, c
         raise ValueError("block norms are quadrature-based and limited to d <= 3")
     resolution = _checked_resolution(d, resolution, m)
     hc = decompose(scheme, f, m, d, cache=cache)
-    axes = [np.arange(resolution) / resolution] * d
+    axes = [LatticeAxis(0, 1, resolution).points()] * d
     table = piece_table(scheme.ell)
     return ((k, eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)) for k, C in hc.block_items())
 

@@ -23,6 +23,7 @@ from .laurent import NotDivisible
 from .quasi_interp import (
     BUILTIN_MASKS,
     HierCoeffs,
+    LatticeAxis,
     MissingSamples,
     NotAQuasiInterpolant,
     QIScheme,
@@ -232,14 +233,18 @@ def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
 def cmd_recover(args) -> int:
     scheme = _load_scheme(args)
     d, m = args.d, args.m
-    # the evaluation points are read before the first file is written
+    # the evaluation points are read, or the lattice refused, before the
+    # first sample is taken and the first file is written
     axes = None
     if args.eval_points:
         pts = _read_points(args.eval_points, d)
     else:
         n = args.eval_grid
-        axes = [np.arange(n) / n] * d
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        if n**d > analysis.MAX_LATTICE_POINTS:
+            raise _UsageError(f"an evaluation grid of {n}**{d} = {n**d} points exceeds"
+                              f" the limit of {analysis.MAX_LATTICE_POINTS} points")
+        axes = [LatticeAxis(0, 1, n)] * d
+        pts = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
     f = None
     if args.samples:
         cache = _read_samples(args.samples, d, m, scheme.ell)
@@ -308,6 +313,10 @@ class BenchConfig:
         _check_pq(self.p, self.q, need_p=True)
         if not self.r_eff > 0:
             raise _UsageError("r must be positive")
+        box = (2 * self.K + 1) ** self.d
+        if box > analysis.MAX_LATTICE_POINTS:
+            raise _UsageError(f"a fixture box of (2*{self.K} + 1)**{self.d} = {box} coefficients"
+                              f" exceeds the limit of {analysis.MAX_LATTICE_POINTS} points")
         lo = max(1.0 / self.p, 0.5)
         hi = self.ell - 1
         if not lo < self.r_eff < hi:
@@ -563,7 +572,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=_parse_q, default=2.0)
     p.add_argument("--r", type=float, default=1.25, help="target effective smoothness")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--K", type=_int_at_least(0), default=0,
                    help="spectral truncation of the random probe (0: ell * 2**max(m))")
     p.add_argument("--resolution", type=int, default=None, help=_RESOLUTION_HELP)

@@ -53,6 +53,8 @@ __all__ = [
     "QIScheme",
     "HierCoeffs",
     "SampleCache",
+    "LatticeAxis",
+    "block_axis",
     "block_positions",
     "BUILTIN_MASKS",
     "build_scheme",
@@ -284,21 +286,71 @@ def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
     return batched
 
 
-def grid_values(f, d: int, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Values of ``f`` on the tensor grid ``axes[0] x ... x axes[d-1]``.
+@dataclass(frozen=True)
+class LatticeAxis:
+    """The ``n`` points ``(r + s*i) / (s*n)``, ``i < n``, with ``0 <= r < s``: the
+    lattice ``x0 + i/n`` shifted by ``x0 = r / (s*n)``, less than one step.
+
+    ``LatticeAxis(0, 1, N)`` is the quadrature lattice ``i/N``,
+    :func:`block_axis` gives the sample blocks, and ``LatticeAxis(r, s, N/s)``
+    is the residue class ``r + s*t`` of ``i/N``.  Membership and slicing are
+    integer arithmetic.
+    """
+
+    r: int
+    s: int
+    n: int
+
+    def __post_init__(self):
+        if not 0 <= self.r < self.s or self.n < 0:
+            raise ValueError(f"need 0 <= r < s and n >= 0, got {self}")
+
+    @property
+    def x0(self) -> float:
+        """The first point, ``r / (s*n)`` (0.0 on an empty axis)."""
+        return self.r / (self.s * self.n) if self.n else 0.0
+
+    def points(self) -> np.ndarray:
+        """The points as floats, each the correctly rounded quotient of two exact integers."""
+        return (self.r + self.s * np.arange(self.n, dtype=np.int64)) / (self.s * self.n)
+
+    def within(self, N: int) -> slice | None:
+        """The strided slice of the lattice ``i/N`` that holds exactly this
+        axis, or ``None`` when some point is not on it (or the axis is empty).
+
+        The points are ``j/N`` for ``j = N*r/(s*n) + (N/n)*i``, so ``n`` must
+        divide ``N`` and ``s`` the product ``(N/n)*r``.
+        """
+        if self.n == 0 or N % self.n or (N // self.n) * self.r % self.s:
+            return None
+        step = N // self.n
+        return slice(step * self.r // self.s, None, step)
+
+
+def block_axis(ell: int, a: int) -> LatticeAxis:
+    """The points of sample block level ``a`` on one axis: the level-0
+    lattice ``i/ell`` for ``a = 0``, else the points new at level ``a``, the
+    odd multiples ``(2i+1) / (ell * 2**a)`` of its mesh."""
+    return LatticeAxis(0, 1, ell) if a == 0 else LatticeAxis(1, 2, ell << (a - 1))
+
+
+def grid_values(f, d: int, axes: Sequence[LatticeAxis]) -> np.ndarray:
+    """Values of ``f`` on the tensor grid of the lattice ``axes``.
 
     ``f.eval_on_axes(axes)`` when ``f`` has that method; otherwise the batch
-    form of ``f`` (:func:`as_batch_function`) on row-major slabs of a fixed
-    ``_CHUNK`` points, each built from its own range of flat indices.
+    form of ``f`` (:func:`as_batch_function`) at the axes' points, on
+    row-major slabs of a fixed ``_CHUNK`` points, each built from its own
+    range of flat indices.
     """
     if hasattr(f, "eval_on_axes"):
         return np.asarray(f.eval_on_axes(axes), dtype=np.float64)
     batch = as_batch_function(f, d)
-    shape = tuple(len(a) for a in axes)
+    xs = [a.points() for a in axes]
+    shape = tuple(len(x) for x in xs)
     out = np.empty(prod(shape))
     for start in range(0, out.size, _CHUNK):
         index = np.unravel_index(np.arange(start, min(start + _CHUNK, out.size)), shape)
-        out[start : start + _CHUNK] = batch(np.stack([a[i] for a, i in zip(axes, index)], axis=-1))
+        out[start : start + _CHUNK] = batch(np.stack([x[i] for x, i in zip(xs, index)], axis=-1))
     return out.reshape(shape)
 
 
@@ -378,27 +430,23 @@ class SampleCache:
                 cache._blocks[lev] = block
         return cache
 
-    def _ix(self, a: Sequence[int], k: Sequence[int]):
-        return np.ix_(*(block_positions(self.ell, aj, kj) for aj, kj in zip(a, k)))
-
     def lattice_values(self, k: Sequence[int]) -> np.ndarray:
         out = np.empty(tuple(self.ell << kj for kj in k), dtype=np.float64)
         for a in itertools.product(*(range(kj + 1) for kj in k)):
             block = self._blocks.get(a)  # a published block is read without the lock
-            out[self._ix(a, k)] = self._fetch(a) if block is None else block
+            # block a sits on a strided sub-lattice of the level-k lattice
+            where = tuple(block_axis(self.ell, aj).within(self.ell << kj) for aj, kj in zip(a, k))
+            out[where] = self._fetch(a) if block is None else block
         return out
 
     def _fetch(self, a: tuple[int, ...]) -> np.ndarray:
         # the samples of block a, from its own points only
-        pos = [block_positions(self.ell, aj, aj) for aj in a]
+        axes = [block_axis(self.ell, aj) for aj in a]
         if self._f is None:
             first = self._absent.get(a, (0,) * self.d)
-            raise MissingSamples(
-                tuple(Fraction(int(p[i]), self.ell << aj) for p, i, aj in zip(pos, first, a))
-            )
+            raise MissingSamples(tuple(Fraction(ax.r + ax.s * i, ax.s * ax.n) for ax, i in zip(axes, first)))
         with self._lock:
             if a not in self._blocks:  # else a racing thread fetched it first
-                axes = [p / (self.ell << aj) for p, aj in zip(pos, a)]
                 block = np.array(grid_values(self._f, self.d, axes))
                 block.flags.writeable = False
                 self._blocks[a] = block  # published whole: a racing reader never sees a partial one
@@ -568,10 +616,11 @@ class HierCoeffs:
         blocks = self._collapsed(self._scattered_axes(points.shape[0]))
         return eval_blocks_at_points(points, blocks, piece_table(self.ell))
 
-    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+    def eval_on_axes(self, axes: Sequence[LatticeAxis]) -> np.ndarray:
         if len(axes) != self.d:
             raise ValueError(f"{len(axes)} axes for dimension {self.d}")
-        return eval_blocks_on_grid(axes, self._collapsed(), self.ell, piece_table(self.ell))
+        xs = [a.points() for a in axes]
+        return eval_blocks_on_grid(xs, self._collapsed(), self.ell, piece_table(self.ell))
 
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)

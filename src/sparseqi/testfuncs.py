@@ -2,13 +2,14 @@
 
 Trigonometric polynomials carry their Fourier coefficients explicitly, as one
 coefficient array over a box of frequencies, so Sobolev norms are exact and
-evaluation is separable along the axes.  Grid evaluation takes lattice axes
-only, each ``x_i = x0 + i/n`` for ``i < n``: the quadrature lattices
-``i/N`` and the hierarchical sample blocks, ``i/ell`` at level 0 and
-``(2i+1)/(ell*2**a)`` above it, are such lattices.  On one, a polynomial is an
-inverse DFT of its coefficients folded modulo ``n`` (aliasing), so each axis
-costs one pass over the box plus ``O(n log n)`` per line, instead of a dense
-phase matrix of ``n`` rows against the box.  The witness builders return
+evaluation is separable along the axes.  Grid evaluation takes exact lattice
+axes (:class:`sparseqi.quasi_interp.LatticeAxis`), each the points
+``x0 + i/n`` for ``i < n``: the quadrature lattices ``i/N`` and the
+hierarchical sample blocks, ``i/ell`` at level 0 and ``(2i+1)/(ell*2**a)``
+above it, are such lattices.  On one, a polynomial is an inverse DFT of its
+coefficients folded modulo ``n`` (aliasing), so each axis costs one pass over
+the box plus ``O(n log n)`` per line, instead of a dense phase matrix of
+``n`` rows against the box.  The witness builders return
 hierarchical combinations that vanish identically on the sample grid they are
 built against; vanishing is always re-verified numerically by the callers
 that rely on it.
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quasi_interp import HierCoeffs, QIScheme, _compositions
+from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, _compositions
 from .smolyak import grid_level_gap
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _POINT_CHUNK = 1 << 22  # cap on points * row width of one scattered evaluation slab
 _SMOOTH_MARGIN = 0.05  # fixed spectral safety margin of the random fixtures
-_LATTICE_ULPS = 8  # tolerance of the lattice-axis check, in units in the last place
 
 
 class TrigFunction:
@@ -87,24 +87,21 @@ class TrigFunction:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values on the tensor grid ``axes[0] x ... x axes[d-1]``.
+    def eval_on_axes(self, axes: Sequence[LatticeAxis]) -> np.ndarray:
+        """Values on the tensor grid of the lattice axes ``axes[0] x ... x axes[d-1]``.
 
-        Each axis must be a shifted uniform lattice ``x_i = x0 + i/n`` with
-        ``n = len(axis)``; a single point and an empty axis are lattices too,
-        and any other axis raises ``ValueError``.  Axes are folded and
-        inverse-transformed one at a time, first to last
+        Each axis is the lattice ``x0 + i/n`` of its :class:`LatticeAxis`.
+        Axes are folded and inverse-transformed one at a time, first to last
         (:func:`_fold_transform`), at a cost of ``O(box + lattice * log(lattice))``.
         """
         if len(axes) != self.d:
             raise ValueError(f"need {self.d} axes, got {len(axes)}")
-        lattices = [_lattice(x) for x in axes]
-        if any(n == 0 for _, n in lattices):
-            shape = tuple(n for _, n in lattices)
+        if any(a.n == 0 for a in axes):
+            shape = tuple(a.n for a in axes)
             return np.zeros(shape, dtype=np.float64 if self.real else np.complex128)
         field = self.C
-        for j, (x0, n) in enumerate(lattices):
-            field = _fold_transform(field, j, self.freq_axes[j], x0, n)
+        for j, a in enumerate(axes):
+            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n)
         # a copy, so that the real values do not keep the complex transform alive
         return field.real.copy() if self.real else field
 
@@ -187,22 +184,6 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
         idx = np.argwhere(bad)[0]
         s = tuple(int(c[i]) for c, i in zip(closed, idx))
         raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
-
-
-def _lattice(x) -> tuple[float, int]:
-    """``(x0, n)`` with ``x[i] == x0 + i/n`` for ``n = len(x)``, to within
-    ``_LATTICE_ULPS`` units in the last place; ``ValueError`` for any other axis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("each axis must be one-dimensional")
-    n = x.size
-    if n == 0:
-        return 0.0, 0
-    x0 = float(x[0])
-    tol = _LATTICE_ULPS * np.finfo(np.float64).eps * max(1.0, float(np.abs(x).max()))
-    if np.max(np.abs(x - (x0 + np.arange(n) / n))) > tol:
-        raise ValueError(f"an axis of {n} points is not a shifted uniform lattice x0 + i/{n}")
-    return x0, n
 
 
 def _add_scaled(out: np.ndarray, w: complex, part: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from sparseqi.analysis import (
     sobolev_norm_fourier,
     sweep_field,
 )
-from sparseqi.quasi_interp import HierCoeffs, decompose
+from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, block_axis, decompose
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 
 
@@ -81,7 +81,7 @@ class TestLqNorm:
 
         class Stub:  # stops at the evaluation, so nothing of lattice size is allocated
             def eval_on_axes(self, axes):
-                raise Reached([len(a) for a in axes])
+                raise Reached([a.n for a in axes])
 
         with pytest.raises(Reached) as hit:
             lq_norm(Stub(), 2.0, 3, 512)
@@ -349,11 +349,52 @@ def test_field_difference_requires_dimension():
         FieldDifference(lambda x: x, lambda x: x)
 
 
+def _float_lattice(x):
+    """``(x0, n)`` of a float axis ``x0 + i/n``, found as the lattice axes replaced
+    it: within 8 units in the last place, else ``ValueError``."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if n == 0:
+        return 0.0, 0
+    x0 = float(x[0])
+    tol = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(x).max()))
+    if np.max(np.abs(x - (x0 + np.arange(n) / n))) > tol:
+        raise ValueError(f"an axis of {n} points is not a shifted uniform lattice x0 + i/{n}")
+    return x0, n
+
+
+def _float_view_slice(x, N):
+    """The slice of ``i/N`` that :class:`LatticeField` read for a float axis
+    before lattice axes, or ``None``: the tolerance rule they replaced."""
+    tol = 8 * np.finfo(np.float64).eps * N
+    try:
+        x0, n = _float_lattice(x)
+    except ValueError:
+        return None
+    if n == 0 or N % n:
+        return None
+    step, start = N // n, round(x0 * N)
+    if not 0 <= start < step or abs(x0 * N - start) > tol:
+        return None
+    return slice(start, None, step)
+
+
 class TestLatticeField:
     # sub-lattices of i/64: the lattice itself, i/8, the level-3 block axis
     # (2i+1)/16 of order 2, and 3/64 + i/4
-    SUB_LATTICES = [np.arange(64) / 64, np.arange(8) / 8, (2 * np.arange(8) + 1) / 16,
-                    3 / 64 + np.arange(4) / 4]
+    SUB_LATTICES = [LatticeAxis(0, 1, 64), LatticeAxis(0, 1, 8), LatticeAxis(1, 2, 8),
+                    LatticeAxis(3, 16, 4)]
+    BLOCK_AXES = [block_axis(ell, a) for ell in (2, 4, 6) for a in range(9)]
+
+    @pytest.mark.parametrize("N", [64, 96, 128])
+    def test_within_matches_the_replaced_tolerance_rule(self, N):
+        decisions = []
+        for axis in self.SUB_LATTICES + self.BLOCK_AXES:
+            assert _float_lattice(axis.points()) == (axis.x0, axis.n)
+            index = axis.within(N)
+            assert index == _float_view_slice(axis.points(), N), (axis, N)
+            decisions.append(index is not None)
+        assert True in decisions and False in decisions
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sub_lattice_reads_match_the_function(self, d):
@@ -365,18 +406,16 @@ class TestLatticeField:
             assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
 
     @pytest.mark.parametrize("axis", [
-        np.arange(6) / 6,  # 6 does not divide 64
-        1 / 128 + np.arange(8) / 8,  # x0 * N = 0.5
-        0.5 + np.arange(4) / 4,  # x0 * N = 32 is not below N / n = 16: the axis wraps
-        np.array([]),
+        LatticeAxis(0, 1, 6),  # 6 does not divide 64
+        LatticeAxis(1, 16, 8),  # 1/128 + i/8: x0 * N = 0.5
+        LatticeAxis(1, 3, 4),  # 1/12 + i/4: x0 * N = 16/3
+        LatticeAxis(0, 1, 0),
     ])
     def test_other_axes_are_evaluated_by_the_function(self, axis):
         f = random_mixed_smooth(1.25, 6, 2, seed=0)
         field = LatticeField(f, 2, 64)
-        axes = [np.arange(8) / 8, axis]
+        axes = [LatticeAxis(0, 1, 8), axis]
         assert np.array_equal(field.eval_on_axes(axes), f.eval_on_axes(axes))
-        with pytest.raises(ValueError, match="not a shifted uniform lattice"):
-            field.eval_on_axes([np.arange(8) / 8, np.array([0.0, 0.1, 0.5])])
         pts = np.random.default_rng(1).random((50, 2))
         assert np.array_equal(field.eval_points(pts), f.eval_points(pts))
 

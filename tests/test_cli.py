@@ -76,6 +76,7 @@ class TestUsage:
         ("witness", "--kind", "g1", "--d", 1, "--m-range", "1..2", "--r", 0.75, "--q", 0.5),
         ("benchmark", "--d", 1, "--m-range", "2..5", "--r", 0),
         ("benchmark", "--d", 1, "--m-range", "2..5", "--r", -1),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--seed", -1),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1
@@ -88,6 +89,26 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage error" in err and "32**2 = 1024 points" in err
         assert not (tmp_path / "witness.csv").exists()
+
+    def test_oversized_evaluation_grid_exits_1(self, tmp_path, capsys, monkeypatch, caches):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        argv = ("recover", "--function", "sine", "--d", 1, "--m", 2, "--out", tmp_path)
+        assert run(*argv, "--eval-grid", 1001) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "1001**1 = 1001 points" in err
+        assert list(tmp_path.iterdir()) == [] and caches == []
+        assert run(*argv, "--eval-grid", 1000) == 0
+
+    def test_oversized_fixture_box_exits_1(self, tmp_path, capsys, monkeypatch, caches):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        assert run("benchmark", "--d", 3, "--m-range", "1..4", "--K", 5, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "(2*5 + 1)**3 = 1331 coefficients" in err
+        assert list(tmp_path.iterdir()) == [] and caches == []
+        # the default K = ell * 2**max(m) is checked too
+        assert run("benchmark", "--d", 1, "--m-range", "6..9", "--out", tmp_path) == 1
+        assert "(2*2048 + 1)**1 = 4097 coefficients" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_lattice_refused_at_a_later_level_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # m = 1 and 2 fit under the cap, m = 3 does not
@@ -497,7 +518,7 @@ class TestBenchmark:
         on_axes = testfuncs.TrigFunction.eval_on_axes
 
         def counting_on_axes(self, axes):
-            calls.append(len(axes[0]))
+            calls.append(axes[0].n)
             return on_axes(self, axes)
 
         monkeypatch.setattr(testfuncs.TrigFunction, "eval_on_axes", counting_on_axes)

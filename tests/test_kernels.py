@@ -5,7 +5,7 @@ import pytest
 
 from sparseqi import kernels, quasi_interp
 from sparseqi.bspline import PeriodicSpline, eval_periodic, piece_table
-from sparseqi.quasi_interp import HierCoeffs, decompose, multi_indices
+from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, decompose, multi_indices
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 
@@ -30,9 +30,9 @@ def test_piece_values_match_scalar(ell):
 
 
 def test_grid_path_matches_scattered(combo_2d):
-    axes = [np.arange(17) / 17, np.arange(13) / 13]
+    axes = [LatticeAxis(0, 1, 17), LatticeAxis(0, 1, 13)]
     grid_vals = combo_2d.eval_on_axes(axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, 2)
     scattered = combo_2d.eval_points(mesh).reshape(grid_vals.shape)
     assert np.max(np.abs(grid_vals - scattered)) < 1e-12
 
@@ -40,9 +40,9 @@ def test_grid_path_matches_scattered(combo_2d):
 def test_grid_path_3d(faber):
     f = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.sin(2 * np.pi * P[:, 1]) * np.sin(2 * np.pi * P[:, 2])
     hc = decompose(faber, f, 2, 3)
-    axes = [np.arange(7) / 7, np.arange(5) / 5, np.arange(6) / 6]
+    axes = [LatticeAxis(0, 1, 7), LatticeAxis(1, 2, 5), LatticeAxis(2, 3, 6)]
     grid_vals = hc.eval_on_axes(axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, 3)
     scattered = hc.eval_points(mesh).reshape(grid_vals.shape)
     assert np.max(np.abs(grid_vals - scattered)) < 1e-12
 
@@ -138,6 +138,11 @@ def _grid_axes(d):
     axes = [np.arange(n) / n for n in (24, 13, 16, 9)[:d]]
     axes[-1] = np.random.default_rng(d).uniform(-1.0, 2.0, size=11)
     return axes
+
+
+def _on_grid(hc, axes):
+    # what HierCoeffs.eval_on_axes computes, on float axes that need not be lattices
+    return kernels.eval_blocks_on_grid(axes, hc._collapsed(), hc.ell, piece_table(hc.ell))
 
 
 def _points(n, d, seed):
@@ -277,6 +282,13 @@ def test_contract_axes_matches_einsum(d, dtype):
             assert got.shape == empty[:j] + (2,) + empty[j + 1 :]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eval_on_axes_is_the_grid_kernel_at_the_lattice_points(d):
+    hc = _random_combination(d, 4, 5 - d, seed=d)
+    axes = [LatticeAxis(0, 1, 24), LatticeAxis(1, 2, 13), LatticeAxis(3, 8, 9), LatticeAxis(0, 1, 1)][:d]
+    assert np.array_equal(hc.eval_on_axes(axes), _on_grid(hc, [a.points() for a in axes]))
+
+
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
 @pytest.mark.parametrize("ell", [2, 4, 6])
 def test_grid_matches_replaced_kernel(d, m, ell):
@@ -285,7 +297,7 @@ def test_grid_matches_replaced_kernel(d, m, ell):
     table = piece_table(ell)
     expect = _grid_kernel_old(axes, hc.block_items(), ell, table)
     total = sum(np.abs(C).sum() for _, C in hc.block_items())
-    assert np.max(np.abs(hc.eval_on_axes(axes) - expect)) <= 1e-13 * total
+    assert np.max(np.abs(_on_grid(hc, axes) - expect)) <= 1e-13 * total
     # the kernel itself, on the collapsed blocks
     blocks = hc._collapsed()
     got = kernels.eval_blocks_on_grid(axes, blocks, ell, table)
@@ -372,7 +384,7 @@ def test_collapse_matches_per_block_path(d, m, ell):
     scattered, grid = _per_block(hc, P, axes)
     tol = 1e-13 * sum(np.abs(C).sum() for _, C in hc.block_items())
     assert np.max(np.abs(hc.eval_points(P) - scattered)) <= tol
-    assert np.max(np.abs(hc.eval_on_axes(axes) - grid)) <= tol
+    assert np.max(np.abs(_on_grid(hc, axes) - grid)) <= tol
     table = piece_table(ell)
     for c in range(1, d + 1):
         blocks = hc._collapsed(c)
@@ -406,12 +418,12 @@ def test_collapse_of_missing_blocks_equals_stored_zero_blocks(d, seed):
     sparse = HierCoeffs(d, 4, full.max_level, {k: C for k, C in items if k not in drop})
     P, axes = _points(300, d, seed=seed), _grid_axes(d)
     assert np.array_equal(sparse.eval_points(P), stored.eval_points(P))
-    assert np.array_equal(sparse.eval_on_axes(axes), stored.eval_on_axes(axes))
+    assert np.array_equal(_on_grid(sparse, axes), _on_grid(stored, axes))
     # and the sparse combination agrees with its own per-block path
     scattered, grid = _per_block(sparse, P, axes)
     tol = 1e-13 * sum(np.abs(C).sum() for _, C in sparse.block_items())
     assert np.max(np.abs(sparse.eval_points(P) - scattered)) <= tol
-    assert np.max(np.abs(sparse.eval_on_axes(axes) - grid)) <= tol
+    assert np.max(np.abs(_on_grid(sparse, axes) - grid)) <= tol
     # the same at every number of lifted axes
     table = piece_table(4)
     for c in range(1, d + 1):
@@ -472,7 +484,9 @@ def test_empty_combination_evaluates_to_zero(d):
     hc = HierCoeffs(d, 4, 3, {})
     P, axes = _points(50, d, seed=d), _grid_axes(d)
     assert np.array_equal(hc.eval_points(P), np.zeros(50))
-    assert np.array_equal(hc.eval_on_axes(axes), np.zeros(tuple(len(a) for a in axes)))
+    assert np.array_equal(_on_grid(hc, axes), np.zeros(tuple(len(a) for a in axes)))
+    lattice = [LatticeAxis(0, 1, n) for n in (5, 3, 2)[:d]]
+    assert np.array_equal(hc.eval_on_axes(lattice), np.zeros((5, 3, 2)[:d]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -482,4 +496,4 @@ def test_witnesses_evaluate_bitwise_as_per_block(faber, cubic, d):
         P, axes = _points(300, d, seed=d), _grid_axes(d)
         scattered, grid = _per_block(w, P, axes)
         assert np.array_equal(w.eval_points(P), scattered)
-        assert np.array_equal(w.eval_on_axes(axes), grid)
+        assert np.array_equal(_on_grid(w, axes), grid)

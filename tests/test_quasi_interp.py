@@ -13,11 +13,13 @@ from sparseqi.quasi_interp import (
     _CHUNK,
     _refine_axis,
     HierCoeffs,
+    LatticeAxis,
     MissingSamples,
     NotAQuasiInterpolant,
     SampleCache,
     as_batch_function,
     block_coeffs,
+    block_axis,
     block_coeffs_oracle,
     block_positions,
     build_scheme,
@@ -167,6 +169,57 @@ class TestAgainstReplacedPaths:
         scheme = SCHEMES[name]()
         for kj, sj in itertools.product(range(3), range(4)):
             assert _axis_operator(scheme, kj, sj) == _double_loop_operator(scheme, kj, sj)
+
+
+def _ix_lattice_values(cache, k):
+    """The level-``k`` lattice as the sample cache assembled it before lattice
+    axes: each block written through ``np.ix_`` arrays of its integer positions."""
+    out = np.empty(tuple(cache.ell << kj for kj in k))
+    for a in itertools.product(*(range(kj + 1) for kj in k)):
+        out[np.ix_(*(block_positions(cache.ell, aj, kj) for aj, kj in zip(a, k)))] = cache._fetch(a)
+    return out
+
+
+class TestLatticeAxis:
+    """Exact lattice axes against the float axes and index arrays they replaced."""
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_block_points_are_the_float_axes(self, ell):
+        for a in range(9):
+            axis = block_axis(ell, a)
+            assert _same_bits(axis.points(), block_positions(ell, a, a) / (ell << a))
+            assert axis.x0 == axis.points()[0]
+
+    def test_quadrature_points_are_the_float_axes(self):
+        for N in (1, 3, 64, 96, 128, 1000, 1 << 20):
+            assert _same_bits(LatticeAxis(0, 1, N).points(), np.arange(N) / N)
+
+    def test_within(self):
+        assert LatticeAxis(1, 2, 8).within(16) == slice(1, None, 2)
+        assert LatticeAxis(3, 16, 4).within(64) == slice(3, None, 16)
+        assert LatticeAxis(0, 1, 64).within(64) == slice(0, None, 1)
+        # every residue class r + s*t of i/N is the axis LatticeAxis(r, s, N/s)
+        for N, s in [(64, 1), (64, 8), (96, 3), (96, 12)]:
+            for r in range(s):
+                axis = LatticeAxis(r, s, N // s)
+                assert axis.within(N) == slice(r, None, s)
+                assert _same_bits(axis.points(), (np.arange(N) / N)[r::s])
+        # n does not divide N; the shift is off i/N; an empty axis
+        for axis in (LatticeAxis(0, 1, 6), LatticeAxis(1, 3, 4), LatticeAxis(1, 2, 64), LatticeAxis(0, 1, 0)):
+            assert axis.within(64) is None
+
+    @pytest.mark.parametrize("r, s, n", [(1, 1, 4), (-1, 2, 4), (0, 0, 4), (0, 1, -1)])
+    def test_rejects_a_shift_outside_one_step(self, r, s, n):
+        with pytest.raises(ValueError, match="0 <= r < s"):
+            LatticeAxis(r, s, n)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_values_match_the_index_assembly(self, name, d):
+        scheme = SCHEMES[name]()
+        cache = SampleCache(TestAgainstReplacedPaths._samples(d), scheme.ell, d)
+        for k in multi_indices(d, 4 if d < 3 else 3):
+            assert _same_bits(cache.lattice_values(k), _ix_lattice_values(cache, k))
 
 
 def lp(lo, *coeffs):
@@ -439,9 +492,9 @@ class TestSampleCache:
         # a plain vectorised callable on a grid of more than one _CHUNK slab
         # gives the values of one unchunked batch call
         f = lambda P: np.cos(2 * np.pi * P.reshape(len(P), -1)).prod(axis=1) + P.reshape(len(P), -1)[:, 0] ** 3
-        axes = [np.arange(n) / n for n in shape]
+        axes = [LatticeAxis(0, 1, n) for n in shape]
         assert np.prod(shape) > _CHUNK
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(grid_values(f, d, axes), f(mesh).reshape(shape))
 
     def test_grid_values_fallback_peak_below_the_mesh(self):
@@ -450,7 +503,7 @@ class TestSampleCache:
         import tracemalloc
 
         n, d = 2048, 2
-        axes = [np.arange(n) / n] * d
+        axes = [LatticeAxis(0, 1, n)] * d
         tracemalloc.start()
         try:
             values = grid_values(lambda P: P[:, 0] + P[:, 1], d, axes)
@@ -501,9 +554,7 @@ class FractionSampleCache:
             if self._batch is None:
                 raise MissingSamples(missing_keys[0])
             if self._grid is not None and len(missing_keys) > out.size // 4:
-                fresh = np.asarray(
-                    self._grid([np.array([float(p) for p in a]) for a in axes])
-                ).ravel()
+                fresh = np.asarray(self._grid([LatticeAxis(0, 1, len(a)) for a in axes])).ravel()
                 vals = fresh[missing_pos]
             else:
                 vals = self._batch(np.array([[float(c) for c in key] for key in missing_keys]))
@@ -527,7 +578,7 @@ class RecordingSource:
             self.eval_points = self._points
 
     def _on_axes(self, axes):
-        self.calls.append(("axes", [np.array(a) for a in axes]))
+        self.calls.append(("axes", [a.points() for a in axes]))
         return self.f.eval_on_axes(axes)
 
     def _points(self, P):
