@@ -30,6 +30,7 @@ __all__ = [
     "FieldDifference",
     "LatticeField",
     "default_resolution",
+    "checked_resolution",
     "sweep_field",
     "lq_norm",
     "recovery_error",
@@ -162,7 +163,7 @@ def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-def _checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
+def checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
     """The resolution :func:`lq_norm` measures at: ``resolution``, or the
     default for ``min_level`` (level 4 when unset), once it passes the guards
     that :func:`lq_norm` documents."""
@@ -206,7 +207,7 @@ def lq_norm(
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
-    resolution = _checked_resolution(d, resolution, min_level)
+    resolution = checked_resolution(d, resolution, min_level)
     if d <= 3:
         return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
@@ -255,14 +256,20 @@ def sweep_field(f, d: int, m: int, resolution: int | None = None):
     first, so ``ResolutionTooLow`` and ``LatticeTooLarge`` are raised
     before anything is evaluated.
     """
-    resolution = _checked_resolution(d, resolution, m)
+    resolution = checked_resolution(d, resolution, m)
     return LatticeField(f, d, resolution) if d <= 3 else f
 
 
 def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:
-    """L_q distance between ``f`` and the recovered combination ``hc``."""
-    residual = FieldDifference(f, hc, d=hc.d)
-    return lq_norm(residual, q, hc.d, resolution, min_level=hc.max_level)
+    """L_q distance between ``f`` and the recovered combination ``hc``.
+
+    The aliasing guard and the default resolution of :func:`lq_norm` follow
+    the finest level in the residual: ``hc.max_level``, or ``f.max_level``
+    when ``f`` is itself a finer spline combination (a peaked probe at level
+    ``m + 2`` has its support between the points of the level-``m`` lattice).
+    """
+    level = max(hc.max_level, f.max_level) if isinstance(f, HierCoeffs) else hc.max_level
+    return lq_norm(FieldDifference(f, hc, d=hc.d), q, hc.d, resolution, min_level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, c
     """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
     if d > 3:
         raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = _checked_resolution(d, resolution, m)
+    resolution = checked_resolution(d, resolution, m)
     hc = decompose(scheme, f, m, d, cache=cache)
     axes = [LatticeAxis(0, 1, resolution).points()] * d
     table = piece_table(scheme.ell)
@@ -385,7 +392,7 @@ def difference(f, ell: int, u: Iterable[int], h: Sequence[float], x: Sequence[fl
             pt[a] += j * h[a]
         points.append(pt)
         weights.append(w)
-    vals = batch(np.array(points))
+    vals = np.asarray(batch(np.array(points)), dtype=np.float64)
     return float(np.dot(weights, vals))
 
 

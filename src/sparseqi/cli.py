@@ -356,6 +356,11 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
     norm_kind = f"Lp,p={q_label}"
     m_hi = max(cfg.m_range)
+    if cfg.probe in ("peak", "both"):
+        # the peak probe's finest quadrature lattice, at the bump's own level,
+        # is refused here before any sample is taken
+        bump_level = testfuncs.witness_g2(scheme, cfg.d, m_hi, cfg.r_eff, cfg.p).max_level
+        analysis.checked_resolution(cfg.d, cfg.resolution, bump_level)
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
     # f evaluated once on the top level's quadrature lattice (d <= 3), which
     # is refused here if too large, before any sample is taken
@@ -440,7 +445,7 @@ def cmd_benchmark(args) -> int:
         q=args.q,
         m_range=args.m_range,
         seed=args.seed,
-        K=args.K if args.K else scheme.ell << max(args.m_range),
+        K=args.K if args.K else scheme.ell * 2 ** max(args.m_range),
         resolution=args.resolution,
         probe=args.probe or _default_probe(args.p, args.q),
         model=model,

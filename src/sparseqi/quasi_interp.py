@@ -5,9 +5,9 @@ mask.  The mask induces a local operator that reproduces all polynomials of
 degree below ``ell``; its symbol, an exact rational Laurent polynomial, is
 split at build time into the even/odd detail symbols whose shift operators
 compute hierarchical coefficients directly from point samples.  Build-time
-validation is exact: the detail symbols must factor through ``(z - 1)**ell``
-and polynomial reproduction is checked in rational arithmetic, so an invalid
-mask is rejected deterministically.
+validation is exact: the detail symbols, and the mask symbol times the
+symbol of the spline's integer samples minus one, must factor through
+``(z - 1)**ell``, so an invalid mask is rejected deterministically.
 
 Three independent code paths produce detail coefficients:
 
@@ -55,7 +55,6 @@ __all__ = [
     "SampleCache",
     "LatticeAxis",
     "block_axis",
-    "block_positions",
     "BUILTIN_MASKS",
     "build_scheme",
     "builtin_scheme",
@@ -155,24 +154,18 @@ class QIScheme:
         }
 
 
-def _reproduces_polynomials(ell: int, lam: Mapping[int, Fraction], mu: int) -> bool:
-    # Exact check on one mesh cell of the non-periodic operator; translation
-    # invariance extends equality to the whole line.
+def _reproduces_polynomials(ell: int, row: tuple[Fraction, ...]) -> bool:
+    """Whether the mask row ``lambda(-mu..mu)`` reproduces polynomials of
+    degree < ``ell``: whether ``lambda(z) * Phi(z) - 1`` has the factor
+    ``(z-1)**ell``, for ``Phi`` the symbol of the centred spline's integer
+    samples ``M_ell(j + ell/2)``."""
     half = ell // 2
-    for degree in range(ell):
-        for t in range(ell + 1):
-            x = Fraction(t, ell + 1)
-            total = Fraction(0)
-            for s in range(-ell, 1):
-                weight = eval_cardinal_exact(ell, x - s)
-                if weight == 0:
-                    continue
-                lam_val = Fraction(0)
-                for j in range(-mu, mu + 1):
-                    lam_val += lam[j] * Fraction(s - j + half) ** degree
-                total += lam_val * weight
-            if total != x**degree:
-                return False
+    lam = LaurentPoly(-(len(row) // 2), row)
+    phi = LaurentPoly(1 - half, [eval_cardinal_exact(ell, j + half) for j in range(1 - half, half)])
+    try:
+        (lam * phi - LaurentPoly.one()).divide_exact(LaurentPoly(0, (-1, 1)) ** ell)
+    except NotDivisible:
+        return False
     return True
 
 
@@ -186,8 +179,8 @@ def build_scheme(ell: int, mask: Sequence) -> QIScheme:
         InvalidOrder: ``ell`` odd or < 2.
         ValueError: mask not symmetric or too short for the order.
         NotAQuasiInterpolant: the mask fails polynomial reproduction (the
-            detail symbols do not factor through ``(z-1)**ell``, or the exact
-            reproduction check fails).
+            detail symbols or ``lambda(z) * Phi(z) - 1`` do not factor
+            through ``(z-1)**ell``).
     """
     if ell < 2 or ell % 2:
         raise InvalidOrder(f"order must be even and >= 2, got {ell}")
@@ -200,7 +193,6 @@ def build_scheme(ell: int, mask: Sequence) -> QIScheme:
     while len(row) // 2 < ell // 2 - 1:
         row = (Fraction(0),) + row + (Fraction(0),)
     mu = len(row) // 2
-    lam = {j - mu: c for j, c in enumerate(row)}
 
     half = ell // 2
     p_lambda = LaurentPoly(half - mu, row)
@@ -221,7 +213,7 @@ def build_scheme(ell: int, mask: Sequence) -> QIScheme:
         raise NotAQuasiInterpolant(
             f"detail symbol lacks the (z-1)^{ell} factor: {exc}"
         ) from exc
-    if not _reproduces_polynomials(ell, lam, mu):
+    if not _reproduces_polynomials(ell, row):
         raise NotAQuasiInterpolant(
             f"mask does not reproduce polynomials of degree < {ell}"
         )
@@ -265,10 +257,11 @@ def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
 
     Accepts objects with an ``eval_points`` method, numpy-vectorized
     callables (``f(x)`` on an ``(n,)`` array for ``d == 1`` or on an
-    ``(n, d)`` array otherwise), and plain scalar callables.
+    ``(n, d)`` array otherwise), and plain scalar callables.  The values keep
+    the source's own dtype, so a complex source stays complex.
     """
     if hasattr(f, "eval_points"):
-        return lambda P: np.asarray(f.eval_points(P), dtype=np.float64)
+        return lambda P: np.asarray(f.eval_points(P))
 
     def batched(P: np.ndarray) -> np.ndarray:
         n = P.shape[0]
@@ -276,12 +269,12 @@ def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
         # (an (n, d) batch with n == d could alias a per-row convention)
         if d == 1 or n != d:
             try:
-                out = np.asarray(f(P[:, 0] if d == 1 else P), dtype=np.float64)
+                out = np.asarray(f(P[:, 0] if d == 1 else P))
                 if out.shape == (n,):
                     return out
             except (TypeError, ValueError, IndexError):
                 pass
-        return np.array([float(f(row[0] if d == 1 else row)) for row in P])
+        return np.array([f(row[0] if d == 1 else row) for row in P])
 
     return batched
 
@@ -326,6 +319,10 @@ class LatticeAxis:
         step = N // self.n
         return slice(step * self.r // self.s, None, step)
 
+    def fraction(self, i: int) -> Fraction:
+        """Point ``i`` as an exact rational, ``(r + s*i) / (s*n)``."""
+        return Fraction(self.r + self.s * i, self.s * self.n)
+
 
 def block_axis(ell: int, a: int) -> LatticeAxis:
     """The points of sample block level ``a`` on one axis: the level-0
@@ -340,27 +337,22 @@ def grid_values(f, d: int, axes: Sequence[LatticeAxis]) -> np.ndarray:
     ``f.eval_on_axes(axes)`` when ``f`` has that method; otherwise the batch
     form of ``f`` (:func:`as_batch_function`) at the axes' points, on
     row-major slabs of a fixed ``_CHUNK`` points, each built from its own
-    range of flat indices.
+    range of flat indices.  The values keep the source's own dtype.
     """
     if hasattr(f, "eval_on_axes"):
-        return np.asarray(f.eval_on_axes(axes), dtype=np.float64)
+        return np.asarray(f.eval_on_axes(axes))
     batch = as_batch_function(f, d)
     xs = [a.points() for a in axes]
     shape = tuple(len(x) for x in xs)
-    out = np.empty(prod(shape))
-    for start in range(0, out.size, _CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, out.size)), shape)
-        out[start : start + _CHUNK] = batch(np.stack([x[i] for x, i in zip(xs, index)], axis=-1))
+    size = prod(shape)
+    out = np.empty(0)  # an empty grid; otherwise the first slab sets the dtype
+    for start in range(0, size, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
+        values = batch(np.stack([x[i] for x, i in zip(xs, index)], axis=-1))
+        if start == 0:
+            out = np.empty(size, dtype=values.dtype)
+        out[start : start + _CHUNK] = values
     return out.reshape(shape)
-
-
-def block_positions(ell: int, a: int, k: int) -> np.ndarray:
-    """Positions ``i`` (points ``i / (ell * 2**k)``) of block level ``a <= k`` on
-    the level-``k`` axis lattice: the level-0 lattice for ``a = 0``, else the
-    points new at level ``a``, the odd multiples of its mesh."""
-    if a == 0:
-        return np.arange(ell, dtype=np.int64) << k
-    return np.arange(1, ell << a, 2, dtype=np.int64) << (k - a)
 
 
 class SampleCache:
@@ -404,22 +396,27 @@ class SampleCache:
     def from_lattice(cls, index, level: int, values, ell: int, d: int) -> "SampleCache":
         """A cache reading samples at the points ``index / (ell * 2**level)``, for
         ``(n, d)`` integer positions in ``[0, ell * 2**level)``; a repeated
-        position keeps its last value."""
+        position keeps its last value.
+
+        A position's block level and its index inside the block come from the
+        slices ``block_axis(ell, a).within(ell * 2**level)``, ``a <= level``,
+        and each block has the shape of its :func:`block_axis` axes."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, d)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         _, last = np.unique(index[::-1], axis=0, return_index=True)
         keep = len(index) - 1 - last
         index, values = index[keep], values[keep]
-        # block level per axis: level minus the trailing zero bits of the
-        # position (frexp of its lowest set bit), 0 on multiples of 2**level
-        a = np.where(index % (1 << level) == 0, 0, level + 1 - np.frexp(index & -index)[1])
-        local = index >> (level - a + (a > 0))
+        axes = [block_axis(ell, a) for a in range(level + 1)]
+        block_of, local_of = np.empty((2, ell << level), dtype=np.int64)
+        for a, axis in enumerate(axes):
+            block_of[axis.within(ell << level)] = a
+            local_of[axis.within(ell << level)] = np.arange(axis.n)
         cache = cls(None, ell, d)
-        levels, group = np.unique(a, axis=0, return_inverse=True)
+        levels, group = np.unique(block_of[index], axis=0, return_inverse=True)
         for g, lev in enumerate(map(tuple, levels.tolist())):
             rows = group.reshape(-1) == g
-            at = tuple(local[rows].T)
-            block = np.zeros(tuple(ell << max(aj - 1, 0) for aj in lev))
+            at = tuple(local_of[index[rows]].T)
+            block = np.zeros(tuple(axes[aj].n for aj in lev))
             block[at] = values[rows]
             absent = np.ones(block.shape, dtype=bool)
             absent[at] = False
@@ -444,10 +441,10 @@ class SampleCache:
         axes = [block_axis(self.ell, aj) for aj in a]
         if self._f is None:
             first = self._absent.get(a, (0,) * self.d)
-            raise MissingSamples(tuple(Fraction(ax.r + ax.s * i, ax.s * ax.n) for ax, i in zip(axes, first)))
+            raise MissingSamples(tuple(ax.fraction(i) for ax, i in zip(axes, first)))
         with self._lock:
             if a not in self._blocks:  # else a racing thread fetched it first
-                block = np.array(grid_values(self._f, self.d, axes))
+                block = np.array(grid_values(self._f, self.d, axes), dtype=np.float64)
                 block.flags.writeable = False
                 self._blocks[a] = block  # published whole: a racing reader never sees a partial one
                 self.evaluations += block.size
@@ -460,11 +457,9 @@ class SampleCache:
         """The stored samples keyed by exact coordinates, for export and re-recovery."""
         out: dict[tuple[Fraction, ...], float] = {}
         for a, block in self._blocks.items():
-            axes = [
-                [Fraction(t, self.ell << aj) for t in block_positions(self.ell, aj, aj).tolist()]
-                for aj in a
-            ]
-            out.update(zip(itertools.product(*axes), block.ravel().tolist()))
+            axes = [block_axis(self.ell, aj) for aj in a]
+            points = itertools.product(*([ax.fraction(i) for i in range(ax.n)] for ax in axes))
+            out.update(zip(points, block.ravel().tolist()))
         return out
 
 
@@ -810,7 +805,7 @@ def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> flo
         points.append(pt)
     if not points:  # a zero detail symbol (e.g. odd shifts of the order-2 scheme)
         return 0.0
-    vals = batch(np.array(points, dtype=np.float64))
+    vals = np.asarray(batch(np.array(points, dtype=np.float64)), dtype=np.float64)
     return float(np.dot(weights, vals))
 
 

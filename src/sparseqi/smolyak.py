@@ -21,7 +21,7 @@ from .quasi_interp import (
     MissingSamples,
     QIScheme,
     SampleCache,
-    block_positions,
+    block_axis,
     decompose,
     multi_indices,
 )
@@ -74,13 +74,16 @@ class SampleGrid:
 
 
 def enumerate_grid(d: int, m: int, scheme: QIScheme) -> SampleGrid:
-    """Materialize the sample grid as its hierarchical blocks, sorted by coordinates."""
+    """Materialize the sample grid as its hierarchical blocks, sorted by
+    coordinates: block ``a`` takes, on axis ``j``, the positions of the
+    level-``m`` lattice in the slice ``block_axis(ell, a_j).within(ell * 2**m)``."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
     ell = scheme.ell
+    positions = np.arange(ell << m, dtype=np.int64)
     index, provenance = [], []
     for a in multi_indices(d, m):
-        axes = np.meshgrid(*(block_positions(ell, aj, m) for aj in a), indexing="ij")
+        axes = np.meshgrid(*(positions[block_axis(ell, aj).within(ell << m)] for aj in a), indexing="ij")
         index.append(np.stack([x.ravel() for x in axes], axis=1))
         provenance.append(np.broadcast_to(np.array(a, dtype=np.int64), index[-1].shape))
     index, provenance = np.concatenate(index), np.concatenate(provenance)
@@ -94,14 +97,12 @@ def count_points(d: int, m: int, scheme: QIScheme) -> int:
     """Cardinality of the sample grid, computed without materializing points.
 
     Counts points by their per-axis minimal levels: level ``a`` contributes
-    ``ell`` new points for ``a = 0`` and ``ell * 2**(a-1)`` for ``a >= 1``,
-    and a point belongs to the grid iff its minimal levels sum to <= m.
+    the ``block_axis(ell, a).n`` points of its block axis, and a point
+    belongs to the grid iff its minimal levels sum to <= m.
     """
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    ell = scheme.ell
-    new_per_level = [ell] + [ell << (a - 1) for a in range(1, m + 1)]
-    per_sum = np.array(new_per_level, dtype=object)
+    per_sum = np.array([block_axis(scheme.ell, a).n for a in range(m + 1)], dtype=object)
     acc = per_sum.copy()
     for _ in range(d - 1):
         nxt = np.zeros(m + 1, dtype=object)

@@ -20,7 +20,7 @@ from sparseqi.analysis import (
     sobolev_norm_fourier,
     sweep_field,
 )
-from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, block_axis, decompose
+from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, as_batch_function, block_axis, decompose, grid_values
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 
 
@@ -98,6 +98,25 @@ class TestLqNorm:
         coarse = lq_norm(f, 3.0, 1, 256)
         fine = lq_norm(f, 3.0, 1, 512)
         assert abs(fine - coarse) < 0.01 * fine
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("source", ["trig", "callable"])
+    def test_complex_source_measured_by_modulus(self, d, source):
+        # |exp(2 pi i (x_1 + ... + x_d))| = 1 everywhere; its real part alone
+        # has L2 norm 1/sqrt(2)
+        if source == "trig":
+            f = TrigFunction(d, {(1,) * d: 1.0})
+        else:
+            f = lambda P: np.exp(2j * np.pi * (P if d == 1 else P.sum(axis=1)))
+        for q in (2.0, np.inf):
+            assert lq_norm(f, q, d, 64 if d <= 3 else 1000) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_real_fixture_values_stay_float64(self, d):
+        f = random_mixed_smooth(1.25, 4, d, seed=d)
+        axes = [LatticeAxis(0, 1, 16)] * d
+        assert grid_values(f, d, axes).dtype == np.float64
+        assert as_batch_function(f, d)(np.full((5, d), 0.25)).dtype == np.float64
 
     def test_high_dimensional_sampled_path(self):
         # product of sines in d=4 on the rank-1 lattice rule

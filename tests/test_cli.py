@@ -580,6 +580,22 @@ class TestBenchmark:
             expect = recovery_error(bump, decompose(faber, bump, row["m"], 1), 4.0)
             assert row["error_peak"] == expect
 
+    def test_peak_probe_at_d3(self, tmp_path):
+        # the bump sits at level m + 2: measured on the level-m lattice it
+        # read -0.0 at every level and the class-sup scaling divided by it
+        assert run("benchmark", "--d", 3, "--m-range", "1..4", "--K", 8, "--q", "inf",
+                   "--out", tmp_path) == 0
+        rows = json.loads((tmp_path / "benchmark_report.json").read_text())["rows"]
+        assert len(rows) == 4 and all(row["error_peak"] > 0 for row in rows)
+
+    def test_peak_lattice_refused_before_sampling(self, tmp_path, capsys, caches):
+        # 64 points per axis pass the fixture's level-4 guard, not the bump's level 6
+        assert run("benchmark", "--d", 3, "--m-range", "1..4", "--K", 8, "--q", "inf",
+                   "--resolution", 64, "--out", tmp_path) == 1
+        assert "level-6 residuals" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert caches == []
+
 
 class TestWitness:
     def test_g2_sweep(self, tmp_path):

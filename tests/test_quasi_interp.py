@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sparseqi.bspline import InvalidOrder
+from sparseqi.bspline import InvalidOrder, eval_cardinal_exact
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import (
     _CHUNK,
@@ -21,7 +21,6 @@ from sparseqi.quasi_interp import (
     block_coeffs,
     block_axis,
     block_coeffs_oracle,
-    block_positions,
     build_scheme,
     builtin_scheme,
     decompose,
@@ -30,6 +29,7 @@ from sparseqi.quasi_interp import (
     multi_indices,
     quasi_coeffs,
 )
+from sparseqi.smolyak import count_points, enumerate_grid
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
 from .conftest import rng_points
 
@@ -171,6 +171,23 @@ class TestAgainstReplacedPaths:
             assert _axis_operator(scheme, kj, sj) == _double_loop_operator(scheme, kj, sj)
 
 
+def block_positions(ell, a, k):
+    """The block rule as it was written before ``block_axis`` alone held it:
+    positions ``i`` (points ``i / (ell * 2**k)``) of block level ``a <= k`` on
+    the level-``k`` axis lattice."""
+    if a == 0:
+        return np.arange(ell, dtype=np.int64) << k
+    return np.arange(1, ell << a, 2, dtype=np.int64) << (k - a)
+
+
+def _frexp_block_index(index, level):
+    """The replaced inverse of the block rule: block level and block-local
+    index of each position on the level lattice, from the trailing zero bits
+    of the position (``frexp`` of its lowest set bit)."""
+    a = np.where(index % (1 << level) == 0, 0, level + 1 - np.frexp(index & -index)[1])
+    return a, index >> (level - a + (a > 0))
+
+
 def _ix_lattice_values(cache, k):
     """The level-``k`` lattice as the sample cache assembled it before lattice
     axes: each block written through ``np.ix_`` arrays of its integer positions."""
@@ -220,6 +237,94 @@ class TestLatticeAxis:
         cache = SampleCache(TestAgainstReplacedPaths._samples(d), scheme.ell, d)
         for k in multi_indices(d, 4 if d < 3 else 3):
             assert _same_bits(cache.lattice_values(k), _ix_lattice_values(cache, k))
+
+
+def _blocks_grid(d, m, ell):
+    """The replaced ``enumerate_grid``: every block's positions from
+    ``block_positions``, concatenated and sorted by coordinates."""
+    index, provenance = [], []
+    for a in multi_indices(d, m):
+        axes = np.meshgrid(*(block_positions(ell, aj, m) for aj in a), indexing="ij")
+        index.append(np.stack([x.ravel() for x in axes], axis=1))
+        provenance.append(np.broadcast_to(np.array(a, dtype=np.int64), index[-1].shape))
+    index, provenance = np.concatenate(index), np.concatenate(provenance)
+    order = np.lexsort(index.T[::-1])
+    return index[order], provenance[order]
+
+
+def _block_point(ell, a, local):
+    """Point ``local`` of block ``a`` in exact coordinates, by ``block_positions``."""
+    return tuple(F(int(block_positions(ell, aj, aj)[i]), ell << aj) for aj, i in zip(a, local))
+
+
+class TestBlockRule:
+    """Everything derived from ``block_axis`` against the block code it replaced."""
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_slices_are_the_block_positions(self, ell):
+        for k in range(9):
+            positions = np.arange(ell << k)
+            for a in range(k + 1):
+                got = positions[block_axis(ell, a).within(ell << k)]
+                assert np.array_equal(got, block_positions(ell, a, k))
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_from_lattice_inverts_like_frexp(self, ell):
+        # every position of one axis, its value the position itself: the
+        # stored block a holds position p at the old block-local index
+        for level in range(9):
+            index = np.arange(ell << level)
+            cache = SampleCache.from_lattice(index, level, index, ell, 1)
+            a, local = _frexp_block_index(index, level)
+            assert sorted(cache._blocks) == [(lev,) for lev in range(level + 1)]
+            assert not cache._absent
+            for lev, block in cache._blocks.items():
+                assert block.shape == (ell << max(lev[0] - 1, 0),)
+            got = np.array([cache._blocks[(aj,)][i] for aj, i in zip(a.tolist(), local.tolist())])
+            assert np.array_equal(got, index)
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    def test_from_lattice_inverts_like_frexp_on_two_axes(self, ell):
+        level, n = 3, ell << 3
+        index = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), axis=-1).reshape(-1, 2)
+        cache = SampleCache.from_lattice(index, level, index[:, 0] * n + index[:, 1], ell, 2)
+        a, local = _frexp_block_index(index, level)
+        for row, (lev, at) in enumerate(zip(map(tuple, a.tolist()), map(tuple, local.tolist()))):
+            assert cache._blocks[lev][at] == index[row, 0] * n + index[row, 1]
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (4, 2)])
+    def test_grid_samples_and_missing_points_unchanged(self, name, d, m):
+        scheme = SCHEMES[name]()
+        ell = scheme.ell
+        index, provenance = _blocks_grid(d, m, ell)
+        grid = enumerate_grid(d, m, scheme)
+        assert _same_bits(grid.index, index) and _same_bits(grid.provenance, provenance)
+        assert grid.index.dtype == grid.provenance.dtype == np.int64
+        assert count_points(d, m, scheme) == len(index) == sum(
+            math.prod(len(block_positions(ell, aj, aj)) for aj in a) for a in multi_indices(d, m))
+
+        cache = SampleCache(TestAgainstReplacedPaths._samples(d), ell, d)
+        for k in multi_indices(d, m):
+            cache.lattice_values(k)
+        expect = {}
+        for a, block in cache._blocks.items():
+            for local in itertools.product(*(range(n) for n in block.shape)):
+                expect[_block_point(ell, a, local)] = float(block[local])
+        assert cache.sample_map() == expect
+
+        # without one point of block a, fetching a names that point
+        for a in multi_indices(d, m):
+            rows = np.flatnonzero((provenance == a).all(axis=1))
+            drop = rows[len(rows) // 2]
+            keep = np.delete(np.arange(len(index)), drop)
+            sparse = SampleCache.from_lattice(index[keep], m, np.zeros(len(keep)), ell, d)
+            with pytest.raises(MissingSamples) as exc:
+                sparse.lattice_values(a)
+            old_a, old_local = _frexp_block_index(index[drop], m)
+            assert tuple(old_a.tolist()) == a
+            assert exc.value.point == _block_point(ell, a, old_local.tolist())
+            assert exc.value.point == tuple(F(int(t), ell << m) for t in index[drop])
 
 
 def lp(lo, *coeffs):
@@ -281,6 +386,52 @@ class TestBuildScheme:
             build_scheme(2, ["1", "2"])  # even length
         with pytest.raises(ValueError):
             build_scheme(2, ["1", "2", "3"])  # asymmetric
+
+    @staticmethod
+    def _loop_reproduces_polynomials(ell, row):
+        """The replaced reproduction check: the non-periodic operator applied
+        to each monomial of degree < ell on one mesh cell, in rational arithmetic."""
+        mu, half = len(row) // 2, ell // 2
+        for degree in range(ell):
+            for t in range(ell + 1):
+                x = F(t, ell + 1)
+                total = F(0)
+                for s in range(-ell, 1):
+                    weight = eval_cardinal_exact(ell, x - s)
+                    if weight:
+                        total += weight * sum(row[j + mu] * F(s - j + half) ** degree
+                                              for j in range(-mu, mu + 1))
+                if total != x**degree:
+                    return False
+        return True
+
+    def test_symbol_reproduction_check_matches_the_loop(self):
+        from sparseqi.quasi_interp import _reproduces_polynomials
+
+        d = LaurentPoly(0, (-1, 1))
+        masks = [(2, ("1",)), (4, ("-1/6", "4/3", "-1/6")), (6, ORDER6_MASK), (6, ("0", "1", "0"))]
+        # the valid masks widened by a symmetric multiple of (z-1)**ell, which
+        # keeps reproduction, and each of them perturbed at its ends
+        for ell, row in masks[:3]:
+            mu = len(row) // 2
+            for c in (F(1, 3), F(-2, 7)):
+                wide = LaurentPoly(-mu, row) + c * (d**ell).shift(-ell // 2)
+                width = max(mu, ell // 2)
+                coeffs = [wide.coefficient(e) for e in range(-width, width + 1)]
+                masks.append((ell, coeffs))
+                masks.append((ell, [coeffs[0] + F(1, 1000)] + coeffs[1:-1] + [coeffs[-1] + F(1, 1000)]))
+        rng = random.Random(5)
+        for _ in range(40):
+            ell = rng.choice([2, 4, 6, 8])
+            side = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rng.randint(ell // 2 - 1, ell // 2 + 1))]
+            masks.append((ell, side[::-1] + [F(rng.randint(-5, 9), rng.randint(1, 3))] + side))
+        verdicts = []
+        for ell, row in masks:
+            row = tuple(F(c) for c in row)
+            verdicts.append(_reproduces_polynomials(ell, row))
+            assert verdicts[-1] == self._loop_reproduces_polynomials(ell, row), (ell, row)
+        assert verdicts[:4] == [True, True, True, False]
+        assert verdicts[4:16] == [True, False] * 6
 
     def test_masses_must_reproduce_constants(self):
         # symmetric mask with total mass 2 cannot reproduce 1
