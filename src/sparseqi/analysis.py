@@ -261,13 +261,10 @@ def sweep_field(f, d: int, m: int, resolution: int | None = None):
 
 
 def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:
-    """L_q distance between ``f`` and the recovered combination ``hc``.
-
-    The aliasing guard and the default resolution of :func:`lq_norm` follow
-    the finest level in the residual: ``hc.max_level``, or ``f.max_level``
-    when ``f`` is itself a finer spline combination (a peaked probe at level
-    ``m + 2`` has its support between the points of the level-``m`` lattice).
-    """
+    """L_q distance between ``f`` and the recovered combination ``hc``, with
+    the guard and default lattice of :func:`lq_norm` at the finest level in
+    the residual: ``hc.max_level``, or ``f.max_level`` when ``f`` is a spline
+    combination (a bump at level m + 2 falls between the level-m lattice's points)."""
     level = max(hc.max_level, f.max_level) if isinstance(f, HierCoeffs) else hc.max_level
     return lq_norm(FieldDifference(f, hc, d=hc.d), q, hc.d, resolution, min_level=level)
 

@@ -357,8 +357,7 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     norm_kind = f"Lp,p={q_label}"
     m_hi = max(cfg.m_range)
     if cfg.probe in ("peak", "both"):
-        # the peak probe's finest quadrature lattice, at the bump's own level,
-        # is refused here before any sample is taken
+        # the bump's top quadrature lattice is refused before any sample is taken
         bump_level = testfuncs.witness_g2(scheme, cfg.d, m_hi, cfg.r_eff, cfg.p).max_level
         analysis.checked_resolution(cfg.d, cfg.resolution, bump_level)
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
