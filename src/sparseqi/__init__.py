@@ -18,6 +18,7 @@ from .analysis import (
     lq_norm,
     recovery_error,
     sobolev_norm_fourier,
+    spline_norm,
 )
 from .bspline import (
     CardinalSpline,
@@ -25,6 +26,7 @@ from .bspline import (
     IndexOutOfRange,
     InvalidOrder,
     PeriodicSpline,
+    cardinal_norm,
     cardinal_spline,
     eval_cardinal,
     eval_periodic,

@@ -5,6 +5,7 @@ rule collapses to the lattice mean for periodic integrands) for dimension up
 to three, and above that a deterministic rank-1 lattice rule with n = largest
 prime <= resolution (fast CBC generator, Nuyens & Cools, Math. Comp. 2006).
 Reductions run in a fixed chunking order, so repeated runs give identical values.
+A single spline needs no lattice: :func:`spline_norm` is its exact norm.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bspline import piece_table
+from .bspline import cardinal_norm, piece_table
 from .kernels import eval_blocks_on_grid
 from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, SampleCache, as_batch_function, decompose, grid_values
 from .testfuncs import TrigFunction
@@ -30,10 +31,10 @@ __all__ = [
     "FieldDifference",
     "LatticeField",
     "default_resolution",
-    "checked_resolution",
     "sweep_field",
     "lq_norm",
     "recovery_error",
+    "spline_norm",
     "sobolev_norm_fourier",
     "lp_block_norm",
     "besov_block_norm",
@@ -163,7 +164,7 @@ def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-def checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
+def _checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
     """The resolution :func:`lq_norm` measures at: ``resolution``, or the
     default for ``min_level`` (level 4 when unset), once it passes the guards
     that :func:`lq_norm` documents."""
@@ -207,7 +208,7 @@ def lq_norm(
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
-    resolution = checked_resolution(d, resolution, min_level)
+    resolution = _checked_resolution(d, resolution, min_level)
     if d <= 3:
         return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
@@ -256,17 +257,34 @@ def sweep_field(f, d: int, m: int, resolution: int | None = None):
     first, so ``ResolutionTooLow`` and ``LatticeTooLarge`` are raised
     before anything is evaluated.
     """
-    resolution = checked_resolution(d, resolution, m)
+    resolution = _checked_resolution(d, resolution, m)
     return LatticeField(f, d, resolution) if d <= 3 else f
 
 
 def recovery_error(f, hc: HierCoeffs, q: float, resolution: int | None = None) -> float:
     """L_q distance between ``f`` and the recovered combination ``hc``, with
-    the guard and default lattice of :func:`lq_norm` at the finest level in
-    the residual: ``hc.max_level``, or ``f.max_level`` when ``f`` is a spline
-    combination (a bump at level m + 2 falls between the level-m lattice's points)."""
-    level = max(hc.max_level, f.max_level) if isinstance(f, HierCoeffs) else hc.max_level
-    return lq_norm(FieldDifference(f, hc, d=hc.d), q, hc.d, resolution, min_level=level)
+    the guard and default lattice of :func:`lq_norm` at level ``hc.max_level``."""
+    return lq_norm(FieldDifference(f, hc, d=hc.d), q, hc.d, resolution, min_level=hc.max_level)
+
+
+def spline_norm(hc: HierCoeffs, q: float) -> float:
+    """Exact L_q norm of a combination with exactly one nonzero coefficient.
+
+    ``c * N_(k,s)`` has norm ``|c| * prod_j ||M||_q * (ell * 2**k_j)**(-1/q)``
+    (``1/q = 0`` at ``q = inf``) for every shift ``s``: since
+    ``ell * 2**k_j >= ell``, a periodic dilate never overlaps itself.
+
+    Raises:
+        ValueError: ``hc`` has no nonzero coefficient, or more than one.
+    """
+    if hc.num_entries() != 1:
+        raise ValueError(f"a closed-form norm needs exactly one nonzero coefficient, got {hc.num_entries()}")
+    ((k, _, c),) = hc.items()
+    inv_q = 0.0 if isinf(q) else 1.0 / q
+    norm = abs(c) * cardinal_norm(hc.ell, q) ** hc.d
+    for kj in k:
+        norm *= (hc.ell << kj) ** -inv_q
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +316,7 @@ def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, c
     """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
     if d > 3:
         raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = checked_resolution(d, resolution, m)
+    resolution = _checked_resolution(d, resolution, m)
     hc = decompose(scheme, f, m, d, cache=cache)
     axes = [LatticeAxis(0, 1, resolution).points()] * d
     table = piece_table(scheme.ell)

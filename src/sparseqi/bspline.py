@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, isinf
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "IndexOutOfRange",
     "DimensionMismatch",
     "cardinal_spline",
+    "cardinal_norm",
     "piece_table",
     "eval_cardinal",
     "eval_cardinal_exact",
@@ -131,6 +132,29 @@ def eval_cardinal_exact(ell: int, x: Fraction) -> Fraction:
     for c in reversed(cardinal_spline(ell).pieces[j]):
         acc = acc * t + c
     return acc
+
+
+def cardinal_norm(ell: int, q: float) -> float:
+    """L_q norm of the cardinal spline of order ``ell`` on ``[0, ell]``.
+
+    At ``q = inf`` it is the peak value ``M(ell/2)``.  For finite ``q`` it is
+    one 64-node Gauss-Legendre rule on each unit piece, exact to rounding for
+    integer ``q`` with ``q * (ell - 1) < 128``, where ``M**q`` is a polynomial
+    of degree below 128 on each piece.
+    """
+    if isinf(q):
+        return float(eval_cardinal_exact(ell, Fraction(ell, 2)))
+    # numpy loads np.polynomial lazily; importing it at module level would
+    # slow down every import of the package
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(64)
+    t = (nodes + 1.0) / 2.0  # the rule on [-1, 1] moved to [0, 1] halves its weights
+    values = np.zeros((ell, t.size))
+    for c in piece_table(ell).T:  # Horner over every piece at once
+        values = values * t + c[:, None]
+    # abs: expanded pieces can round below 0 where M vanishes to high order
+    return float(np.sum(weights / 2.0 * np.abs(values) ** q) ** (1.0 / q))
 
 
 def eval_cardinal(ell: int, x: float) -> float:

@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _RESOLUTION_HELP = ("quadrature points per axis for d <= 3 (default by level); for d > 3 a "
-                    "deterministic rank-1 lattice of n = largest prime <= RESOLUTION (default 200000)")
+                    "deterministic rank-1 lattice of n = largest prime <= RESOLUTION (default 200000); "
+                    "used by the random probe and witness g1 only, as the single bump's norm is exact")
 
 
 def _parse_q(text: str) -> float:
@@ -356,10 +357,6 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     q_label = "inf" if math.isinf(cfg.q) else f"{cfg.q:g}"
     norm_kind = f"Lp,p={q_label}"
     m_hi = max(cfg.m_range)
-    if cfg.probe in ("peak", "both"):
-        # the bump's top quadrature lattice is refused before any sample is taken
-        bump_level = testfuncs.witness_g2(scheme, cfg.d, m_hi, cfg.r_eff, cfg.p).max_level
-        analysis.checked_resolution(cfg.d, cfg.resolution, bump_level)
     f = testfuncs.random_mixed_smooth(cfg.r_eff, cfg.K, cfg.d, cfg.seed)
     # f evaluated once on the top level's quadrature lattice (d <= 3), which
     # is refused here if too large, before any sample is taken
@@ -377,10 +374,10 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
         err_random[m] = analysis.recovery_error(field, hc, cfg.q, cfg.resolution)
         counts[m] = smolyak.count_points(cfg.d, m, scheme)
         if cfg.probe in ("peak", "both"):
+            # the bump vanishes on the level-m grid, so every recovery from
+            # its samples is 0 and the error is the bump's own norm
             bump = testfuncs.witness_g2(scheme, cfg.d, m, cfg.r_eff, cfg.p)
-            err_peak[m] = analysis.recovery_error(
-                bump, decompose(scheme, bump, m, cfg.d), cfg.q, cfg.resolution
-            )
+            err_peak[m] = analysis.spline_norm(bump, cfg.q)
 
     if cfg.probe == "random":
         errors = dict(err_random)
@@ -486,16 +483,18 @@ def cmd_witness(args) -> int:
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
     _check_pq(p, q, need_p=args.kind == "g2")
-    # Highest level first, norm before grid: the largest quadrature lattice
+    # Highest level first, norm before grid: g1's largest quadrature lattice
     # is refused (LatticeTooLarge, ResolutionTooLow) before any other work,
-    # and no file is written until every level is measured.
+    # and no file is written until every level is measured.  g2 is one
+    # spline, whose norm is exact and needs no lattice.
     witnesses, measured = {}, {}
     for m in reversed(m_range):
         if args.kind == "g1":
             w = testfuncs.witness_g1(scheme, d, m, r, level_offset=args.level_offset)
+            norm = analysis.lq_norm(w, q, d, args.resolution, min_level=w.max_level)
         else:
             w = testfuncs.witness_g2(scheme, d, m, r, p, level_offset=args.level_offset)
-        norm = analysis.lq_norm(w, q, d, args.resolution, min_level=w.max_level)
+            norm = analysis.spline_norm(w, q)
         grid = smolyak.enumerate_grid(d, m, scheme)
         grid_max = float(np.max(np.abs(w.eval_points(grid.as_array())))) if grid.n else 0.0
         witnesses[m] = w

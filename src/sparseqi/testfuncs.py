@@ -11,8 +11,9 @@ coefficients folded modulo ``n`` (aliasing), so each axis costs one pass over
 the box plus ``O(n log n)`` per line, instead of a dense phase matrix of
 ``n`` rows against the box.  The witness builders return
 hierarchical combinations that vanish identically on the sample grid they are
-built against; vanishing is always re-verified numerically by the callers
-that rely on it.
+built against.  The tests check it (the level-``m`` decomposition of the
+single bump is exactly zero), and ``witness`` reports the largest value on
+the grid, ``grid_max``, for every level it builds.
 """
 
 from __future__ import annotations

@@ -18,10 +18,19 @@ from sparseqi.analysis import (
     lq_norm,
     recovery_error,
     sobolev_norm_fourier,
+    spline_norm,
     sweep_field,
 )
-from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, as_batch_function, block_axis, decompose, grid_values
-from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
+from sparseqi.quasi_interp import (
+    HierCoeffs,
+    LatticeAxis,
+    as_batch_function,
+    block_axis,
+    builtin_scheme,
+    decompose,
+    grid_values,
+)
+from sparseqi.testfuncs import TrigFunction, random_mixed_smooth, witness_g1, witness_g2
 
 
 class TestLqNorm:
@@ -361,6 +370,58 @@ def test_recovery_error_decreases(faber):
         hc = decompose(faber, f, m, 2, cache=cache)
         errs.append(recovery_error(f, hc, 2.0))
     assert errs[0] > errs[1] > errs[2]
+
+
+def _single_spline(ell, k, s, c):
+    C = np.zeros(tuple(ell << kj for kj in k))
+    C[s] = c
+    return HierCoeffs(len(k), ell, sum(k), {k: C})
+
+
+class TestSplineNorm:
+    # lattices past the pre-asymptotic range: points per axis, then twice that
+    LATTICE = {1: 4096, 2: 256, 3: 64}
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("builtin", ["faber", "cubic"])
+    def test_matches_converged_lattices(self, builtin, d, q):
+        # the lattice converges to the closed form (O(N**-2) for the hat,
+        # faster for the cubic), so the N -> 2N change bounds the error at 2N
+        w = witness_g2(builtin_scheme(builtin), d, 1, 1.25, 2.0)
+        N = self.LATTICE[d]
+        coarse, fine = lq_norm(w, q, d, N), lq_norm(w, q, d, 2 * N)
+        exact = spline_norm(w, q)
+        assert abs(exact - fine) <= abs(fine - coarse) + 4 * np.finfo(float).eps * exact
+
+    @pytest.mark.parametrize("q", [2.5, np.inf])
+    @pytest.mark.parametrize("ell,k,s,c", [
+        (4, (2, 1), (5, 3), -0.7),
+        (6, (0, 1), (5, 11), 1.5),
+        (2, (0, 0, 2), (1, 0, 6), 3.0),
+    ])
+    def test_any_shift_level_and_order(self, ell, k, s, c, q):
+        hc = _single_spline(ell, k, s, c)
+        d = len(k)
+        N = self.LATTICE[d]
+        coarse, fine = lq_norm(hc, q, d, N), lq_norm(hc, q, d, 2 * N)
+        exact = spline_norm(hc, q)
+        assert abs(exact - fine) <= abs(fine - coarse) + 4 * np.finfo(float).eps * exact
+
+    def test_step_ratio(self, cubic):
+        # c = 2**(-(r - 1/p) M) and the level-M axis gives 2**(-M/q)
+        r, p, q = 1.25, 2.0, 4.0
+        norms = [spline_norm(witness_g2(cubic, 2, m, r, p), q) for m in range(1, 8)]
+        for a, b in zip(norms, norms[1:]):
+            assert b / a == pytest.approx(2.0 ** (-(r - 1 / p + 1 / q)), rel=1e-14)
+
+    def test_rejects_other_combinations(self, faber):
+        g1 = witness_g1(faber, 2, 2, 0.75)
+        assert g1.num_entries() > 1
+        with pytest.raises(ValueError, match="exactly one nonzero coefficient"):
+            spline_norm(g1, 2.0)
+        with pytest.raises(ValueError, match="exactly one nonzero coefficient"):
+            spline_norm(_single_spline(2, (1, 1), (0, 0), 0.0), np.inf)
 
 
 def test_field_difference_requires_dimension():

@@ -8,6 +8,7 @@ from sparseqi.bspline import (
     IndexOutOfRange,
     InvalidOrder,
     PeriodicSpline,
+    cardinal_norm,
     cardinal_spline,
     eval_cardinal,
     eval_cardinal_exact,
@@ -68,6 +69,42 @@ class TestCardinal:
             for piece in cardinal_spline(ell).pieces:
                 total += sum(c / (i + 1) for i, c in enumerate(piece))
             assert total == 1
+
+
+def _exact_power_integral(ell: int, q: int) -> F:
+    """``int_0^ell M**q`` from the exact pieces: each piece raised to the
+    integer power ``q`` and integrated over ``[0, 1]``."""
+    total = F(0)
+    for piece in cardinal_spline(ell).pieces:
+        power = [F(1)]
+        for _ in range(q):
+            product = [F(0)] * (len(power) + len(piece) - 1)
+            for i, a in enumerate(power):
+                for j, b in enumerate(piece):
+                    product[i + j] += a * b
+            power = product
+        total += sum(c / (i + 1) for i, c in enumerate(power))
+    return total
+
+
+class TestCardinalNorm:
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_integer_q_matches_the_exact_integral(self, ell, q):
+        exact = float(_exact_power_integral(ell, q)) ** (1.0 / q)
+        assert cardinal_norm(ell, q) == pytest.approx(exact, rel=4e-15, abs=0)
+
+    @pytest.mark.parametrize("q", [1.01, 1.1, 1.5, 2.5, 3.7])
+    def test_hat_at_fractional_q(self, q):
+        # int_0^2 M**q = 2 * int_0^1 t**q = 2 / (q + 1); t**q is not a
+        # polynomial, so the rule is close, not exact (1.2e-9 at worst)
+        assert cardinal_norm(2, q) == pytest.approx((2.0 / (q + 1.0)) ** (1.0 / q), rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("ell", [2, 4, 6, 8])
+    def test_sup_norm_is_the_central_value(self, ell):
+        assert cardinal_norm(ell, np.inf) == float(eval_cardinal_exact(ell, F(ell, 2)))
+        x = np.linspace(0.0, ell, 1001)
+        assert max(eval_cardinal(ell, v) for v in x) == pytest.approx(cardinal_norm(ell, np.inf), rel=1e-15)
 
 
 class TestPeriodic:

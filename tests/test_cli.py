@@ -134,9 +134,11 @@ def test_cli_and_high_dimensional_norm_need_no_scipy():
     )
     assert blocked.returncode == 0, blocked.stderr
     assert float(blocked.stdout) == pytest.approx(0.25, rel=1e-12)
-    plain = _fresh_interpreter('import sparseqi.cli\nprint("scipy" in sys.modules)\n')
+    # numpy.polynomial, which the closed-form spline norms use, is loaded
+    # only when one is taken
+    plain = _fresh_interpreter('import sparseqi.cli\nprint("scipy" in sys.modules, "numpy.polynomial" in sys.modules)\n')
     assert plain.returncode == 0, plain.stderr
-    assert plain.stdout.strip() == "False"
+    assert plain.stdout.strip() == "False False"
 
 
 class TestGrid:
@@ -566,9 +568,8 @@ class TestBenchmark:
 
     def test_peak_probe_rows(self, tmp_path, faber):
         # --q 4 > --p 2: the default probe is "both", so every row carries the
-        # recovery error of the peaked witness
-        from sparseqi.analysis import recovery_error
-        from sparseqi.quasi_interp import decompose
+        # error of the peaked witness, which vanishes on the grid: its norm
+        from sparseqi.analysis import default_resolution, lq_norm, spline_norm
         from sparseqi.testfuncs import witness_g2
 
         assert run("benchmark", "--builtin", "faber", "--d", 1, "--m-range", "2..5",
@@ -577,8 +578,12 @@ class TestBenchmark:
         assert report["config"]["probe"] == "both"
         for row in report["rows"]:
             bump = witness_g2(faber, 1, row["m"], 0.75, 2.0)
-            expect = recovery_error(bump, decompose(faber, bump, row["m"], 1), 4.0)
-            assert row["error_peak"] == expect
+            assert row["error_peak"] == spline_norm(bump, 4.0)
+            # the bump's lattice measured it before, on N points, 2.5% high;
+            # the lattice converges to the closed form
+            N = default_resolution(1, bump.max_level)
+            coarse, fine = lq_norm(bump, 4.0, 1, N), lq_norm(bump, 4.0, 1, 2 * N)
+            assert abs(row["error_peak"] - fine) <= abs(fine - coarse)
 
     def test_peak_probe_at_d3(self, tmp_path):
         # the bump sits at level m + 2: measured on the level-m lattice it
@@ -588,13 +593,18 @@ class TestBenchmark:
         rows = json.loads((tmp_path / "benchmark_report.json").read_text())["rows"]
         assert len(rows) == 4 and all(row["error_peak"] > 0 for row in rows)
 
-    def test_peak_lattice_refused_before_sampling(self, tmp_path, capsys, caches):
-        # 64 points per axis pass the fixture's level-4 guard, not the bump's level 6
-        assert run("benchmark", "--d", 3, "--m-range", "1..4", "--K", 8, "--q", "inf",
-                   "--resolution", 64, "--out", tmp_path) == 1
-        assert "level-6 residuals" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        assert caches == []
+    def test_peak_probe_needs_no_bump_lattice(self, tmp_path):
+        # the level-8 bump's lattice of 1024**3 points refused this sweep
+        from sparseqi.analysis import spline_norm
+        from sparseqi.quasi_interp import builtin_scheme
+        from sparseqi.testfuncs import witness_g2
+
+        assert run("benchmark", "--d", 3, "--m-range", "1..6", "--K", 8, "--q", "inf",
+                   "--out", tmp_path) == 0
+        rows = json.loads((tmp_path / "benchmark_report.json").read_text())["rows"]
+        cubic = builtin_scheme("cubic")
+        assert [row["error_peak"] for row in rows] == [
+            spline_norm(witness_g2(cubic, 3, m, 1.25, 2.0), np.inf) for m in range(1, 7)]
 
 
 class TestWitness:
@@ -606,7 +616,16 @@ class TestWitness:
         assert all(row["grid_max"] == 0.0 for row in report["rows"])
         target = report["expected_ratio"]
         for row in report["rows"][1:]:
-            assert row["ratio"] == pytest.approx(target, rel=0.1)
+            assert row["ratio"] == pytest.approx(target, rel=1e-12)
+
+    def test_g2_needs_no_lattice(self, tmp_path):
+        # the level-8 bump's lattice of 1024**3 points refused this sweep
+        assert run("witness", "--kind", "g2", "--d", 3, "--m-range", "1..6", "--r", "1.25",
+                   "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "witness_report.json").read_text())
+        assert [row["grid_max"] for row in report["rows"]] == [0.0] * 6
+        for row in report["rows"][1:]:
+            assert row["ratio"] == pytest.approx(report["expected_ratio"], rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("builtin", ["faber", "cubic"])

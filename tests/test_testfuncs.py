@@ -6,7 +6,7 @@ import pytest
 from sparseqi import testfuncs
 from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier
 from sparseqi.bspline import eval_tensor
-from sparseqi.quasi_interp import LatticeAxis, block_axis
+from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin_scheme, decompose
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import (
     TrigFunction,
@@ -19,6 +19,7 @@ from sparseqi.testfuncs import (
     witness_g2,
 )
 from .conftest import rng_points
+from .test_quasi_interp import ORDER6_MASK
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +496,17 @@ class TestWitnesses:
             w = witness_g2(cubic, 2, m, 1.25, 2.0)
             grid = enumerate_grid(2, m, cubic)
             assert np.max(np.abs(w.eval_points(grid.as_array()))) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ell,levels", [(2, range(1, 5)), (4, range(1, 5)), (6, range(1, 4))],
+                             ids=["faber", "cubic", "order6"])
+    def test_g2_recovers_to_zero(self, ell, levels, d):
+        # the premise of the peak probe's closed-form error: every sample the
+        # level-m decomposition reads is exactly 0, so the recovery is 0
+        scheme = {2: builtin_scheme("faber"), 4: builtin_scheme("cubic"), 6: build_scheme(6, ORDER6_MASK)}[ell]
+        for m in levels:
+            w = witness_g2(scheme, d, m, 1.25, 2.0)
+            assert decompose(scheme, w, m, d).num_entries() == 0
 
     def test_g2_norm_ratio(self, cubic):
         r, p, q = 1.25, 2.0, 4.0
