@@ -22,15 +22,9 @@ from .analysis import (
 )
 from .bspline import (
     CardinalSpline,
-    DimensionMismatch,
-    IndexOutOfRange,
     InvalidOrder,
-    PeriodicSpline,
     cardinal_norm,
     cardinal_spline,
-    eval_cardinal,
-    eval_periodic,
-    eval_tensor,
 )
 from .laurent import LaurentPoly, NotDivisible
 from .quasi_interp import (

@@ -430,7 +430,8 @@ def fit_rate(
 
     Raises:
         DegenerateFit: fewer than four levels (after dropping), any
-            non-positive error, or an error sequence that never decays.
+            non-positive or non-finite error, or an error sequence that
+            never decays.
     """
     if model not in ("pure_dyadic", "dyadic_logpow"):
         raise ValueError(f"unknown model {model!r}")
@@ -438,8 +439,8 @@ def fit_rate(
     errs = np.array([errors[int(mv)] for mv in ms], dtype=np.float64)
     if ms.size < 4:
         raise DegenerateFit(f"need at least 4 levels, got {ms.size}")
-    if np.any(errs <= 0):
-        raise DegenerateFit("errors must be positive")
+    if not np.all((errs > 0) & np.isfinite(errs)):
+        raise DegenerateFit("errors must be positive and finite")
     drop = min(2, ms.size - 4) if drop_lowest is None else int(drop_lowest)
     if ms.size - drop < 4:
         raise DegenerateFit(f"only {ms.size - drop} levels left after dropping {drop}")

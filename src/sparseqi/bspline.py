@@ -1,11 +1,12 @@
-"""Cardinal B-splines, their 1-periodic dyadic dilates, and tensor products.
+"""Cardinal B-splines: exact pieces, their float table, and their norms.
 
 The cardinal spline of even order ``ell`` is the ``ell``-fold convolution of
 the indicator of ``[0, 1)``: a nonnegative piecewise polynomial of degree
 ``ell - 1`` supported on ``[0, ell]`` whose integer translates sum to one.
 Piece coefficients are computed once, exactly (repeated antidifferentiation
-with `Fraction` arithmetic), and frozen into a float table for Horner
-evaluation in the hot loops.
+with `Fraction` arithmetic).  `eval_cardinal_exact` evaluates them at
+rational points; `piece_table` freezes them into the float table that
+`sparseqi.kernels` evaluates by Horner's rule.
 
 Periodic dilates: ``N_k`` is the 1-periodic extension of ``x -> M(ell * 2**k
 * x)``, and ``N_{k,s}(x) = N_k(x - s*h)`` with mesh ``h = 1 / (ell * 2**k)``.
@@ -17,38 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isinf
+from math import isinf
 
 import numpy as np
 
 __all__ = [
     "CardinalSpline",
-    "PeriodicSpline",
     "InvalidOrder",
-    "IndexOutOfRange",
-    "DimensionMismatch",
     "cardinal_spline",
     "cardinal_norm",
     "piece_table",
-    "eval_cardinal",
     "eval_cardinal_exact",
-    "eval_periodic",
-    "eval_tensor",
-    "mesh_size",
     "shifts_per_level",
 ]
 
 
 class InvalidOrder(ValueError):
     """Spline order must be an even integer >= 2."""
-
-
-class IndexOutOfRange(ValueError):
-    """Shift index outside {0, ..., ell * 2**k - 1}."""
-
-
-class DimensionMismatch(ValueError):
-    """Lengths of level/shift/point vectors disagree."""
 
 
 def _check_order(ell: int) -> None:
@@ -59,11 +45,6 @@ def _check_order(ell: int) -> None:
 def shifts_per_level(ell: int, k: int) -> int:
     """Number of shifts at level ``k``: ``ell * 2**k``."""
     return ell << k
-
-
-def mesh_size(ell: int, k: int) -> Fraction:
-    """Exact mesh ``h = 1 / (ell * 2**k)`` of level ``k``."""
-    return Fraction(1, ell << k)
 
 
 @dataclass(frozen=True)
@@ -155,56 +136,3 @@ def cardinal_norm(ell: int, q: float) -> float:
         values = values * t + c[:, None]
     # abs: expanded pieces can round below 0 where M vanishes to high order
     return float(np.sum(weights / 2.0 * np.abs(values) ** q) ** (1.0 / q))
-
-
-def eval_cardinal(ell: int, x: float) -> float:
-    """Value of the cardinal spline of order ``ell`` at ``x`` (0 off support)."""
-    _check_order(ell)
-    if x <= 0.0 or x >= ell:
-        return 0.0
-    j = int(floor(x))
-    t = x - j
-    acc = 0.0
-    for c in piece_table(ell)[j]:
-        acc = acc * t + c
-    return acc
-
-
-@dataclass(frozen=True)
-class PeriodicSpline:
-    """The 1-periodic dilate ``N_{k,s}`` of the cardinal spline of order ``ell``."""
-
-    ell: int
-    k: int
-    s: int
-
-    def __post_init__(self) -> None:
-        _check_order(self.ell)
-        if self.k < 0:
-            raise IndexOutOfRange(f"level must be >= 0, got {self.k}")
-        if not 0 <= self.s < shifts_per_level(self.ell, self.k):
-            raise IndexOutOfRange(
-                f"shift {self.s} outside range(0, {shifts_per_level(self.ell, self.k)})"
-            )
-
-
-def eval_periodic(ps: PeriodicSpline, x: float) -> float:
-    """Value of ``N_{k,s}`` at ``x`` (any real; evaluation wraps mod 1)."""
-    scale = shifts_per_level(ps.ell, ps.k)
-    # N_{k,s}(x) = M((x mod 1) * scale - s wrapped into [0, scale))
-    u = (x * scale - ps.s) % scale
-    return eval_cardinal(ps.ell, u) if u < ps.ell else 0.0
-
-
-def eval_tensor(ell: int, k, s, x) -> float:
-    """Product of univariate periodic spline values, one factor per axis."""
-    if not (len(k) == len(s) == len(x)):
-        raise DimensionMismatch(
-            f"level/shift/point lengths disagree: {len(k)}, {len(s)}, {len(x)}"
-        )
-    acc = 1.0
-    for kj, sj, xj in zip(k, s, x):
-        acc *= eval_periodic(PeriodicSpline(ell, kj, sj), xj)
-        if acc == 0.0:
-            return 0.0
-    return acc

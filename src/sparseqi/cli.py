@@ -253,6 +253,16 @@ def cmd_recover(args) -> int:
     else:
         f = testfuncs.builtin_function(args.function, d)
         hc = smolyak.recover(scheme, d, m, f=f)
+    report = {
+        "config": {"d": d, "m": m, "scheme": scheme.scheme_id, "samples": args.samples,
+                   "function": None if args.samples else args.function},
+        "n_grid": smolyak.count_points(d, m, scheme),
+        "coefficients": hc.num_entries(),
+    }
+    if f is not None:
+        # measured, or its lattice refused, before the first file is written
+        report["l2_residual"] = analysis.recovery_error(f, hc, 2.0)
+        print(f"L2 residual vs '{args.function}': {report['l2_residual']:.6e}")
     out = _out_dir(args)
     (out / "coeffs.json").write_text(hc.to_json_text())
 
@@ -261,16 +271,6 @@ def cmd_recover(args) -> int:
     table = np.column_stack([pts, values])
     header = [f"x_{j + 1}" for j in range(d)] + ["value"]
     _write_number_csv(out / "recovered.csv", header, table.tolist())
-
-    report = {
-        "config": {"d": d, "m": m, "scheme": scheme.scheme_id, "samples": args.samples,
-                   "function": None if args.samples else args.function},
-        "n_grid": smolyak.count_points(d, m, scheme),
-        "coefficients": hc.num_entries(),
-    }
-    if f is not None:
-        report["l2_residual"] = analysis.recovery_error(f, hc, 2.0)
-        print(f"L2 residual vs '{args.function}': {report['l2_residual']:.6e}")
     _write_json(out / "recover_report.json", report)
     print(f"wrote {out / 'coeffs.json'}, {out / 'recovered.csv'}")
     return EXIT_OK
@@ -312,8 +312,8 @@ class BenchConfig:
         if len(self.m_range) < 4:
             raise _UsageError("rate fits need an m-range of at least 4 levels")
         _check_pq(self.p, self.q, need_p=True)
-        if not self.r_eff > 0:
-            raise _UsageError("r must be positive")
+        if not 0 < self.r_eff < math.inf:
+            raise _UsageError("r must be positive and finite")
         box = (2 * self.K + 1) ** self.d
         if box > analysis.MAX_LATTICE_POINTS:
             raise _UsageError(f"a fixture box of (2*{self.K} + 1)**{self.d} = {box} coefficients"
@@ -478,6 +478,8 @@ def cmd_benchmark(args) -> int:
 def cmd_witness(args) -> int:
     scheme = _load_scheme(args)
     d, r, p, q, m_range = args.d, args.r, args.p, args.q, args.m_range
+    if not math.isfinite(r):
+        raise _UsageError(f"r must be finite, got {r}")
     if m_range[0] < 1:
         raise _UsageError(f"witnesses need levels m >= 1, got {m_range[0]}")
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:

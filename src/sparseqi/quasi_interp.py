@@ -40,7 +40,6 @@ import numpy as np
 from .bspline import (
     InvalidOrder,
     eval_cardinal_exact,
-    mesh_size,
     piece_table,
     shifts_per_level,
 )
@@ -789,8 +788,7 @@ def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> flo
         if not 0 <= sj < shifts_per_level(scheme.ell, kj):
             raise ValueError(f"shift {sj} out of range at level {kj}")
     ops = [_axis_operator(scheme, kj, sj) for kj, sj in zip(k, s)]
-    hs = [mesh_size(scheme.ell, kj) for kj in k]
-    base = [sj * h for sj, h in zip(s, hs)]
+    Ls = [shifts_per_level(scheme.ell, kj) for kj in k]
     batch = as_batch_function(f, d)
 
     points: list[list[float]] = []
@@ -798,9 +796,9 @@ def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> flo
     for combo in itertools.product(*ops):
         w = 1.0
         pt = []
-        for (e, we), b, h in zip(combo, base, hs):
+        for (e, we), sj, L in zip(combo, s, Ls):
             w *= we
-            pt.append(float(b + e * h))
+            pt.append((sj + e) / L)  # int / int: the correctly rounded point
         weights.append(w)
         points.append(pt)
     if not points:  # a zero detail symbol (e.g. odd shifts of the order-2 scheme)

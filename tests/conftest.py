@@ -1,6 +1,10 @@
+from fractions import Fraction
+from math import floor, prod
+
 import numpy as np
 import pytest
 
+from sparseqi.bspline import eval_cardinal_exact
 from sparseqi.quasi_interp import builtin_scheme
 
 
@@ -25,6 +29,33 @@ def cox_de_boor(ell: int, x: float) -> float:
         return left + right
 
     return b(0, ell, x)
+
+
+def periodic_row(ell: int, k: int, x) -> list:
+    """Exact ``N_(k,s)(x)`` for every shift ``s`` in ``range(ell * 2**k)``.
+
+    With ``u = (x mod 1) * ell * 2**k``, ``N_(k,s)(x) = M(u - s mod ell * 2**k)``
+    is nonzero only for the ``ell`` shifts ``floor(u) - i``, ``0 <= i < ell``;
+    only those are evaluated (by `eval_cardinal_exact`, at ``x`` read exactly),
+    and every other entry is the integer 0.
+    """
+    L = ell << k
+    u = Fraction(x) * L % L
+    j = floor(u)
+    row = [0] * L
+    for i in range(ell):
+        row[(j - i) % L] = eval_cardinal_exact(ell, u - j + i)
+    return row
+
+
+def periodic_value(ell: int, k: int, s: int, x) -> Fraction:
+    """Exact ``N_(k,s)(x)``."""
+    return periodic_row(ell, k, x)[s]
+
+
+def tensor_value(ell: int, k, s, x) -> Fraction:
+    """Exact ``N_(k,s)(x) = prod_j N_(k_j,s_j)(x_j)``."""
+    return prod(periodic_value(ell, kj, sj, xj) for kj, sj, xj in zip(k, s, x, strict=True))
 
 
 def rng_points(n, d, seed=0):

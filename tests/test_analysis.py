@@ -349,6 +349,13 @@ class TestFitRate:
         with pytest.raises(DegenerateFit):
             fit_rate(errors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_errors(self, bad):
+        errors = {m: 2.0**-m for m in range(3, 9)}
+        errors[5] = bad
+        with pytest.raises(DegenerateFit):
+            fit_rate(errors)
+
     def test_default_drop_keeps_four_levels(self):
         errors = {m: 2.0**-m for m in range(3, 8)}  # five levels
         fit = fit_rate(errors)

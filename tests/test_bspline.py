@@ -1,64 +1,70 @@
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
 
 from sparseqi.bspline import (
-    DimensionMismatch,
-    IndexOutOfRange,
     InvalidOrder,
-    PeriodicSpline,
     cardinal_norm,
     cardinal_spline,
-    eval_cardinal,
     eval_cardinal_exact,
-    eval_periodic,
-    eval_tensor,
+    piece_table,
 )
-from .conftest import cox_de_boor
+from sparseqi.kernels import spline_basis_matrix
+from sparseqi.quasi_interp import HierCoeffs
+from .conftest import cox_de_boor, periodic_row, periodic_value, tensor_value
+
+
+def _one_spline(ell, k, s, c=1.0):
+    """``c * N_(k,s)`` as a one-entry combination."""
+    C = np.zeros(tuple(ell << kj for kj in k))
+    C[tuple(s)] = c
+    return HierCoeffs(len(k), ell, sum(k), {tuple(k): C})
+
+
+def _basis(xs, k, ell):
+    return spline_basis_matrix(np.asarray(xs, dtype=np.float64), k, ell, piece_table(ell))
 
 
 class TestCardinal:
     def test_hat_peak(self):
-        assert eval_cardinal(2, 1.0) == 1.0
+        assert eval_cardinal_exact(2, F(1)) == 1
 
     def test_cubic_center(self):
         # frozen from the Cox-de Boor recursion oracle
         assert cox_de_boor(4, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert eval_cardinal(4, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert eval_cardinal_exact(4, F(2)) == F(2, 3)
 
     def test_outside_support(self):
-        assert eval_cardinal(4, -0.5) == 0.0
-        assert eval_cardinal(4, 4.0) == 0.0
+        assert eval_cardinal_exact(4, F(-1, 2)) == 0
+        assert eval_cardinal_exact(4, F(4)) == 0
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     def test_matches_recursion_oracle(self, ell):
         xs = np.linspace(-0.5, ell + 0.5, 10_000)
-        ours = np.array([eval_cardinal(ell, x) for x in xs])
+        ours = np.array([float(eval_cardinal_exact(ell, F(x))) for x in xs])
         oracle = np.array([cox_de_boor(ell, x) for x in xs])
         assert np.max(np.abs(ours - oracle)) < 1e-13
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     def test_refinement_identity(self, ell):
-        xs = np.linspace(0.0, ell, 2000)
-        scale = 2.0 ** (1 - ell)
-        from math import comb
-
-        for x in xs:
-            fine = sum(comb(ell, j) * eval_cardinal(ell, 2 * x - j) for j in range(ell + 1))
-            assert abs(eval_cardinal(ell, x) - scale * fine) < 1e-13
+        # M(x) = 2**(1 - ell) * sum_j C(ell, j) M(2x - j), exactly at rationals
+        for x in (F(i, 97) for i in range(97 * ell + 1)):
+            fine = sum(comb(ell, j) * eval_cardinal_exact(ell, 2 * x - j) for j in range(ell + 1))
+            assert eval_cardinal_exact(ell, x) == F(2) ** (1 - ell) * fine
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     def test_positive_exactly_inside_support(self, ell):
-        for x in np.linspace(1e-9, ell - 1e-9, 997):
-            assert eval_cardinal(ell, x) > 0.0
-        assert eval_cardinal(ell, 0.0) == 0.0
-        assert eval_cardinal(ell, float(ell)) == 0.0
+        eps = F(1, 10**9)
+        for x in [eps, ell - eps] + [F(i, 97) for i in range(1, 97 * ell)]:
+            assert eval_cardinal_exact(ell, x) > 0
+        assert eval_cardinal_exact(ell, F(0)) == 0
+        assert eval_cardinal_exact(ell, F(ell)) == 0
 
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
-            eval_cardinal(3, 1.0)
+            eval_cardinal_exact(3, F(1))
         with pytest.raises(InvalidOrder):
             cardinal_spline(0)
 
@@ -102,56 +108,63 @@ class TestCardinalNorm:
 
     @pytest.mark.parametrize("ell", [2, 4, 6, 8])
     def test_sup_norm_is_the_central_value(self, ell):
-        assert cardinal_norm(ell, np.inf) == float(eval_cardinal_exact(ell, F(ell, 2)))
-        x = np.linspace(0.0, ell, 1001)
-        assert max(eval_cardinal(ell, v) for v in x) == pytest.approx(cardinal_norm(ell, np.inf), rel=1e-15)
+        peak = max(eval_cardinal_exact(ell, F(i * ell, 1000)) for i in range(1001))
+        assert peak == eval_cardinal_exact(ell, F(ell, 2))
+        assert cardinal_norm(ell, np.inf) == float(peak)
 
 
 class TestPeriodic:
+    """The periodic dilates as the kernels evaluate them: rows of
+    `spline_basis_matrix` and one-entry combinations."""
+
     def test_peak_value(self):
         # N_0 for order 2 is the periodization of M(2x); peak at x = 1/2
-        assert eval_periodic(PeriodicSpline(2, 0, 0), 0.5) == 1.0
+        assert periodic_value(2, 0, 0, F(1, 2)) == 1
+        assert _basis([0.5], 0, 2)[0, 0] == 1.0
+        assert _one_spline(2, (0,), (0,))((0.5,)) == 1.0
 
     def test_periodicity(self):
         # up to rounding of the shifted argument x + 1.0
-        ps = PeriodicSpline(4, 2, 7)
-        for x in np.random.default_rng(0).random(50):
-            assert eval_periodic(ps, x) == pytest.approx(eval_periodic(ps, x + 1.0), abs=1e-13)
+        xs = np.random.default_rng(0).random(50)
+        col = _basis(xs, 2, 4)[:, 7]
+        assert np.max(np.abs(col - _basis(xs + 1.0, 2, 4)[:, 7])) < 1e-13
+        hc = _one_spline(4, (2,), (7,))
+        assert np.max(np.abs(hc.eval_points(xs[:, None]) - hc.eval_points(xs[:, None] - 3.0))) < 1e-13
+        expect = np.array([periodic_value(4, 2, 7, x) for x in xs], dtype=np.float64)
+        assert np.max(np.abs(col - expect)) < 1e-14
 
     @pytest.mark.parametrize("ell,k", [(2, 0), (2, 3), (4, 3), (4, 6), (6, 2)])
     def test_partition_of_unity(self, ell, k):
         xs = np.random.default_rng(1).random(1000)
-        L = ell * 2**k
-        for x in xs:
-            total = sum(eval_periodic(PeriodicSpline(ell, k, s), x) for s in range(L))
-            assert abs(total - 1.0) < 1e-12
-
-    def test_shift_index_validation(self):
-        with pytest.raises(IndexOutOfRange):
-            PeriodicSpline(2, 1, 4)
-        with pytest.raises(IndexOutOfRange):
-            PeriodicSpline(2, 0, -1)
+        B = _basis(xs, k, ell)
+        assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-12
+        rows = [periodic_row(ell, k, x) for x in xs]
+        assert all(sum(row) == 1 for row in rows)
+        assert np.max(np.abs(B - np.array(rows, dtype=np.float64))) < 1e-14
 
 
 class TestTensor:
     def test_zero_factor_kills_product(self):
         # x_1 outside the support of its factor
-        assert eval_tensor(2, (2, 0), (0, 0), (0.9, 0.3)) == 0.0
+        assert tensor_value(2, (2, 0), (0, 0), (0.9, 0.3)) == 0
+        assert _one_spline(2, (2, 0), (0, 0))((0.9, 0.3)) == 0.0
 
     def test_d1_reduces_to_periodic(self):
-        for x in (0.1, 0.6, 0.95):
-            assert eval_tensor(4, (2,), (5,), (x,)) == eval_periodic(PeriodicSpline(4, 2, 5), x)
+        hc = _one_spline(4, (2,), (5,))
+        xs = (0.1, 0.6, 0.95)
+        assert np.array_equal(hc.eval_points(np.array(xs)[:, None]), _basis(xs, 2, 4)[:, 5])
+        for x in xs:
+            assert hc((x,)) == pytest.approx(float(periodic_value(4, 2, 5, x)), abs=1e-15)
 
     def test_level1_order2_values(self):
-        # oracle: N_{1,0} is the periodization of M(4x); dense sampling puts
-        # its peak at 1/4, and x = 1/8 sits halfway up the hat
+        # N_{1,0} is the periodization of M(4x); dense sampling puts its peak
+        # at 1/4, and x = 1/8 sits halfway up the hat
         xs = np.linspace(0, 1, 4001)
-        vals = [eval_periodic(PeriodicSpline(2, 1, 0), x) for x in xs]
+        vals = _basis(xs, 1, 2)[:, 0]
         assert max(vals) == pytest.approx(1.0, abs=1e-12)
         assert xs[int(np.argmax(vals))] == pytest.approx(0.25, abs=1e-3)
-        assert eval_tensor(2, (1, 1), (0, 0), (0.25, 0.25)) == pytest.approx(1.0, abs=1e-15)
-        assert eval_tensor(2, (1, 1), (0, 0), (0.125, 0.125)) == pytest.approx(0.25, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            eval_tensor(2, (1, 1), (0,), (0.5, 0.5))
+        assert tensor_value(2, (1, 1), (0, 0), (F(1, 4), F(1, 4))) == 1
+        assert tensor_value(2, (1, 1), (0, 0), (F(1, 8), F(1, 8))) == F(1, 4)
+        hc = _one_spline(2, (1, 1), (0, 0))
+        assert hc((0.25, 0.25)) == pytest.approx(1.0, abs=1e-15)
+        assert hc((0.125, 0.125)) == pytest.approx(0.25, abs=1e-15)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -77,6 +78,9 @@ class TestUsage:
         ("benchmark", "--d", 1, "--m-range", "2..5", "--r", 0),
         ("benchmark", "--d", 1, "--m-range", "2..5", "--r", -1),
         ("benchmark", "--d", 1, "--m-range", "2..5", "--seed", -1),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--K", 8, "--r", "inf"),
+        ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..4", "--r", "nan"),
+        ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..4", "--r", "inf"),
     ])
     def test_bad_dimension_or_level_exits_1(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path) == 1
@@ -110,6 +114,13 @@ class TestUsage:
         assert "(2*2048 + 1)**1 = 4097 coefficients" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_refused_residual_lattice_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 16)
+        assert run("recover", "--function", "sine", "--d", 1, "--m", 2, "--eval-grid", 8,
+                   "--out", tmp_path) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lattice_refused_at_a_later_level_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # m = 1 and 2 fit under the cap, m = 3 does not
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 2**13)
@@ -117,6 +128,32 @@ class TestUsage:
                    "--r", 0.75, "--export-coeffs", "--out", tmp_path) == 1
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``sparseqi ...`` line of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("sparseqi ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    # the two input files the commands read: a mask, and samples on the grid
+    # of the recover command that reads them
+    Path("mask.json").write_text(json.dumps({"ell": 4, "mask": ["-1/6", "4/3", "-1/6"]}))
+    (reader,) = [argv for argv in commands if "--samples" in argv]
+    level = [arg for flag in ("--builtin", "--d", "--m") for arg in (flag, reader[reader.index(flag) + 1])]
+    assert run("grid", *level, "--out", "grid") == 0
+    d = int(level[3])
+    pts = _read_points("grid/grid.csv", d)
+    values = np.prod(np.sin(2 * np.pi * pts), axis=1)
+    header = [f"x_{j + 1}" for j in range(d)] + ["value"]
+    _write_number_csv(Path("samples.csv"), header, np.column_stack([pts, values]).tolist())
+    for argv in commands:
+        assert main(argv) == 0, " ".join(argv)
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sparseqi import testfuncs
-from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier
-from sparseqi.bspline import eval_tensor
+from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier, spline_norm
 from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin_scheme, decompose
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import (
@@ -18,7 +17,7 @@ from sparseqi.testfuncs import (
     witness_g1,
     witness_g2,
 )
-from .conftest import rng_points
+from .conftest import rng_points, tensor_value
 from .test_quasi_interp import ORDER6_MASK
 
 
@@ -441,7 +440,7 @@ class TestWitnesses:
             for k, C in w.block_items():
                 for s0 in range(0, C.shape[0], faber.ell):
                     for s1 in range(0, C.shape[1], faber.ell):
-                        direct += amp * eval_tensor(faber.ell, k, (s0, s1), x)
+                        direct += amp * float(tensor_value(faber.ell, k, (s0, s1), x))
             assert w(tuple(x)) == pytest.approx(direct, abs=1e-12)
 
     def test_g1_block_sup_bounded_by_one(self, faber):
@@ -513,10 +512,10 @@ class TestWitnesses:
         norms = {}
         for m in (2, 3, 4, 5):
             w = witness_g2(cubic, 1, m, r, p)
-            norms[m] = lq_norm(w, q, 1, 2 ** (m + 5), min_level=w.max_level)
+            norms[m] = spline_norm(w, q)
         target = 2.0 ** (-(r - 1.0 / p + 1.0 / q))
         for m in (2, 3, 4):
-            assert norms[m + 1] / norms[m] == pytest.approx(target, rel=0.1)
+            assert norms[m + 1] / norms[m] == pytest.approx(target, rel=1e-12)
 
     @pytest.mark.parametrize("d, offset", [(1, -1), (2, -1), (1, -3)])
     def test_block_level_below_one_rejected(self, faber, d, offset):
