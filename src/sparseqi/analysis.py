@@ -56,10 +56,11 @@ class DegenerateFit(ValueError):
 
 # Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**27
 # points: a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
-# bytes (tracemalloc) per lattice point: 16.5 for a d = 3 witness norm at
-# 128**3 (the grid kernel's output and one grid-sized product), so some
-# 2 GiB at the limit; 25 for a d = 3 recovery error at 128**3, where the
-# fixture's real values hold 8 more while the combination is evaluated.
+# bytes (tracemalloc) per lattice point: 12.5 for a d = 3 witness norm at
+# 128**3 (the grid kernel's output, which takes its products in slabs, and
+# its partial fields), so some 1.6 GiB at the limit; 20 for a d = 3 recovery
+# error at 128**3, where the fixture's real values hold 8 more while the
+# combination is evaluated, and the difference is taken in place.
 MAX_LATTICE_POINTS = 1 << 27
 
 # entries per chunk of a power-mean norm: 512 KiB of float64 temporaries
@@ -108,7 +109,13 @@ class FieldDifference:
         return as_batch_function(self._a, self.d)(P) - as_batch_function(self._b, self.d)(P)
 
     def eval_on_axes(self, axes):
-        return grid_values(self._a, self.d, axes) - grid_values(self._b, self.d, axes)
+        a = grid_values(self._a, self.d, axes)
+        b = grid_values(self._b, self.d, axes)
+        if isinstance(self._b, HierCoeffs) and np.result_type(a, b) == b.dtype:
+            # a recovery's grid values are a fresh array: take the difference
+            # in it, with the bits of a - b, and make no third grid
+            return np.subtract(a, b, out=b)
+        return a - b
 
 
 def default_resolution(d: int, m: int) -> int:

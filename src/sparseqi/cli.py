@@ -102,6 +102,15 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--mask", help="JSON file {'ell': int, 'mask': [rationals]}")
 
 
+def _check_grid_size(d: int, m: int, scheme: QIScheme) -> None:
+    """Refuse a level-``m`` sample grid above ``analysis.MAX_LATTICE_POINTS``
+    points, counted in closed form before anything is allocated."""
+    n = smolyak.count_points(d, m, scheme)
+    if n > analysis.MAX_LATTICE_POINTS:
+        raise _UsageError(f"a sparse grid of {n} points (d={d}, m={m}) exceeds"
+                          f" the limit of {analysis.MAX_LATTICE_POINTS} points")
+
+
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", ".") or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -157,6 +166,7 @@ def cmd_derive_scheme(args) -> int:
 
 def cmd_grid(args) -> int:
     scheme = _load_scheme(args)
+    _check_grid_size(args.d, args.m, scheme)
     grid = smolyak.enumerate_grid(args.d, args.m, scheme)
     out = _out_dir(args)
     if args.format == "csv":
@@ -234,6 +244,7 @@ def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
 def cmd_recover(args) -> int:
     scheme = _load_scheme(args)
     d, m = args.d, args.m
+    _check_grid_size(d, m, scheme)
     # the evaluation points are read, or the lattice refused, before the
     # first sample is taken and the first file is written
     axes = None
@@ -449,6 +460,8 @@ def cmd_benchmark(args) -> int:
     )
     for warning in cfg.validate():
         print(f"warning: {warning}", file=sys.stderr)
+    # above d = 3 no quadrature lattice bounds the top level's sample grid
+    _check_grid_size(cfg.d, max(cfg.m_range), scheme)
     report = run_benchmark(cfg, scheme)
     out = _out_dir(args)
     header = ["m", "n_points", "error", "norm_kind"]
@@ -485,6 +498,7 @@ def cmd_witness(args) -> int:
     if args.level_offset is not None and m_range[0] + args.level_offset < 1:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
     _check_pq(p, q, need_p=args.kind == "g2")
+    _check_grid_size(d, max(m_range), scheme)
     # Highest level first, norm before grid: g1's largest quadrature lattice
     # is refused (LatticeTooLarge, ResolutionTooLow) before any other work,
     # and no file is written until every level is measured.  g2 is one

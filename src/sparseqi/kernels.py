@@ -27,9 +27,10 @@ axis) and sums the small partial fields of equal last axis and level; one
 product per axis then takes all of that axis's sums to the grid, so the
 grid-sized passes number at most ``d`` however many blocks there are (the
 unidirectional principle of Bungartz & Griebel, *Sparse grids*, Acta
-Numerica 2004).  Orders and groups depend on the shapes and levels alone,
-so equal inputs always take the same summation order and give bit-identical
-results.
+Numerica 2004).  That product is added to the output slab by slab, so it
+is never held whole.  Orders and groups depend on the shapes and levels
+alone, so equal inputs always take the same summation order and give
+bit-identical results.
 
 An empty combination evaluates to zero on both paths.  The kernels take the
 blocks as given; :class:`sparseqi.quasi_interp.HierCoeffs` collapses its
@@ -55,7 +56,8 @@ __all__ = [
 # Entries per slab of scattered evaluation: points times the ``ell**d``
 # coefficients each meets.  It sizes the index and value buffers, which are
 # allocated once per call; per-axis weights are shared by every block of a
-# slab.  2**17 entries are 2048 points at d = 3, ell = 4.
+# slab.  2**17 entries are 2048 points at d = 3, ell = 4.  The grid kernel
+# adds its per-axis products to the output in slabs of as many grid entries.
 _SLAB_ENTRIES = 2**17
 
 
@@ -179,6 +181,29 @@ def _contract_axis(M: np.ndarray, field: np.ndarray, j: int) -> np.ndarray:
     return out.reshape(shape[:j] + (n,) + shape[j + 1 :])
 
 
+def _add_contracted(out: np.ndarray, M: np.ndarray, field: np.ndarray, j: int) -> None:
+    """``out += _contract_axis(M, field, j)`` in slabs of at most
+    ``_SLAB_ENTRIES`` entries of ``out`` (or one line of axis ``j``, when
+    longer), so no grid-sized product is made.  A slab is a run of whole
+    rows of the axes before ``j`` or, when one such row is larger than a
+    slab, a run of columns of the axes after ``j`` within a row."""
+    if out.size == 0:
+        return
+    n, L = M.shape
+    pre, post = prod(out.shape[:j]), prod(out.shape[j + 1 :])
+    cols = min(post, max(1, _SLAB_ENTRIES // n))
+    rows = max(1, _SLAB_ENTRIES // (n * cols))
+    if post == 1:  # the last axis: rows of the field times M.T
+        dst, src = out.reshape(pre, n), field.reshape(pre, L)
+        for lo in range(0, pre, rows):
+            dst[lo : lo + rows] += src[lo : lo + rows] @ M.T
+        return
+    dst, src = out.reshape(pre, n, post), field.reshape(pre, L, post)
+    for lo in range(0, pre, rows):
+        for c in range(0, post, cols):
+            dst[lo : lo + rows, :, c : c + cols] += np.matmul(M, src[lo : lo + rows, :, c : c + cols])
+
+
 def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
     """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``.
 
@@ -187,9 +212,9 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray
     on axis ``j``.  One axis ``j`` at a time, the partial fields of the
     blocks that end on ``j`` are summed per level ``k[j]`` in block order,
     concatenated along ``j`` in ascending ``k[j]``, and contracted in one
-    product against their spline basis matrices side by side; that
-    grid-sized result is added to the output and released before the next
-    axis.  Basis matrices are built once per axis and level.
+    product against their spline basis matrices side by side, which is added
+    to the output slab by slab (:func:`_add_contracted`).  Basis matrices
+    are built once per axis and level.
     """
     shape = tuple(len(a) for a in axes)
     basis: dict[tuple[int, int], np.ndarray] = {}
@@ -212,5 +237,5 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray
             levels = sorted(partial)
             M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
             field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
-            out += _contract_axis(M, field, j)
+            _add_contracted(out, M, field, j)
     return out

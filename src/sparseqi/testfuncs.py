@@ -9,11 +9,13 @@ hierarchical sample blocks, ``i/ell`` at level 0 and ``(2i+1)/(ell*2**a)``
 above it, are such lattices.  On one, a polynomial is an inverse DFT of its
 coefficients folded modulo ``n`` (aliasing), so each axis costs one pass over
 the box plus ``O(n log n)`` per line, instead of a dense phase matrix of
-``n`` rows against the box.  The witness builders return
-hierarchical combinations that vanish identically on the sample grid they are
-built against.  The tests check it (the level-``m`` decomposition of the
-single bump is exactly zero), and ``witness`` reports the largest value on
-the grid, ``grid_max``, for every level it builds.
+``n`` rows against the box.  A real polynomial's last axis folds only the
+residues ``0..n//2`` and takes a real inverse DFT, as each of its lines is
+then a real polynomial, so its values are float from the start.  The
+witness builders return hierarchical combinations that vanish identically on
+the sample grid they are built against.  The tests check it (the level-``m``
+decomposition of the single bump is exactly zero), and ``witness`` reports
+the largest value on the grid, ``grid_max``, for every level it builds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _POINT_CHUNK = 1 << 22  # cap on points * row width of one scattered evaluation slab
 _SMOOTH_MARGIN = 0.05  # fixed spectral safety margin of the random fixtures
+_CHECK_CHUNK = 1 << 16  # coefficients per slab of the conjugate symmetry check
 
 
 class TrigFunction:
@@ -102,9 +105,9 @@ class TrigFunction:
             return np.zeros(shape, dtype=np.float64 if self.real else np.complex128)
         field = self.C
         for j, a in enumerate(axes):
-            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n)
-        # a copy, so that the real values do not keep the complex transform alive
-        return field.real.copy() if self.real else field
+            half = self.real and j == self.d - 1
+            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n, half)
+        return field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -165,11 +168,13 @@ def _scatter_modes(d: int, modes: Mapping[Sequence[int], complex]):
 
 def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) -> None:
     """Raise unless every nonzero mode ``c`` at ``s`` has a mirror at ``-s``
-    within ``1e-12 * max(1, |c|)`` of ``conj(c)``.
+    within ``1e-12 * max(1, |c|)`` of ``conj(c)``, compared as squares.
 
     Each axis is first extended to its symmetric closure, so reversing every
     axis of the coefficient array maps ``s`` to ``-s``; when every axis is
-    its own closure, ``C`` is tested as it is, without a copy.
+    its own closure, ``C`` is tested as it is, without a copy.  The rows of
+    the first axis are compared in slabs of about :data:`_CHECK_CHUNK`
+    entries, in order, so the first mode reported is the first that fails.
     """
     closed = [np.union1d(a, -a) for a in freq_axes]
     if all(len(c) == len(a) for c, a in zip(closed, freq_axes)):
@@ -177,25 +182,35 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
     else:
         full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
         full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
-    # At a zero coefficient this tests |c(-s)| > 1e-12, which is the test at
-    # the nonzero mirror, so zero entries need no mask.
-    mirror = np.conj(full[(slice(None, None, -1),) * len(closed)])
-    bad = np.abs(mirror - full) > 1e-12 * np.maximum(1.0, np.abs(full))
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        s = tuple(int(c[i]) for c, i in zip(closed, idx))
-        raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
+    mirror = full[(slice(None, None, -1),) * len(closed)]
+    rows = max(1, _CHECK_CHUNK * full.shape[0] // full.size)
+    for lo in range(0, full.shape[0], rows):
+        slab = full[lo : lo + rows]
+        # At a zero coefficient this tests |c(-s)| > 1e-12, which is the
+        # test at the nonzero mirror, so zero entries need no mask.
+        gap = np.conj(mirror[lo : lo + rows]) - slab
+        bad = gap.real**2 + gap.imag**2 > 1e-24 * np.maximum(1.0, slab.real**2 + slab.imag**2)
+        if np.any(bad):
+            idx = np.argwhere(bad)[0]
+            idx[0] += lo
+            s = tuple(int(c[i]) for c, i in zip(closed, idx))
+            raise ValueError(f"realness flag set but mode {s} breaks conjugate symmetry")
 
 
 def _add_scaled(out: np.ndarray, w: complex, part: np.ndarray) -> None:
     """``out += w * part`` in place for ``|w| = 1``, as ``out = w * (conj(w) * out + part)``,
-    so no temporary of the size of ``part`` is made."""
+    so no temporary of the size of ``part`` is made; a plain ``+=`` at ``w == 1``."""
+    if w == 1:
+        out += part
+        return
     out *= np.conj(w)
     out += part
     out *= w
 
 
-def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int) -> np.ndarray:
+def _fold_transform(
+    field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int, half: bool
+) -> np.ndarray:
     """Contract axis ``j`` of the contiguous ``field`` against
     ``exp(2*pi*i*freqs[t]*(x0 + i/n))``, as a new contiguous array whose axis
     ``j`` holds ``i < n``.
@@ -208,6 +223,11 @@ def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: 
     unnormalised inverse DFT in place gives the values.  The fold leaves axis
     ``j`` where it is, so the first fold, which reads the whole box, runs over
     contiguous rows.
+
+    With ``half``, every line of axis ``j`` must be a real polynomial: then
+    its folded coefficients are Hermitian (residue ``n - r`` holds the
+    conjugate of residue ``r``, whatever ``x0``), so only the residues
+    ``r <= n//2`` are folded, and a real inverse DFT returns float values.
     """
     shape = field.shape
     pre, post = int(np.prod(shape[:j])), int(np.prod(shape[j + 1 :]))
@@ -218,18 +238,23 @@ def _fold_transform(field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: 
         full[:, freqs - s0] = src
         src = full
     L = src.shape[1]
+    R = n // 2 + 1 if half else n  # the residues folded
     head = min(-s0 % n, L)  # frequencies below the first multiple of n
     P = (L - head) // n  # whole periods
     q0 = -(-s0 // n)  # the first whole period
     tail = head + P * n
     # factors of the head period, the P whole periods and the tail period
     w = np.exp(_TWO_PI * 1j * n * x0 * np.arange(q0 - 1, q0 + P + 1))
-    periods = src[:, head:tail].reshape(pre, P, n * post)
-    acc = np.matmul(w[1:-1], periods).reshape(pre, n, post)
-    _add_scaled(acc[:, s0 % n : s0 % n + head], w[0], src[:, :head])
-    _add_scaled(acc[:, : L - tail], w[-1], src[:, tail:])
+    periods = src[:, head:tail].reshape(pre, P, n, post)[:, :, :R].reshape(pre, P, R * post)
+    acc = np.matmul(w[1:-1], periods).reshape(pre, R, post)
+    r0 = s0 % n  # the head's first residue
+    h, t = max(0, min(head, R - r0)), min(L - tail, R)  # head and tail terms folded
+    _add_scaled(acc[:, r0 : r0 + h], w[0], src[:, :h])
+    _add_scaled(acc[:, :t], w[-1], src[:, tail : tail + t])
     if x0:
-        acc *= np.exp(_TWO_PI * 1j * x0 * np.arange(n))[:, None]
+        acc *= np.exp(_TWO_PI * 1j * x0 * np.arange(R))[:, None]
+    if half:
+        return np.fft.irfft(acc.reshape(shape[:j] + (R,) + shape[j + 1 :]), n, axis=j, norm="forward")
     np.fft.ifft(acc, axis=1, norm="forward", out=acc)
     return acc.reshape(shape[:j] + (n,) + shape[j + 1 :])
 
@@ -297,7 +322,9 @@ def random_mixed_smooth(r_eff: float, K: int, d: int, seed: int) -> TrigFunction
     Coefficients are random signs times the product envelope
     ``(1 + |s_j|)**(-(r_eff + 1/2 + margin))`` over the full frequency box,
     normalized so the exact mixed Sobolev norm at exponent ``r_eff`` is one.
-    The same seed always produces the same function.
+    The signs square to one and the envelope and the Sobolev weight are
+    products over the axes, so the squared norm is the ``d``-th power of one
+    axis's sum.  The same seed always produces the same function.
     """
     if r_eff <= 0:
         raise ValueError("need r_eff > 0")
@@ -306,11 +333,11 @@ def random_mixed_smooth(r_eff: float, K: int, d: int, seed: int) -> TrigFunction
     rng = np.random.default_rng(seed)
     freqs = np.arange(-K, K + 1)
     envelope_1d = (1.0 + np.abs(freqs)) ** (-(r_eff + 0.5 + _SMOOTH_MARGIN))
-    coeff = _symmetric_signs(K, d, rng) * _outer_power(envelope_1d, d)
+    coeff = _symmetric_signs(K, d, rng)
+    coeff *= _outer_power(envelope_1d, d)
 
     weight_1d = (1.0 + freqs.astype(np.float64) ** 2) ** r_eff
-    norm = float(np.sqrt(np.sum(coeff**2 * _outer_power(weight_1d, d))))
-    coeff = coeff / norm
+    coeff /= float(np.sqrt(np.sum(envelope_1d**2 * weight_1d) ** d))
 
     return TrigFunction.from_box([freqs] * d, coeff, real=True)
 

@@ -436,6 +436,52 @@ def test_field_difference_requires_dimension():
         FieldDifference(lambda x: x, lambda x: x)
 
 
+class _StoredSource:
+    """A source whose ``eval_on_axes`` returns its own writable stored array."""
+
+    def __init__(self, values):
+        self.d, self.values = values.ndim, values
+
+    def eval_on_axes(self, axes):
+        return self.values
+
+
+class TestFieldDifferenceInPlace:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_field_values_survive_recovery_error(self, cubic, d):
+        f = random_mixed_smooth(1.25, 6, d, seed=d)
+        field = LatticeField(f, d, 32)
+        before = field._values.copy()
+        hc = decompose(cubic, field, 3, d)
+        err = recovery_error(field, hc, 2.0, 32)
+        assert np.array_equal(field._values, before) and not field._values.flags.writeable
+        axes = [LatticeAxis(0, 1, 32)] * d
+        expect = field.eval_on_axes(axes) - hc.eval_on_axes(axes)
+        assert np.array_equal(FieldDifference(field, hc).eval_on_axes(axes), expect)
+        assert err == analysis._power_mean_norm(expect, 2.0)
+
+    def test_stored_sources_are_never_written(self, cubic):
+        hc = decompose(cubic, random_mixed_smooth(1.25, 4, 2, seed=0), 2, 2)
+        axes = [LatticeAxis(0, 1, 16)] * 2
+        values = np.random.default_rng(3).standard_normal((16, 16))
+        for a, b in ((_StoredSource(values), hc), (hc, _StoredSource(values)),
+                     (_StoredSource(values), _StoredSource(values))):
+            kept = values.copy()
+            expect = grid_values(a, 2, axes) - grid_values(b, 2, axes)
+            assert np.array_equal(FieldDifference(a, b).eval_on_axes(axes), expect)
+            assert np.array_equal(values, kept)
+            recovery_error(a, hc, 2.0, 16)
+            assert np.array_equal(values, kept)
+
+    def test_complex_source_minus_recovery(self, cubic):
+        f = TrigFunction(2, {(1, 2): 1.0 + 2.0j, (0, -1): 0.5})
+        hc = decompose(cubic, random_mixed_smooth(1.25, 4, 2, seed=1), 2, 2)
+        axes = [LatticeAxis(0, 1, 8)] * 2
+        got = FieldDifference(f, hc).eval_on_axes(axes)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, f.eval_on_axes(axes) - hc.eval_on_axes(axes))
+
+
 def _float_lattice(x):
     """``(x0, n)`` of a float axis ``x0 + i/n``, found as the lattice axes replaced
     it: within 8 units in the last place, else ``ValueError``."""

@@ -114,6 +114,29 @@ class TestUsage:
         assert "(2*2048 + 1)**1 = 4097 coefficients" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, count", [
+        (("grid", "--d", 2, "--m", 3), 320),
+        (("recover", "--function", "sine", "--d", 2, "--m", 3, "--eval-grid", 4), 320),
+        (("recover", "--samples", "SAMPLES", "--d", 2, "--m", 3, "--eval-grid", 4), 320),
+        (("benchmark", "--builtin", "faber", "--d", 4, "--m-range", "1..4", "--K", 1,
+          "--resolution", 64), 3072),
+        (("witness", "--kind", "g2", "--d", 1, "--m-range", "1..3", "--r", 1.25), 32),
+    ])
+    def test_oversized_sample_grid_exits_1(self, argv, count, tmp_path, capsys, monkeypatch, caches):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x_1,x_2,value\n0.0,0.0,1.0\n")
+        out = tmp_path / "out"
+        argv = [samples if a == "SAMPLES" else a for a in argv]
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", count - 1)
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"a sparse grid of {count} points" in err
+        assert not out.exists() and caches == []
+        if argv[0] == "grid":  # a grid of exactly the limit is written
+            monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", count)
+            assert run(*argv, "--out", out) == 0
+            assert (out / "grid.csv").exists()
+
     def test_refused_residual_lattice_writes_no_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 16)
         assert run("recover", "--function", "sine", "--d", 1, "--m", 2, "--eval-grid", 8,
@@ -171,11 +194,15 @@ def test_cli_and_high_dimensional_norm_need_no_scipy():
     )
     assert blocked.returncode == 0, blocked.stderr
     assert float(blocked.stdout) == pytest.approx(0.25, rel=1e-12)
-    # numpy.polynomial, which the closed-form spline norms use, is loaded
-    # only when one is taken
-    plain = _fresh_interpreter('import sparseqi.cli\nprint("scipy" in sys.modules, "numpy.polynomial" in sys.modules)\n')
+    # numpy.polynomial (the closed-form spline norms), numpy.fft and
+    # numpy.random (the fixtures and the rank-1 lattices) are loaded only
+    # when used, so no command's start-up pays for them
+    plain = _fresh_interpreter(
+        "import sparseqi.cli\n"
+        'print(*(name in sys.modules for name in ("scipy", "numpy.polynomial", "numpy.fft", "numpy.random")))\n'
+    )
     assert plain.returncode == 0, plain.stderr
-    assert plain.stdout.strip() == "False False"
+    assert plain.stdout.strip() == "False False False False"
 
 
 class TestGrid:

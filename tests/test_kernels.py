@@ -346,6 +346,74 @@ def test_grid_kernel_empty_axis(d):
         assert got.shape == (16,) * j + (0,) + (16,) * (d - j - 1)
 
 
+def _grid_kernel_one_product(axes, blocks, ell, table):
+    """The grid kernel before slabs: each ending axis's sums go to the grid
+    in one product, which is then added to the output."""
+    shape = tuple(len(a) for a in axes)
+    basis = {}
+    ending = [[] for _ in shape]
+    for k, C in blocks:
+        for j, kj in enumerate(k):
+            if (j, kj) not in basis:
+                basis[j, kj] = kernels.spline_basis_matrix(axes[j], kj, ell, table)
+        *order, last = kernels._axis_order([basis[j, kj].shape for j, kj in enumerate(k)])
+        ending[last].append((k, C, order))
+    out = np.zeros(shape)
+    for j, group in enumerate(ending):
+        partial = {}
+        for k, C, order in group:
+            field = C
+            for i in order:
+                field = kernels._contract_axis(basis[i, k[i]], field, i)
+            partial[k[j]] = field if k[j] not in partial else partial[k[j]] + field
+        if partial:
+            levels = sorted(partial)
+            M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
+            field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
+            out += kernels._contract_axis(M, field, j)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_add_contracted_matches_one_product(d, monkeypatch):
+    # slabs of whole rows before axis j, column runs within a row when one
+    # row exceeds the slab (at j = 0 a single row, pre == 1), remainders at
+    # both, and empty axes
+    rng = np.random.default_rng(30 + d)
+    for j in range(d):
+        for shape, L in (((5, 7, 6)[:d], 4), ((9, 1, 11)[:d], 3), ((4, 0, 3)[:d], 2)):
+            M = rng.standard_normal((shape[j], L))
+            field = rng.standard_normal(shape[:j] + (L,) + shape[j + 1 :])
+            base = rng.standard_normal(shape)
+            expect = base + kernels._contract_axis(M, field, j)
+            for cap in (1, 5, 13, 2 * shape[j] + 1, 10**6):
+                monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
+                out = base.copy()
+                kernels._add_contracted(out, M, field, j)
+                assert np.max(np.abs(out - expect), initial=0.0) <= 1e-13 * (np.abs(expect).max(initial=0.0) + L)
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("cap", [7, 64, 1000, 2**17])
+def test_slab_grid_kernel_matches_one_product(d, m, cap, monkeypatch):
+    monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
+    hc = _random_combination(d, 4, m, seed=40 + d)
+    table = piece_table(4)
+    blocks = hc._collapsed()
+    total = sum(np.abs(C).sum() for _, C in blocks)
+    for axes in ([np.arange(24) / 24] * d, _grid_axes(d)):
+        # on equal axes some blocks end on axis 0, where the slabs are column runs
+        got = kernels.eval_blocks_on_grid(axes, blocks, 4, table)
+        expect = _grid_kernel_one_product(axes, blocks, 4, table)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-13 * total
+    for j in range(d):
+        axes = [np.arange(16) / 16] * d
+        axes[j] = np.array([])
+        got = kernels.eval_blocks_on_grid(axes, blocks, 4, table)
+        assert got.shape == _grid_kernel_one_product(axes, blocks, 4, table).shape
+
+
 def test_contraction_order_is_cheapest():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3, 4):
