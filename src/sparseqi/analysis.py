@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bspline import cardinal_norm, piece_table
-from .kernels import eval_blocks_on_grid
+from . import kernels
 from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, SampleCache, as_batch_function, decompose, grid_values
 from .testfuncs import TrigFunction
 
@@ -30,6 +30,8 @@ __all__ = [
     "RateFit",
     "FieldDifference",
     "LatticeField",
+    "check_size",
+    "checked_resolution",
     "default_resolution",
     "sweep_field",
     "lq_norm",
@@ -47,15 +49,16 @@ class ResolutionTooLow(ValueError):
 
 
 class LatticeTooLarge(ValueError):
-    """Tensor quadrature lattice above ``MAX_LATTICE_POINTS`` points."""
+    """An array of more than ``MAX_LATTICE_POINTS`` entries (:func:`check_size`)."""
 
 
 class DegenerateFit(ValueError):
     """Rate fit impossible: too few levels or errors that do not decay."""
 
 
-# Largest tensor quadrature lattice (d <= 3) that lq_norm allocates, 2**27
-# points: a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
+# Most entries of any array a command sizes from its input (quadrature and
+# evaluation lattices, sample grids, fixture boxes, witness blocks), 2**27:
+# a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
 # bytes (tracemalloc) per lattice point: 12.5 for a d = 3 witness norm at
 # 128**3 (the grid kernel's output, which takes its products in slabs, and
 # its partial fields), so some 1.6 GiB at the limit; 20 for a d = 3 recovery
@@ -63,8 +66,12 @@ class DegenerateFit(ValueError):
 # combination is evaluated, and the difference is taken in place.
 MAX_LATTICE_POINTS = 1 << 27
 
-# entries per chunk of a power-mean norm: 512 KiB of float64 temporaries
-_NORM_CHUNK = 1 << 16
+
+def check_size(entries: int, what: str) -> None:
+    """Raise :class:`LatticeTooLarge` for an array, described by ``what``, of more
+    than ``MAX_LATTICE_POINTS`` entries, counted before anything is allocated."""
+    if entries > MAX_LATTICE_POINTS:
+        raise LatticeTooLarge(f"{what} exceeds the limit of {MAX_LATTICE_POINTS} entries")
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def default_resolution(d: int, m: int) -> int:
 def _power_mean_norm(values: np.ndarray, q: float) -> float:
     """``(mean |v|**q)**(1/q)``, or ``max |v|`` at ``q = inf``, with no temporary
     the size of real ``values``: ``q = 2`` is one dot product, and other ``q``
-    are summed in chunks of :data:`_NORM_CHUNK` entries."""
+    are summed in slabs of ``kernels._SLAB_ENTRIES`` entries."""
     v = np.ravel(values)
     if np.iscomplexobj(v):
         v = np.abs(v)
@@ -138,9 +145,9 @@ def _power_mean_norm(values: np.ndarray, q: float) -> float:
         return float(np.maximum(v.max(), -v.min()))
     if q == 2:
         return float(np.sqrt(np.vdot(v, v) / v.size))
-    total = 0.0
-    for lo in range(0, v.size, _NORM_CHUNK):
-        total += float(np.sum(np.abs(v[lo : lo + _NORM_CHUNK]) ** q))
+    total, step = 0.0, kernels._SLAB_ENTRIES
+    for lo in range(0, v.size, step):
+        total += float(np.sum(np.abs(v[lo : lo + step]) ** q))
     return (total / v.size) ** (1.0 / q)
 
 
@@ -171,7 +178,7 @@ def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-def _checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
+def checked_resolution(d: int, resolution: int | None, min_level: int | None) -> int:
     """The resolution :func:`lq_norm` measures at: ``resolution``, or the
     default for ``min_level`` (level 4 when unset), once it passes the guards
     that :func:`lq_norm` documents."""
@@ -182,11 +189,8 @@ def _checked_resolution(d: int, resolution: int | None, min_level: int | None) -
             f"resolution {resolution} per axis is below 2**(m+2) = {2 ** (min_level + 2)}"
             f" required for level-{min_level} residuals"
         )
-    if d <= 3 and resolution**d > MAX_LATTICE_POINTS:
-        raise LatticeTooLarge(
-            f"a quadrature lattice of {resolution}**{d} = {resolution**d} points exceeds"
-            f" the limit of {MAX_LATTICE_POINTS} points"
-        )
+    if d <= 3:
+        check_size(resolution**d, f"a quadrature lattice of {resolution}**{d} = {resolution**d} points")
     if d > 3 and resolution < 2:
         raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
     return resolution
@@ -215,7 +219,7 @@ def lq_norm(
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
-    resolution = _checked_resolution(d, resolution, min_level)
+    resolution = checked_resolution(d, resolution, min_level)
     if d <= 3:
         return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
@@ -264,7 +268,7 @@ def sweep_field(f, d: int, m: int, resolution: int | None = None):
     first, so ``ResolutionTooLow`` and ``LatticeTooLarge`` are raised
     before anything is evaluated.
     """
-    resolution = _checked_resolution(d, resolution, m)
+    resolution = checked_resolution(d, resolution, m)
     return LatticeField(f, d, resolution) if d <= 3 else f
 
 
@@ -323,11 +327,11 @@ def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, c
     """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
     if d > 3:
         raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = _checked_resolution(d, resolution, m)
+    resolution = checked_resolution(d, resolution, m)
     hc = decompose(scheme, f, m, d, cache=cache)
     axes = [LatticeAxis(0, 1, resolution).points()] * d
     table = piece_table(scheme.ell)
-    return ((k, eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)) for k, C in hc.block_items())
+    return ((k, kernels.eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)) for k, C in hc.block_items())
 
 
 def lp_block_norm(

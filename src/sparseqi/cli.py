@@ -103,12 +103,9 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _check_grid_size(d: int, m: int, scheme: QIScheme) -> None:
-    """Refuse a level-``m`` sample grid above ``analysis.MAX_LATTICE_POINTS``
-    points, counted in closed form before anything is allocated."""
+    """Refuse a level-``m`` sample grid above the size cap (:func:`analysis.check_size`)."""
     n = smolyak.count_points(d, m, scheme)
-    if n > analysis.MAX_LATTICE_POINTS:
-        raise _UsageError(f"a sparse grid of {n} points (d={d}, m={m}) exceeds"
-                          f" the limit of {analysis.MAX_LATTICE_POINTS} points")
+    analysis.check_size(n, f"a sparse grid of {n} points (d={d}, m={m})")
 
 
 def _out_dir(args) -> Path:
@@ -252,9 +249,7 @@ def cmd_recover(args) -> int:
         pts = _read_points(args.eval_points, d)
     else:
         n = args.eval_grid
-        if n**d > analysis.MAX_LATTICE_POINTS:
-            raise _UsageError(f"an evaluation grid of {n}**{d} = {n**d} points exceeds"
-                              f" the limit of {analysis.MAX_LATTICE_POINTS} points")
+        analysis.check_size(n**d, f"an evaluation grid of {n}**{d} = {n**d} points")
         axes = [LatticeAxis(0, 1, n)] * d
         pts = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
     f = None
@@ -326,9 +321,7 @@ class BenchConfig:
         if not 0 < self.r_eff < math.inf:
             raise _UsageError("r must be positive and finite")
         box = (2 * self.K + 1) ** self.d
-        if box > analysis.MAX_LATTICE_POINTS:
-            raise _UsageError(f"a fixture box of (2*{self.K} + 1)**{self.d} = {box} coefficients"
-                              f" exceeds the limit of {analysis.MAX_LATTICE_POINTS} points")
+        analysis.check_size(box, f"a fixture box of (2*{self.K} + 1)**{self.d} = {box} coefficients")
         lo = max(1.0 / self.p, 0.5)
         hi = self.ell - 1
         if not lo < self.r_eff < hi:
@@ -499,12 +492,18 @@ def cmd_witness(args) -> int:
         raise _UsageError(f"witness blocks need m + level offset >= 1, got {m_range[0] + args.level_offset}")
     _check_pq(p, q, need_p=args.kind == "g2")
     _check_grid_size(d, max(m_range), scheme)
-    # Highest level first, norm before grid: g1's largest quadrature lattice
-    # is refused (LatticeTooLarge, ResolutionTooLow) before any other work,
-    # and no file is written until every level is measured.  g2 is one
-    # spline, whose norm is exact and needs no lattice.
-    witnesses, measured = {}, {}
-    for m in reversed(m_range):
+    # The top level's blocks, C(M+d-1, d-1) of ell**d * 2**M entries for g1
+    # and one for g2, and g1's quadrature lattice at level M are the largest:
+    # both are refused before any witness is built, and no file is written
+    # until every level is measured.  g2's norm is exact and needs no lattice.
+    default = testfuncs.g1_level_offset if args.kind == "g1" else testfuncs.g2_level_offset
+    M = max(m_range) + (default(scheme.ell, d) if args.level_offset is None else args.level_offset)
+    entries = (math.comb(M + d - 1, d - 1) if args.kind == "g1" else 1) * scheme.ell**d << M
+    analysis.check_size(entries, f"a witness of {entries} coefficients ({args.kind}, d={d}, level {M})")
+    if args.kind == "g1":
+        analysis.checked_resolution(d, args.resolution, M)
+    witnesses, rows = {}, []
+    for m in m_range:
         if args.kind == "g1":
             w = testfuncs.witness_g1(scheme, d, m, r, level_offset=args.level_offset)
             norm = analysis.lq_norm(w, q, d, args.resolution, min_level=w.max_level)
@@ -514,9 +513,8 @@ def cmd_witness(args) -> int:
         grid = smolyak.enumerate_grid(d, m, scheme)
         grid_max = float(np.max(np.abs(w.eval_points(grid.as_array())))) if grid.n else 0.0
         witnesses[m] = w
-        measured[m] = {"m": m, "grid_max": grid_max, "norm_q": norm, "block_level": w.max_level}
-    rows = [measured[m] for m in m_range]
-    norms = {m: measured[m]["norm_q"] for m in m_range}
+        rows.append({"m": m, "grid_max": grid_max, "norm_q": norm, "block_level": w.max_level})
+    norms = {row["m"]: row["norm_q"] for row in rows}
     if args.export_coeffs:
         for m in m_range:
             (_out_dir(args) / f"witness_{args.kind}_m{m}.json").write_text(witnesses[m].to_json_text())

@@ -53,11 +53,16 @@ __all__ = [
     "eval_blocks_on_grid",
 ]
 
-# Entries per slab of scattered evaluation: points times the ``ell**d``
-# coefficients each meets.  It sizes the index and value buffers, which are
-# allocated once per call; per-axis weights are shared by every block of a
-# slab.  2**17 entries are 2048 points at d = 3, ell = 4.  The grid kernel
-# adds its per-axis products to the output in slabs of as many grid entries.
+# The one slab size, 2**17 entries (1 MiB of float64), read at call time as
+# ``kernels._SLAB_ENTRIES``, so one patch resizes every slab.  It bounds the
+# index and value buffers of eval_blocks_at_points (points times ``ell**d``:
+# 2048 points at d = 3, ell = 4) and the output slabs of each grid kernel
+# product (_add_contracted); the points per batch call of
+# quasi_interp.grid_values; the widest array per slab of
+# testfuncs.TrigFunction.eval_points_complex and the coefficients per slab
+# of testfuncs._check_conjugate_symmetry; and the partial sums of
+# analysis._power_mean_norm.  quasi_interp._LIFT_ENTRIES, four slabs, is
+# fixed at import, so that a patch changes no bits.
 _SLAB_ENTRIES = 2**17
 
 

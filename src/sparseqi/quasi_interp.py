@@ -43,7 +43,7 @@ from .bspline import (
     piece_table,
     shifts_per_level,
 )
-from .kernels import _SLAB_ENTRIES, eval_blocks_at_points, eval_blocks_on_grid
+from . import kernels
 from .laurent import LaurentPoly, NotDivisible, float_stencil
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "as_batch_function",
     "grid_values",
 ]
-
-_CHUNK = 1 << 19  # points per slab of a batch evaluation on a grid
 
 
 class NotAQuasiInterpolant(ValueError):
@@ -254,26 +252,20 @@ def builtin_scheme(name: str) -> QIScheme:
 def as_batch_function(f, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """Normalize a torus function to batch form ``(n, d) -> (n,)``.
 
-    Accepts objects with an ``eval_points`` method, numpy-vectorized
-    callables (``f(x)`` on an ``(n,)`` array for ``d == 1`` or on an
-    ``(n, d)`` array otherwise), and plain scalar callables.  The values keep
-    the source's own dtype, so a complex source stays complex.
+    Accepts objects with an ``eval_points`` method and batch callables: ``f``
+    takes the ``(n, d)`` array of points, or its ``(n,)`` column at
+    ``d == 1``, and returns ``n`` values; a result of any other shape is a
+    ``ValueError``.  The values keep the source's own dtype, so a complex
+    source stays complex.
     """
     if hasattr(f, "eval_points"):
         return lambda P: np.asarray(f.eval_points(P))
 
     def batched(P: np.ndarray) -> np.ndarray:
-        n = P.shape[0]
-        # trust a vectorized result only when the batch shape is unambiguous
-        # (an (n, d) batch with n == d could alias a per-row convention)
-        if d == 1 or n != d:
-            try:
-                out = np.asarray(f(P[:, 0] if d == 1 else P))
-                if out.shape == (n,):
-                    return out
-            except (TypeError, ValueError, IndexError):
-                pass
-        return np.array([f(row[0] if d == 1 else row) for row in P])
+        out = np.asarray(f(P[:, 0] if d == 1 else P))
+        if out.shape != (P.shape[0],):
+            raise ValueError(f"a batch callable returned shape {out.shape} for {P.shape[0]} points")
+        return out
 
     return batched
 
@@ -335,8 +327,8 @@ def grid_values(f, d: int, axes: Sequence[LatticeAxis]) -> np.ndarray:
 
     ``f.eval_on_axes(axes)`` when ``f`` has that method; otherwise the batch
     form of ``f`` (:func:`as_batch_function`) at the axes' points, on
-    row-major slabs of a fixed ``_CHUNK`` points, each built from its own
-    range of flat indices.  The values keep the source's own dtype.
+    row-major slabs of ``kernels._SLAB_ENTRIES`` points, each built from its
+    own range of flat indices.  The values keep the source's own dtype.
     """
     if hasattr(f, "eval_on_axes"):
         return np.asarray(f.eval_on_axes(axes))
@@ -344,13 +336,14 @@ def grid_values(f, d: int, axes: Sequence[LatticeAxis]) -> np.ndarray:
     xs = [a.points() for a in axes]
     shape = tuple(len(x) for x in xs)
     size = prod(shape)
+    step = kernels._SLAB_ENTRIES
     out = np.empty(0)  # an empty grid; otherwise the first slab sets the dtype
-    for start in range(0, size, _CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, size)), shape)
+    for start in range(0, size, step):
+        index = np.unravel_index(np.arange(start, min(start + step, size)), shape)
         values = batch(np.stack([x[i] for x, i in zip(xs, index)], axis=-1))
         if start == 0:
             out = np.empty(size, dtype=values.dtype)
-        out[start : start + _CHUNK] = values
+        out[start : start + step] = values
     return out.reshape(shape)
 
 
@@ -475,8 +468,9 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # of the scattered kernel, 4 MiB of float64, next to the 2.5 MiB of the
 # kernel's own index and value buffers.  At d = 3, m = 5, ell = 4 it admits
 # the two-axis lift (129 024 entries, 14 ms, 2.5 MiB traced at its peak) but
-# not the full 128**3 lattice (0.2 s, 73 MiB).
-_LIFT_ENTRIES = 4 * _SLAB_ENTRIES
+# not the full 128**3 lattice (0.2 s, 73 MiB).  Fixed when the module loads,
+# so resizing the slabs later changes no value of HierCoeffs.eval_points.
+_LIFT_ENTRIES = 4 * kernels._SLAB_ENTRIES
 
 
 class HierCoeffs:
@@ -595,11 +589,11 @@ class HierCoeffs:
         The scattered kernel's work grows with the number of blocks, and each
         collapsed axis more leaves fewer, larger blocks.  Writing their
         entries costs about 100 ns each, which only more than one slab of
-        points pays back; past that, the most axes whose collapsed entries
-        stay within :data:`_LIFT_ENTRIES`.  The choice depends on ``d``,
-        ``ell``, ``max_level`` and ``n`` alone, not on the stored blocks.
+        points (a quarter of :data:`_LIFT_ENTRIES`) pays back; past that, the
+        most axes whose collapsed entries stay within :data:`_LIFT_ENTRIES`.
+        The choice depends on ``d``, ``ell``, ``max_level`` and ``n`` alone.
         """
-        if n <= max(1, _SLAB_ENTRIES // self.ell**self.d):
+        if n <= max(1, _LIFT_ENTRIES // (4 * self.ell**self.d)):
             return 1
         return max(c for c in range(1, self.d + 1) if c == 1 or self._collapsed_entries(c) <= _LIFT_ENTRIES)
 
@@ -608,13 +602,13 @@ class HierCoeffs:
         if points.shape[1] != self.d:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
         blocks = self._collapsed(self._scattered_axes(points.shape[0]))
-        return eval_blocks_at_points(points, blocks, piece_table(self.ell))
+        return kernels.eval_blocks_at_points(points, blocks, piece_table(self.ell))
 
     def eval_on_axes(self, axes: Sequence[LatticeAxis]) -> np.ndarray:
         if len(axes) != self.d:
             raise ValueError(f"{len(axes)} axes for dimension {self.d}")
         xs = [a.points() for a in axes]
-        return eval_blocks_on_grid(xs, self._collapsed(), self.ell, piece_table(self.ell))
+        return kernels.eval_blocks_on_grid(xs, self._collapsed(), self.ell, piece_table(self.ell))
 
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)

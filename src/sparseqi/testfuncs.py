@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import kernels
 from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, _compositions
 from .smolyak import grid_level_gap
 
@@ -39,9 +40,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_POINT_CHUNK = 1 << 22  # cap on points * row width of one scattered evaluation slab
 _SMOOTH_MARGIN = 0.05  # fixed spectral safety margin of the random fixtures
-_CHECK_CHUNK = 1 << 16  # coefficients per slab of the conjugate symmetry check
 
 
 class TrigFunction:
@@ -114,11 +113,11 @@ class TrigFunction:
         C = self.C
         n, n0 = P.shape[0], C.shape[0]
         rest = C.size // n0
-        # A slab holds at most _POINT_CHUNK entries of its widest array (the
-        # first-axis product or a phase matrix), and never a single row unless
-        # P has one: a one-row product takes another BLAS path that rounds
-        # differently, and the values must not depend on the slab size.
-        chunk = max(2, _POINT_CHUNK // max(rest, *C.shape))
+        # A slab holds at most kernels._SLAB_ENTRIES entries of its widest
+        # array (the first-axis product or a phase matrix), and never a single
+        # row unless P has one: a one-row product takes another BLAS path that
+        # rounds differently, and the values must not depend on the slab size.
+        chunk = max(2, kernels._SLAB_ENTRIES // max(rest, *C.shape))
         out = np.empty(n, dtype=np.complex128)
         start = 0
         while start < n:
@@ -173,7 +172,7 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
     Each axis is first extended to its symmetric closure, so reversing every
     axis of the coefficient array maps ``s`` to ``-s``; when every axis is
     its own closure, ``C`` is tested as it is, without a copy.  The rows of
-    the first axis are compared in slabs of about :data:`_CHECK_CHUNK`
+    the first axis are compared in slabs of about ``kernels._SLAB_ENTRIES``
     entries, in order, so the first mode reported is the first that fails.
     """
     closed = [np.union1d(a, -a) for a in freq_axes]
@@ -183,7 +182,7 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
         full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
         full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
     mirror = full[(slice(None, None, -1),) * len(closed)]
-    rows = max(1, _CHECK_CHUNK * full.shape[0] // full.size)
+    rows = max(1, kernels._SLAB_ENTRIES * full.shape[0] // full.size)
     for lo in range(0, full.shape[0], rows):
         slab = full[lo : lo + rows]
         # At a zero coefficient this tests |c(-s)| > 1e-12, which is the

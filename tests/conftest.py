@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import floor, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,3 +64,23 @@ def tensor_value(ell: int, k, s, x) -> Fraction:
 
 def rng_points(n, d, seed=0):
     return np.random.default_rng(seed).random((n, d))
+
+
+def run_cli_in_child(argv, cwd, limit=2 << 30) -> subprocess.CompletedProcess:
+    """``sparseqi.cli.main(argv)`` in one child interpreter, run in ``cwd``.
+
+    The child caps its own address space (``RLIMIT_AS``) at ``limit`` bytes
+    before numpy loads, and uses one BLAS thread, so an allocation beyond the
+    limit fails there and nowhere else.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from sparseqi.cli import main\n"
+        f"sys.exit(main({[str(a) for a in argv]!r}))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sparseqi import analysis
+from sparseqi import analysis, kernels
 from sparseqi.analysis import (
     _cbc_generator,
     DegenerateFit,
@@ -38,7 +38,7 @@ class TestLqNorm:
     def test_power_mean_matches_replaced_formula(self, q):
         # the replaced formula: np.abs, then a**q, both the size of the values
         rng = np.random.default_rng(int(q) if np.isfinite(q) else 9)
-        n = 3 * analysis._NORM_CHUNK + 17
+        n = 3 * kernels._SLAB_ENTRIES + 17
         values = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
         for v in (values, values[2::7], values[: n - n % 12].reshape(-1, 4, 3), (1 - 2j) * values):
             a = np.abs(v)
@@ -56,7 +56,7 @@ class TestLqNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * analysis._NORM_CHUNK < values.nbytes / 2
+        assert peak <= 3 * 8 * kernels._SLAB_ENTRIES < values.nbytes / 2
 
     def test_zero(self):
         assert lq_norm(lambda x: 0.0 * x, 2.0, 1, 64) == 0.0
@@ -318,6 +318,36 @@ class TestDifference:
 
         nested = difference(inner, 2, (0,), h, x)
         assert both == pytest.approx(nested, abs=1e-13)
+
+
+class TestBatchCallables:
+    # a batch callable gets all n points in one call, also when n == d
+
+    def test_difference_with_as_many_points_as_dimensions(self):
+        f = lambda P: P[:, 0] ** 2 + P[:, 1] * P[:, 2]
+        # three points at d = 3: f(x) - 2 f(x + h e_0) + f(x + 2h e_0) = 2 h**2
+        assert difference(f, 2, (0,), (0.1, 0.0, 0.0), (0.3, 0.2, 0.5)) == pytest.approx(0.02, abs=1e-14)
+
+    def test_rank1_norm_with_as_many_points_as_dimensions(self):
+        calls = []
+
+        def g(P):
+            calls.append(P)
+            return np.prod(np.cos(2 * np.pi * P), axis=1)
+
+        val = lq_norm(g, 2.0, 5, 5)  # the rank-1 lattice of n = 5 points at d = 5
+        (P,) = calls
+        assert P.shape == (5, 5)
+        assert val == np.sqrt(np.mean(g(P) ** 2))
+
+    @pytest.mark.parametrize("d, f, shape", [
+        (1, lambda x: 0.5, r"\(\)"),
+        (2, lambda P: P, r"\(4, 2\)"),
+        (3, lambda P: P[:2, 0], r"\(2,\)"),
+    ])
+    def test_result_of_another_shape_is_a_value_error(self, d, f, shape):
+        with pytest.raises(ValueError, match=rf"returned shape {shape} for 4 points"):
+            as_batch_function(f, d)(np.full((4, d), 0.25))
 
 
 class TestFitRate:

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import sparseqi
-from sparseqi import analysis
+from sparseqi import analysis, testfuncs
 from sparseqi.cli import _parse_number, _read_points, _write_number_csv, main
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
 from sparseqi.smolyak import enumerate_grid
+from .conftest import run_cli_in_child
 
 
 def run(*argv):
@@ -144,6 +145,38 @@ class TestUsage:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, entries", [("g1", 7 * 4**2 * 2**6), ("g2", 4**2 * 2**5)])
+    def test_oversized_witness_refused_before_it_is_built(self, kind, entries, tmp_path, capsys, monkeypatch):
+        # cubic at d = 2 and m <= 3: the top blocks sit at level M = 6 for g1,
+        # seven blocks of 16 * 2**6 entries, and at M = 5 for g2, one block;
+        # the level-3 sample grid of 320 points fits under either cap
+        built = []
+        for name in ("witness_g1", "witness_g2"):
+            monkeypatch.setattr(testfuncs, name, lambda *args, **kw: built.append(args))
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", entries - 1)
+        out = tmp_path / "out"
+        assert run("witness", "--kind", kind, "--d", 2, "--m-range", "1..3", "--r", 1.25,
+                   "--export-coeffs", "--out", out) == 1
+        assert f"usage error: a witness of {entries} coefficients" in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("extra, cap, message", [
+        ((), 7168, "512**2 = 262144 points"),
+        (("--resolution", 128), None, "below 2**(m+2) = 256"),
+    ])
+    def test_witness_lattice_refused_before_it_is_built(self, extra, cap, message, tmp_path, capsys,
+                                                        monkeypatch):
+        # g1's top blocks (cubic, d = 2, M = 6) fit; its level-6 lattice does not
+        built = []
+        monkeypatch.setattr(testfuncs, "witness_g1", lambda *args, **kw: built.append(args))
+        if cap is not None:
+            monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", cap)
+        out = tmp_path / "out"
+        assert run("witness", "--kind", "g1", "--d", 2, "--m-range", "1..3", "--r", 1.25, *extra,
+                   "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
     def test_lattice_refused_at_a_later_level_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # m = 1 and 2 fit under the cap, m = 3 does not
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 2**13)
@@ -183,6 +216,24 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     src = str(Path(sparseqi.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+def test_witness_refused_before_allocation_under_a_memory_limit(kind, tmp_path):
+    # with the real cap: the level-25 sample grid is exactly 2**27 points and
+    # passes, but the top blocks at level M = 27 hold 4 * 2**27 entries, 4 GiB
+    child = run_cli_in_child(["witness", "--kind", kind, "--d", 1, "--m-range", "22..25",
+                              "--r", 1.25, "--export-coeffs", "--out", "out"], tmp_path)
+    assert child.returncode == 1
+    assert child.stderr.startswith("usage error: a witness of 536870912 coefficients"), child.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_small_witness_runs_under_the_memory_limit(tmp_path):
+    child = run_cli_in_child(["witness", "--kind", "g1", "--builtin", "faber", "--d", 2,
+                              "--m-range", "2..5", "--r", 0.75, "--out", "out"], tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "out" / "witness.csv").is_file()
 
 
 def test_cli_and_high_dimensional_norm_need_no_scipy():

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sparseqi import kernels, quasi_interp
+from sparseqi import analysis, kernels, quasi_interp, testfuncs
 from sparseqi.bspline import piece_table
-from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, decompose, multi_indices
+from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, decompose, grid_values, multi_indices
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 from .conftest import periodic_row
@@ -564,3 +564,37 @@ def test_witnesses_evaluate_bitwise_as_per_block(faber, cubic, d):
         scattered, grid = _per_block(w, P, axes)
         assert np.array_equal(w.eval_points(P), scattered)
         assert np.array_equal(_on_grid(w, axes), grid)
+
+
+def test_one_patch_resizes_every_slab(monkeypatch):
+    # every bounded temporary reads kernels._SLAB_ENTRIES when it runs: at
+    # 256 entries each user's traced peak falls by at least half a default
+    # slab of float64
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    f = random_mixed_smooth(1.25, 128, 2, seed=1)
+    values, table = rng.standard_normal(1 << 18), piece_table(4)
+    users = {
+        "power mean": lambda: analysis._power_mean_norm(values, 3.0),
+        "symmetry check": lambda: testfuncs._check_conjugate_symmetry(f.freq_axes, f.C),
+        "trig points": lambda: f.eval_points_complex(rng.random((1024, 2))),
+        "grid adapter": lambda: grid_values(np.cos, 1, [LatticeAxis(0, 1, 1 << 18)]),
+        "scattered kernel": lambda: kernels.eval_blocks_at_points(
+            rng.random((2048, 3)), [((3, 3, 3), rng.standard_normal((32,) * 3))], table),
+        "grid kernel": lambda: kernels.eval_blocks_on_grid(
+            [np.arange(512) / 512] * 2, [((3, 3), rng.standard_normal((32, 32)))], 4, table),
+    }
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    default = {name: peak(run) for name, run in users.items()}
+    monkeypatch.setattr(kernels, "_SLAB_ENTRIES", 256)
+    for name, run in users.items():
+        assert peak(run) < default[name] - 4 * (1 << 17), name

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from sparseqi import kernels
 from sparseqi.bspline import InvalidOrder, eval_cardinal_exact
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import (
-    _CHUNK,
     _refine_axis,
     HierCoeffs,
     LatticeAxis,
@@ -636,13 +636,13 @@ class TestSampleCache:
         cache.lattice_values((1,))  # coarse lattice is a subset
         assert len(cache) == n_fine
 
-    @pytest.mark.parametrize("d, shape", [(1, (5 * _CHUNK // 2,)), (2, (1024, 600))])
+    @pytest.mark.parametrize("d, shape", [(1, (5 * kernels._SLAB_ENTRIES // 2,)), (2, (1024, 600))])
     def test_grid_values_fallback_chunks_bit_equal(self, d, shape):
-        # a plain vectorised callable on a grid of more than one _CHUNK slab
+        # a plain vectorised callable on a grid of more than one slab
         # gives the values of one unchunked batch call
         f = lambda P: np.cos(2 * np.pi * P.reshape(len(P), -1)).prod(axis=1) + P.reshape(len(P), -1)[:, 0] ** 3
         axes = [LatticeAxis(0, 1, n) for n in shape]
-        assert np.prod(shape) > _CHUNK
+        assert np.prod(shape) > kernels._SLAB_ENTRIES
         mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(grid_values(f, d, axes), f(mesh).reshape(shape))
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sparseqi import testfuncs
+from sparseqi import kernels, testfuncs
 from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier, spline_norm
 from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin_scheme, decompose
 from sparseqi.smolyak import enumerate_grid
@@ -186,7 +186,7 @@ class TestBoxAgainstDictPath:
             whole = f.eval_points_complex(pts)  # every n here fits one slab
             assert np.array_equal(whole, _unchunked_eval_points(f.freq_axes, f.C, pts))
             for cap in (1, 3 * (2 * K + 1) ** max(1, d - 1)):
-                monkeypatch.setattr(testfuncs, "_POINT_CHUNK", cap)
+                monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
                 assert np.array_equal(f.eval_points_complex(pts), whole)
                 monkeypatch.undo()
 
@@ -237,7 +237,7 @@ class TestBoxAgainstDictPath:
             cases.append((one_sided, C))
         outcomes = set()
         for cap in (1, 3, L + 1, 1 << 16):
-            monkeypatch.setattr(testfuncs, "_CHECK_CHUNK", cap)
+            monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
             for axes, C in cases:
                 expect = _unchunked_symmetry_check(axes, C)
                 outcomes.add(expect is None)
