@@ -56,14 +56,16 @@ class DegenerateFit(ValueError):
     """Rate fit impossible: too few levels or errors that do not decay."""
 
 
-# Most entries of any array a command sizes from its input (quadrature and
-# evaluation lattices, sample grids, fixture boxes, witness blocks), 2**27:
-# a 512**3 lattice fits.  Its float64 values take 1 GiB.  Peak traced
-# bytes (tracemalloc) per lattice point: 12.5 for a d = 3 witness norm at
-# 128**3 (the grid kernel's output, which takes its products in slabs, and
-# its partial fields), so some 1.6 GiB at the limit; 20 for a d = 3 recovery
-# error at 128**3, where the fixture's real values hold 8 more while the
-# combination is evaluated, and the difference is taken in place.
+# Most entries of any array a command sizes from its input (quadrature,
+# rank-1 and evaluation lattices, sample grids, fixture boxes, witness
+# blocks), 2**27: a 512**3 lattice fits.  Its float64 values take 1 GiB.
+# Peak traced bytes (tracemalloc) per lattice point: 11.8 for a d = 3
+# witness norm at 128**3 (the grid kernel's output, which takes its products
+# in slabs, its partial fields and the basis matrices in use), so some
+# 1.5 GiB at the limit; 20 for a d = 3 recovery error at 128**3, where the
+# fixture's real values hold 8 more while the combination is evaluated, and
+# the difference is taken in place.  A d > 3 rank-1 lattice counts its
+# resolution * d coordinates.
 MAX_LATTICE_POINTS = 1 << 27
 
 
@@ -193,6 +195,8 @@ def checked_resolution(d: int, resolution: int | None, min_level: int | None) ->
         check_size(resolution**d, f"a quadrature lattice of {resolution}**{d} = {resolution**d} points")
     if d > 3 and resolution < 2:
         raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
+    if d > 3:
+        check_size(resolution * d, f"a rank-1 lattice of {resolution}*{d} = {resolution * d} coordinates")
     return resolution
 
 
@@ -214,8 +218,9 @@ def lq_norm(
     Raises:
         ResolutionTooLow: the guard is armed and the resolution is below it,
             or ``d > 3`` and the resolution is below 2.
-        LatticeTooLarge: ``d <= 3`` and ``resolution**d`` exceeds
-            ``MAX_LATTICE_POINTS``; raised before anything is allocated.
+        LatticeTooLarge: ``resolution**d`` (``d <= 3``), or the
+            ``resolution * d`` coordinates of the rank-1 lattice (``d > 3``),
+            exceed ``MAX_LATTICE_POINTS``; raised before anything is allocated.
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")

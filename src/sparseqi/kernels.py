@@ -12,7 +12,8 @@ spline's piece table, and both evaluation paths are built on it:
   coefficients each point meets, then ``d`` contractions, one axis at a time
   (sum factorization);
 * :func:`eval_blocks_on_grid` - a tensor grid, one axis at a time against
-  dense basis matrices (:func:`spline_basis_matrix`).
+  dense basis matrices (:func:`spline_basis_matrix`), each held from its
+  first use to its last.
 
 :func:`_contract_axis` is the one separable contraction of spline coefficient
 boxes, for every dimension; trigonometric fixtures fold and transform instead
@@ -42,6 +43,7 @@ one slab of points, sees one block per shorter leading levels, such as
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 
 import numpy as np
@@ -218,29 +220,47 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray
     blocks that end on ``j`` are summed per level ``k[j]`` in block order,
     concatenated along ``j`` in ascending ``k[j]``, and contracted in one
     product against their spline basis matrices side by side, which is added
-    to the output slab by slab (:func:`_add_contracted`).  Basis matrices
-    are built once per axis and level.
+    to the output slab by slab (:func:`_add_contracted`).  The orders come
+    from the matrices' shapes alone, so the uses of each basis matrix are
+    counted before any is built: each is built at its first use and released
+    after its last, and a group of one level takes its matrix as it is.
     """
     shape = tuple(len(a) for a in axes)
-    basis: dict[tuple[int, int], np.ndarray] = {}
     ending: list[list[tuple[tuple[int, ...], np.ndarray, list[int]]]] = [[] for _ in shape]
     for k, C in blocks:
-        for j, kj in enumerate(k):
-            if (j, kj) not in basis:
-                basis[j, kj] = spline_basis_matrix(axes[j], kj, ell, table)
-        *order, last = _axis_order([basis[j, kj].shape for j, kj in enumerate(k)])
+        *order, last = _axis_order([(n, ell << kj) for n, kj in zip(shape, k)])
         ending[last].append((k, C, order))
+    # uses of each basis matrix (axis, level) in the order they come below
+    uses: Counter[tuple[int, int]] = Counter()
+    for j, group in enumerate(ending):
+        for k, _, order in group:
+            uses.update((i, k[i]) for i in order)
+        uses.update({(j, k[j]) for k, _, _ in group})
+    basis: dict[tuple[int, int], np.ndarray] = {}
+
+    def matrix(j: int, kj: int) -> np.ndarray:
+        B = basis.get((j, kj))
+        if B is None:
+            B = basis[j, kj] = spline_basis_matrix(axes[j], kj, ell, table)
+        uses[j, kj] -= 1
+        if not uses[j, kj]:
+            del basis[j, kj]
+        return B
+
     out = np.zeros(shape)
     for j, group in enumerate(ending):
         partial: dict[int, np.ndarray] = {}
         for k, C, order in group:
             field = C
             for i in order:
-                field = _contract_axis(basis[i, k[i]], field, i)
+                field = _contract_axis(matrix(i, k[i]), field, i)
             partial[k[j]] = field if k[j] not in partial else partial[k[j]] + field
         if partial:
             levels = sorted(partial)
-            M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
-            field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
+            if len(levels) == 1:
+                M, field = matrix(j, levels[0]), partial.pop(levels[0])
+            else:
+                M = np.concatenate([matrix(j, kj) for kj in levels], axis=1)
+                field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
             _add_contracted(out, M, field, j)
     return out

@@ -11,7 +11,9 @@ coefficients folded modulo ``n`` (aliasing), so each axis costs one pass over
 the box plus ``O(n log n)`` per line, instead of a dense phase matrix of
 ``n`` rows against the box.  A real polynomial's last axis folds only the
 residues ``0..n//2`` and takes a real inverse DFT, as each of its lines is
-then a real polynomial, so its values are float from the start.  The
+then a real polynomial, so its values are float from the start; when its
+box is longer than that half spectrum, the last axis is folded first, as
+``irfftn`` orders it, so no full-length complex field is made.  The
 witness builders return hierarchical combinations that vanish identically on
 the sample grid they are built against.  The tests check it (the level-``m``
 decomposition of the single bump is exactly zero), and ``witness`` reports
@@ -96,16 +98,25 @@ class TrigFunction:
         Each axis is the lattice ``x0 + i/n`` of its :class:`LatticeAxis`.
         Axes are folded and inverse-transformed one at a time, first to last
         (:func:`_fold_transform`), at a cost of ``O(box + lattice * log(lattice))``.
+        A real polynomial whose last axis has more frequencies than that
+        axis's half spectrum (``n//2 + 1`` residues) takes the order of
+        ``irfftn`` instead: its last axis is folded first, without its
+        transform, so every later array is half-spectrum long on that axis,
+        and one real inverse DFT ends the evaluation.
         """
         if len(axes) != self.d:
             raise ValueError(f"need {self.d} axes, got {len(axes)}")
         if any(a.n == 0 for a in axes):
             shape = tuple(a.n for a in axes)
             return np.zeros(shape, dtype=np.float64 if self.real else np.complex128)
-        field = self.C
-        for j, a in enumerate(axes):
-            half = self.real and j == self.d - 1
-            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n, half)
+        field, last, n = self.C, self.d - 1, axes[-1].n
+        early = self.real and len(self.freq_axes[last]) > n // 2 + 1
+        if early:
+            field = _fold_transform(field, last, self.freq_axes[last], axes[last].x0, n, True, transform=False)
+        for j, a in enumerate(axes[:last] if early else axes):
+            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n, self.real and j == last)
+        if early:
+            field = np.fft.irfft(field, n, axis=last, norm="forward")
         return field
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
@@ -208,7 +219,7 @@ def _add_scaled(out: np.ndarray, w: complex, part: np.ndarray) -> None:
 
 
 def _fold_transform(
-    field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int, half: bool
+    field: np.ndarray, j: int, freqs: np.ndarray, x0: float, n: int, half: bool, transform: bool = True
 ) -> np.ndarray:
     """Contract axis ``j`` of the contiguous ``field`` against
     ``exp(2*pi*i*freqs[t]*(x0 + i/n))``, as a new contiguous array whose axis
@@ -227,6 +238,8 @@ def _fold_transform(
     its folded coefficients are Hermitian (residue ``n - r`` holds the
     conjugate of residue ``r``, whatever ``x0``), so only the residues
     ``r <= n//2`` are folded, and a real inverse DFT returns float values.
+    Without ``transform`` the folded residues are returned, phases applied,
+    untransformed: ``n`` (or ``n//2 + 1`` with ``half``) long on axis ``j``.
     """
     shape = field.shape
     pre, post = int(np.prod(shape[:j])), int(np.prod(shape[j + 1 :]))
@@ -252,10 +265,13 @@ def _fold_transform(
     _add_scaled(acc[:, :t], w[-1], src[:, tail : tail + t])
     if x0:
         acc *= np.exp(_TWO_PI * 1j * x0 * np.arange(R))[:, None]
+    folded = acc.reshape(shape[:j] + (R,) + shape[j + 1 :])
+    if not transform:
+        return folded
     if half:
-        return np.fft.irfft(acc.reshape(shape[:j] + (R,) + shape[j + 1 :]), n, axis=j, norm="forward")
+        return np.fft.irfft(folded, n, axis=j, norm="forward")
     np.fft.ifft(acc, axis=1, norm="forward", out=acc)
-    return acc.reshape(shape[:j] + (n,) + shape[j + 1 :])
+    return folded
 
 
 # ---------------------------------------------------------------------------

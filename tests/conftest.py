@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import floor, prod
 from pathlib import Path
@@ -84,3 +85,13 @@ def run_cli_in_child(argv, cwd, limit=2 << 30) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``run()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

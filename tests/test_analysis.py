@@ -84,6 +84,17 @@ class TestLqNorm:
             lq_norm(f, 2.0, d, fits + 1)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_rank1_lattice_size_cap_raises_before_evaluating(self, monkeypatch, d):
+        # the cap counts the lattice's resolution * d coordinates
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 20 * d)
+        calls = []
+        f = lambda x: calls.append(1) or np.ones(len(x))
+        assert lq_norm(f, 2.0, d, 20) == 1.0
+        with pytest.raises(LatticeTooLarge, match=f"21\\*{d} = {21 * d} coordinates"):
+            lq_norm(f, 2.0, d, 21)
+        assert len(calls) == 1
+
     def test_lattice_size_cap_admits_512_cubed(self):
         class Reached(Exception):
             pass

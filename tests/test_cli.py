@@ -229,6 +229,16 @@ def test_witness_refused_before_allocation_under_a_memory_limit(kind, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rank1_lattice_refused_before_allocation_under_a_memory_limit(tmp_path):
+    # 60000000 points of d = 4 coordinates each exceed the real cap; unchecked,
+    # the lattice's generator search ends in a MemoryError under the limit
+    child = run_cli_in_child(["benchmark", "--builtin", "faber", "--d", 4, "--m-range", "1..4",
+                              "--K", 1, "--resolution", 60_000_000, "--out", "out"], tmp_path)
+    assert child.returncode == 1, child.stderr
+    assert "usage error: a rank-1 lattice of 60000000*4 = 240000000 coordinates" in child.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_small_witness_runs_under_the_memory_limit(tmp_path):
     child = run_cli_in_child(["witness", "--kind", "g1", "--builtin", "faber", "--d", 2,
                               "--m-range", "2..5", "--r", 0.75, "--out", "out"], tmp_path)

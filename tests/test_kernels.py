@@ -8,7 +8,7 @@ from sparseqi.bspline import piece_table
 from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, decompose, grid_values, multi_indices
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
-from .conftest import periodic_row
+from .conftest import periodic_row, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,72 @@ def test_grid_matches_replaced_kernel(d, m, ell):
     assert all(np.array_equal(C, C0) for (_, C), C0 in zip(hc.block_items(), inputs))
 
 
+def _grid_kernel_cached(axes, blocks, ell, table):
+    """The grid kernel that kept every basis matrix for the whole call and
+    concatenated each ending axis's matrices, one level or more."""
+    shape = tuple(len(a) for a in axes)
+    basis = {}
+    ending = [[] for _ in shape]
+    for k, C in blocks:
+        for j, kj in enumerate(k):
+            if (j, kj) not in basis:
+                basis[j, kj] = kernels.spline_basis_matrix(axes[j], kj, ell, table)
+        *order, last = kernels._axis_order([basis[j, kj].shape for j, kj in enumerate(k)])
+        ending[last].append((k, C, order))
+    out = np.zeros(shape)
+    for j, group in enumerate(ending):
+        partial = {}
+        for k, C, order in group:
+            field = C
+            for i in order:
+                field = kernels._contract_axis(basis[i, k[i]], field, i)
+            partial[k[j]] = field if k[j] not in partial else partial[k[j]] + field
+        if partial:
+            levels = sorted(partial)
+            M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
+            field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
+            kernels._add_contracted(out, M, field, j)
+    return out
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("ell", [2, 4, 6])
+def test_grid_matches_cached_basis_kernel_bitwise(d, m, ell):
+    # building each basis matrix at its first use and releasing it after its
+    # last changes no matrix, product or order
+    hc = _random_combination(d, ell, m, seed=100 * d + ell)
+    table = piece_table(ell)
+    for axes in (_grid_axes(d), [np.arange(24) / 24] * d):
+        blocks = hc._collapsed()
+        assert np.array_equal(kernels.eval_blocks_on_grid(axes, blocks, ell, table),
+                              _grid_kernel_cached(axes, blocks, ell, table))
+        for block in hc.block_items():
+            assert np.array_equal(kernels.eval_blocks_on_grid(axes, [block], ell, table),
+                                  _grid_kernel_cached(axes, [block], ell, table))
+
+
+def _rate_d2_top():
+    # the block shapes of the rate-d2 sweep's top level, cubic at d = 2, m = 7
+    return _random_combination(2, 4, 7, seed=72)
+
+
+def test_grid_matches_cached_basis_kernel_bitwise_at_rate_d2_top():
+    hc = _rate_d2_top()
+    axes, blocks = [np.arange(1024) / 1024] * 2, hc._collapsed()
+    assert len(_grid_groups(axes, blocks)) == len(blocks) == 8
+    got = kernels.eval_blocks_on_grid(axes, blocks, 4, piece_table(4))
+    assert np.array_equal(got, _grid_kernel_cached(axes, blocks, 4, piece_table(4)))
+
+
+def test_grid_kernel_holds_one_large_basis_matrix_at_a_time():
+    # at rate-d2's top level on 1024**2: the 8 MiB output, the largest basis
+    # matrix (1024 x 512 float64, 4 MiB) and 2 MiB of slack; keeping every
+    # matrix for the whole call peaked at 26.1 MiB
+    hc = _rate_d2_top()
+    axes = [LatticeAxis(0, 1, 1024)] * 2
+    assert traced_peak(lambda: hc.eval_on_axes(axes)) <= 14 << 20
+
+
 def _grid_groups(axes, blocks):
     # the (axis, level) groups the grid kernel sums its partial fields in
     groups = set()
@@ -570,8 +636,6 @@ def test_one_patch_resizes_every_slab(monkeypatch):
     # every bounded temporary reads kernels._SLAB_ENTRIES when it runs: at
     # 256 entries each user's traced peak falls by at least half a default
     # slab of float64
-    import tracemalloc
-
     rng = np.random.default_rng(0)
     f = random_mixed_smooth(1.25, 128, 2, seed=1)
     values, table = rng.standard_normal(1 << 18), piece_table(4)
@@ -586,15 +650,7 @@ def test_one_patch_resizes_every_slab(monkeypatch):
             [np.arange(512) / 512] * 2, [((3, 3), rng.standard_normal((32, 32)))], 4, table),
     }
 
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    default = {name: peak(run) for name, run in users.items()}
+    default = {name: traced_peak(run) for name, run in users.items()}
     monkeypatch.setattr(kernels, "_SLAB_ENTRIES", 256)
     for name, run in users.items():
-        assert peak(run) < default[name] - 4 * (1 << 17), name
+        assert traced_peak(run) < default[name] - 4 * (1 << 17), name

@@ -17,7 +17,7 @@ from sparseqi.testfuncs import (
     witness_g1,
     witness_g2,
 )
-from .conftest import rng_points, tensor_value
+from .conftest import rng_points, tensor_value, traced_peak
 from .test_quasi_interp import ORDER6_MASK
 
 
@@ -418,6 +418,62 @@ class TestHalfSpectrumFold:
             for f in (bernoulli_partial(1.5, 4, d), builtin_function("sine", d)):
                 for n in (1, 2, 5, 8):
                     self.assert_matches_complex_path(f, [LatticeAxis(0, 1, n)] * d)
+
+
+def _fold_first_to_last(f, axes):
+    """The fold order every polynomial took before: each axis folded and
+    transformed first to last, a real one's last axis by half spectrum."""
+    field = f.C
+    for j, a in enumerate(axes):
+        field = testfuncs._fold_transform(field, j, f.freq_axes[j], a.x0, a.n, f.real and j == f.d - 1)
+    return field
+
+
+class TestFoldOrder:
+    """A real polynomial whose last axis holds more frequencies than its half
+    spectrum folds that axis first, as irfftn orders it; any other keeps the
+    first-to-last order, which is the reference."""
+
+    @staticmethod
+    def assert_matches_first_to_last(f, axes):
+        got, expect = f.eval_on_axes(axes), _fold_first_to_last(f, axes)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 2e-15 * np.max(np.abs(expect))
+        return got, expect
+
+    @pytest.mark.parametrize("d,K", [(1, 40), (2, 9), (2, 40), (3, 3)])
+    def test_box_longer_than_the_half_spectrum(self, d, K):
+        f = random_mixed_smooth(1.25, K, d, seed=40 + d)
+        L = 2 * K + 1
+        for n in (1, 2, 3, 8, L - 1, L, L + 2, 2 * L - 4, 2 * L - 3):  # n//2 + 1 < L, odd n too
+            self.assert_matches_first_to_last(f, [LatticeAxis(0, 1, n)] * d)
+            self.assert_matches_first_to_last(f, [LatticeAxis(1, 3, n)] * d)
+            self.assert_matches_first_to_last(f, [block_axis(4, 2)] * (d - 1) + [LatticeAxis(1, 3, n)])
+        for ell, a in itertools.product((2, 4, 6), range(4)):
+            axes = [block_axis(ell, (a + j) % 4) for j in range(d)]
+            if axes[-1].n // 2 + 1 < L:
+                self.assert_matches_first_to_last(f, axes)
+
+    @pytest.mark.parametrize("d,K", [(1, 4), (2, 4), (3, 3)])
+    def test_other_boxes_keep_the_first_to_last_order(self, d, K):
+        # bit for bit: a box within the half spectrum, and a complex box
+        L = 2 * K + 1
+        for f in (random_mixed_smooth(1.25, K, d, seed=50 + d), bernoulli_partial(1.5, K, d)):
+            g = TrigFunction.from_box(f.freq_axes, f.C)
+            for n in (5, 2 * L - 2, 2 * L - 1, 2 * L + 3):
+                for axes in ([LatticeAxis(0, 1, n)] * d, [LatticeAxis(1, 3, n)] * d):
+                    if n >= 2 * L - 2:
+                        assert np.array_equal(*self.assert_matches_first_to_last(f, axes))
+                    assert np.array_equal(*self.assert_matches_first_to_last(g, axes))
+
+    def test_headline_fixture_peak(self):
+        # rate-d2's fixture on its top lattice: every intermediate is
+        # half-spectrum long on the last axis, so the peak is about two
+        # (1024, 513) complex arrays, 16 MiB; the first-to-last order held
+        # the (1024, 1025) complex field while the last axis folded, 32 MiB
+        f = random_mixed_smooth(1.25, 512, 2, seed=3)
+        axes = [LatticeAxis(0, 1, 1024)] * 2
+        assert traced_peak(lambda: f.eval_on_axes(axes)) <= 17 << 20
 
 
 class TestTrigFunction:
