@@ -12,7 +12,6 @@ from .analysis import (
     RateFit,
     ResolutionTooLow,
     besov_block_norm,
-    difference,
     fit_rate,
     lp_block_norm,
     lq_norm,
@@ -43,7 +42,6 @@ from .quasi_interp import (
 from .smolyak import SampleGrid, count_points, enumerate_grid, recover
 from .testfuncs import (
     TrigFunction,
-    bernoulli_partial,
     builtin_function,
     random_mixed_smooth,
     witness_g1,

@@ -1,4 +1,4 @@
-"""Measurement instruments: torus norms, block norms, differences, rate fits.
+"""Measurement instruments: torus norms, block norms, rate fits.
 
 Integral norms on the torus use the uniform tensor lattice (the trapezoid
 rule collapses to the lattice mean for periodic integrands) for dimension up
@@ -10,11 +10,10 @@ A single spline needs no lattice: :func:`spline_norm` is its exact norm.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf, isinf, isqrt, pi
-from typing import Iterable, Mapping, Sequence
+from math import inf, isinf, isqrt, pi
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "sobolev_norm_fourier",
     "lp_block_norm",
     "besov_block_norm",
-    "difference",
     "fit_rate",
 ]
 
@@ -58,14 +56,16 @@ class DegenerateFit(ValueError):
 
 # Most entries of any array a command sizes from its input (quadrature,
 # rank-1 and evaluation lattices, sample grids, fixture boxes, witness
-# blocks), 2**27: a 512**3 lattice fits.  Its float64 values take 1 GiB.
+# blocks, the grid kernel's largest basis matrix), 2**27: a 512**3 lattice
+# fits.  Its float64 values take 1 GiB.
 # Peak traced bytes (tracemalloc) per lattice point: 11.8 for a d = 3
 # witness norm at 128**3 (the grid kernel's output, which takes its products
 # in slabs, its partial fields and the basis matrices in use), so some
 # 1.5 GiB at the limit; 20 for a d = 3 recovery error at 128**3, where the
 # fixture's real values hold 8 more while the combination is evaluated, and
-# the difference is taken in place.  A d > 3 rank-1 lattice counts its
-# resolution * d coordinates.
+# the difference is taken in place.  A d > 3 rank-1 lattice counts 8 entries
+# per point for its generator's search (64 traced bytes per point at
+# n = 199 999 and 1 999 993, d = 4), or its d coordinates when d > 8.
 MAX_LATTICE_POINTS = 1 << 27
 
 
@@ -163,19 +163,27 @@ def _cbc_generator(n: int, d: int) -> tuple[int, ...]:
     each component minimises the worst-case error in the Korobov space of smoothness
     one.  Indexing the units mod ``n`` by powers of a primitive root ``g`` makes the
     search over all candidates one cyclic cross-correlation, done by FFT."""
-    factors = [t for t in range(2, n) if (n - 1) % t == 0 and _is_prime(t)]
+    # the prime factors of n - 1, by trial division up to its square root
+    divisors = [t for t in range(1, isqrt(n - 1) + 1) if (n - 1) % t == 0]
+    factors = [p for t in divisors for p in (t, (n - 1) // t) if _is_prime(p)]
     g = next(g for g in range(1, n) if all(pow(g, (n - 1) // t, n) != 1 for t in factors))
-    # powers[a] = g**a mod n
-    powers = np.array(list(itertools.accumulate(range(n - 2), lambda x, _: x * g % n, initial=1)))
+    # powers[a] = g**a mod n, doubled by one int64 product per step; the
+    # products stay below n**2, which int64 holds for every n < 2**31
+    powers = np.ones(n - 1, dtype=np.int64)
+    a = 1
+    while a < n - 1:
+        powers[a : 2 * a] = powers[: min(a, n - 1 - a)] * pow(g, a, n) % n
+        a *= 2
     t = powers / n
     omega = 2 * pi**2 * (t * t - t + 1 / 6)  # kernel term at g**a / n
+    del powers, t
     prod = 1.0 + omega  # product over the chosen components at the point i = g**a
     z = [1]
     fft_omega = np.conj(np.fft.fft(omega))
     for _ in range(1, d):
         # entry b: sum_a prod[a] * omega[a - b], the criterion for z = g**(-b)
         b = int(np.argmin(np.fft.ifft(np.fft.fft(prod) * fft_omega).real))
-        z.append(int(powers[-b % (n - 1)]))
+        z.append(pow(g, -b % (n - 1), n))
         prod = prod * (1.0 + np.roll(omega, b))
     return tuple(z)
 
@@ -196,7 +204,8 @@ def checked_resolution(d: int, resolution: int | None, min_level: int | None) ->
     if d > 3 and resolution < 2:
         raise ResolutionTooLow(f"a rank-1 lattice needs resolution >= 2, got {resolution}")
     if d > 3:
-        check_size(resolution * d, f"a rank-1 lattice of {resolution}*{d} = {resolution * d} coordinates")
+        per = max(d, 8)  # the generator's search, or the lattice's coordinates
+        check_size(resolution * per, f"a rank-1 lattice of {resolution}*{per} = {resolution * per} entries")
     return resolution
 
 
@@ -219,8 +228,9 @@ def lq_norm(
         ResolutionTooLow: the guard is armed and the resolution is below it,
             or ``d > 3`` and the resolution is below 2.
         LatticeTooLarge: ``resolution**d`` (``d <= 3``), or the
-            ``resolution * d`` coordinates of the rank-1 lattice (``d > 3``),
-            exceed ``MAX_LATTICE_POINTS``; raised before anything is allocated.
+            ``resolution * max(d, 8)`` entries of the rank-1 lattice and its
+            generator (``d > 3``), exceed ``MAX_LATTICE_POINTS``; raised
+            before anything is allocated.
     """
     if not (q > 1):
         raise ValueError(f"need q > 1, got {q}")
@@ -228,7 +238,11 @@ def lq_norm(
     if d <= 3:
         return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
-    points = np.outer(np.arange(n), _cbc_generator(n, d)) % n / n
+    # (i * z_j mod n) / n in place, one float64 entry per coordinate: the
+    # products stay below n**2, which float64 holds exactly for n < 2**26
+    points = np.multiply.outer(np.arange(n, dtype=np.float64), _cbc_generator(n, d))
+    np.remainder(points, n, out=points)
+    points /= n
     return _power_mean_norm(as_batch_function(f, d)(points), q)
 
 
@@ -390,41 +404,6 @@ def besov_block_norm(
     if isinf(theta):
         return float(max(weighted))
     return float(np.sum(np.array(weighted) ** theta) ** (1.0 / theta))
-
-
-# ---------------------------------------------------------------------------
-# mixed differences
-# ---------------------------------------------------------------------------
-
-
-def difference(f, ell: int, u: Iterable[int], h: Sequence[float], x: Sequence[float]) -> float:
-    """Mixed order-``ell`` difference of ``f`` along the axes in ``u``.
-
-    ``u`` holds zero-based axis indices; the empty set returns ``f(x)``.
-    Arguments are passed to ``f`` unreduced, so non-periodic windows behave
-    as written.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-    d = x.size
-    axes = sorted(set(int(a) for a in u))
-    if any(a < 0 or a >= d for a in axes):
-        raise ValueError(f"axis subset {axes} out of range for dimension {d}")
-    batch = as_batch_function(f, d)
-    if not axes:
-        return float(batch(x.reshape(1, d))[0])
-    points = []
-    weights = []
-    for js in itertools.product(range(ell + 1), repeat=len(axes)):
-        w = 1.0
-        pt = x.copy()
-        for a, j in zip(axes, js):
-            w *= (-1.0) ** (ell - j) * comb(ell, j)
-            pt[a] += j * h[a]
-        points.append(pt)
-        weights.append(w)
-    vals = np.asarray(batch(np.array(points)), dtype=np.float64)
-    return float(np.dot(weights, vals))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,21 @@ def _check_grid_size(d: int, m: int, scheme: QIScheme) -> None:
     analysis.check_size(n, f"a sparse grid of {n} points (d={d}, m={m})")
 
 
+def _check_basis(n: int, level: int, ell: int) -> None:
+    """Refuse the grid kernel's largest basis matrix for a combination of
+    ``level`` on a lattice of ``n`` points per axis, ``n`` by ``ell * 2**level``."""
+    L = ell << level
+    analysis.check_size(n * L, f"a spline basis matrix of {n}*{L} = {n * L} entries")
+
+
+def _check_quadrature(d: int, resolution: int | None, level: int, ell: int) -> None:
+    """Refuse the quadrature lattice of :func:`analysis.lq_norm` at ``level``
+    and, for ``d <= 3``, where it is a tensor grid, its largest basis matrix."""
+    n = analysis.checked_resolution(d, resolution, level)
+    if d <= 3:
+        _check_basis(n, level, ell)
+
+
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", ".") or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -250,6 +265,7 @@ def cmd_recover(args) -> int:
     else:
         n = args.eval_grid
         analysis.check_size(n**d, f"an evaluation grid of {n}**{d} = {n**d} points")
+        _check_basis(n, m, scheme.ell)
         axes = [LatticeAxis(0, 1, n)] * d
         pts = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
     f = None
@@ -257,6 +273,7 @@ def cmd_recover(args) -> int:
         cache = _read_samples(args.samples, d, m, scheme.ell)
         hc = decompose(scheme, None, m, d, cache=cache)
     else:
+        _check_quadrature(d, None, m, scheme.ell)  # of the residual below
         f = testfuncs.builtin_function(args.function, d)
         hc = smolyak.recover(scheme, d, m, f=f)
     report = {
@@ -455,6 +472,7 @@ def cmd_benchmark(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     # above d = 3 no quadrature lattice bounds the top level's sample grid
     _check_grid_size(cfg.d, max(cfg.m_range), scheme)
+    _check_quadrature(cfg.d, cfg.resolution, max(cfg.m_range), scheme.ell)
     report = run_benchmark(cfg, scheme)
     out = _out_dir(args)
     header = ["m", "n_points", "error", "norm_kind"]
@@ -493,15 +511,16 @@ def cmd_witness(args) -> int:
     _check_pq(p, q, need_p=args.kind == "g2")
     _check_grid_size(d, max(m_range), scheme)
     # The top level's blocks, C(M+d-1, d-1) of ell**d * 2**M entries for g1
-    # and one for g2, and g1's quadrature lattice at level M are the largest:
-    # both are refused before any witness is built, and no file is written
-    # until every level is measured.  g2's norm is exact and needs no lattice.
+    # and one for g2, and g1's quadrature lattice at level M and its basis
+    # matrix are the largest: all are refused before any witness is built,
+    # and no file is written until every level is measured.  g2's norm is
+    # exact and needs no lattice.
     default = testfuncs.g1_level_offset if args.kind == "g1" else testfuncs.g2_level_offset
     M = max(m_range) + (default(scheme.ell, d) if args.level_offset is None else args.level_offset)
     entries = (math.comb(M + d - 1, d - 1) if args.kind == "g1" else 1) * scheme.ell**d << M
     analysis.check_size(entries, f"a witness of {entries} coefficients ({args.kind}, d={d}, level {M})")
     if args.kind == "g1":
-        analysis.checked_resolution(d, args.resolution, M)
+        _check_quadrature(d, args.resolution, M, scheme.ell)
     witnesses, rows = {}, []
     for m in m_range:
         if args.kind == "g1":

@@ -94,12 +94,6 @@ class LaurentPoly:
         """Highest exponent (meaningless for the zero polynomial)."""
         return self.lo + len(self.coeffs) - 1
 
-    def coefficient(self, exponent: int) -> Fraction:
-        i = exponent - self.lo
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         for i, c in enumerate(self.coeffs):
             if c:
@@ -157,12 +151,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by ``z**exponent``."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(self.lo + exponent, self.coeffs)
-
     def substitute_z_squared(self) -> "LaurentPoly":
         """Return ``q`` with ``q(z) = p(z**2)``: all exponents doubled."""
         if self.is_zero():
@@ -202,10 +190,6 @@ class LaurentPoly:
     def coeff_abs_sum(self) -> Fraction:
         """Sum of absolute values of the coefficients."""
         return sum((abs(c) for c in self.coeffs), Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        """True when the coefficient sequence reads the same in both directions."""
-        return self.coeffs == self.coeffs[::-1]
 
     def __call__(self, z: Fraction) -> Fraction:
         z = _as_fraction(z)

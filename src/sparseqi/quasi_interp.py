@@ -73,7 +73,7 @@ class NotAQuasiInterpolant(ValueError):
 
 
 class MissingSamples(ValueError):
-    """A required grid sample is absent from the supplied value map."""
+    """A required grid sample is absent from the given samples."""
 
     def __init__(self, point: tuple[Fraction, ...]):
         self.point = point
@@ -369,22 +369,6 @@ class SampleCache:
         self.evaluations = 0
 
     @classmethod
-    def from_values(cls, values: Mapping[tuple[Fraction, ...], float], ell: int, d: int) -> "SampleCache":
-        """A cache reading a map from exact points to samples; keys that are not
-        points of a dyadic lattice in ``[0, 1)**d`` are ignored."""
-        keys, vals, scale = [], [], 1
-        for key, val in values.items():
-            key = tuple(Fraction(c) for c in key)
-            # c lies on the level-a lattice iff (c * ell).denominator divides 2**a
-            qs = [(c * ell).denominator for c in key]
-            if len(key) == d and all(0 <= c < 1 and q & (q - 1) == 0 for c, q in zip(key, qs)):
-                keys.append(key)
-                vals.append(float(val))
-                scale = max(scale, *qs)
-        index = [[int(c * ell * scale) for c in key] for key in keys]
-        return cls.from_lattice(index, scale.bit_length() - 1, vals, ell, d)
-
-    @classmethod
     def from_lattice(cls, index, level: int, values, ell: int, d: int) -> "SampleCache":
         """A cache reading samples at the points ``index / (ell * 2**level)``, for
         ``(n, d)`` integer positions in ``[0, ell * 2**level)``; a repeated
@@ -444,15 +428,6 @@ class SampleCache:
 
     def __len__(self) -> int:
         return sum(block.size for block in self._blocks.values())
-
-    def sample_map(self) -> dict[tuple[Fraction, ...], float]:
-        """The stored samples keyed by exact coordinates, for export and re-recovery."""
-        out: dict[tuple[Fraction, ...], float] = {}
-        for a, block in self._blocks.items():
-            axes = [block_axis(self.ell, aj) for aj in a]
-            points = itertools.product(*([ax.fraction(i) for i in range(ax.n)] for ax in axes))
-            out.update(zip(points, block.ravel().tolist()))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +490,6 @@ class HierCoeffs:
             self._blocks[k] = C
 
     # -- access -------------------------------------------------------------
-
-    def block(self, k: Sequence[int]) -> np.ndarray | None:
-        return self._blocks.get(tuple(k))
 
     def block_items(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         return sorted(self._blocks.items(), key=lambda kv: (sum(kv[0]), kv[0]))

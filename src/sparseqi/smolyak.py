@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .quasi_interp import (
     HierCoeffs,
     MissingSamples,
     QIScheme,
-    SampleCache,
     block_axis,
     decompose,
     multi_indices,
@@ -112,25 +111,8 @@ def count_points(d: int, m: int, scheme: QIScheme) -> int:
     return int(sum(acc))
 
 
-def recover(
-    scheme: QIScheme,
-    d: int,
-    m: int,
-    values: Mapping[PointKey, float] | None = None,
-    f: Callable | None = None,
-) -> HierCoeffs:
-    """Build the recovery operator's hierarchical coefficients at level ``m``.
-
-    Exactly one of ``values`` (a map from exact grid points to samples; no
-    function evaluations happen) and ``f`` (a torus function) must be given.
-
-    Raises:
-        MissingSamples: the value map lacks a required grid point.
-    """
-    if (values is None) == (f is None):
-        raise ValueError("supply exactly one of `values` and `f`")
-    if values is not None:
-        cache = SampleCache.from_values(values, scheme.ell, d)
-    else:
-        cache = SampleCache(f, scheme.ell, d)
-    return decompose(scheme, f, m, d, cache=cache)
+def recover(scheme: QIScheme, d: int, m: int, f: Callable) -> HierCoeffs:
+    """Build the recovery operator's hierarchical coefficients at level ``m``
+    from samples of the torus function ``f``.  Given samples are recovered
+    through :meth:`SampleCache.from_lattice` and :func:`decompose`."""
+    return decompose(scheme, f, m, d)

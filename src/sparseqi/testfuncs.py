@@ -32,7 +32,6 @@ from .smolyak import grid_level_gap
 
 __all__ = [
     "TrigFunction",
-    "bernoulli_partial",
     "random_mixed_smooth",
     "witness_g1",
     "witness_g2",
@@ -81,14 +80,6 @@ class TrigFunction:
         self.real = bool(real)
         if self.real:
             _check_conjugate_symmetry(self.freq_axes, self.C)
-
-    @property
-    def modes(self) -> dict[tuple[int, ...], complex]:
-        """The nonzero coefficients as a fresh ``frequency vector -> coefficient`` dict."""
-        return {
-            tuple(int(a[i]) for a, i in zip(self.freq_axes, idx)): complex(self.C[idx])
-            for idx in zip(*np.nonzero(self.C))
-        }
 
     # -- evaluation -----------------------------------------------------------
 
@@ -302,21 +293,6 @@ def _outer_power(uni: np.ndarray, d: int) -> np.ndarray:
     box = np.empty(box_re.shape, dtype=np.complex128)
     box.real, box.imag = box_re, box_im
     return box
-
-
-def bernoulli_partial(r: float, K: int, d: int) -> TrigFunction:
-    """Tensor product of truncated power-decay kernels.
-
-    Univariate factor: ``1 + 2 * sum_{k<=K} k**(-r) cos(2*pi*k*x - r*pi/2)``,
-    tensorized over ``d`` axes.  The frequency convention is ``2*pi*k`` on
-    the unit torus.
-    """
-    if K < 1:
-        raise ValueError("need K >= 1")
-    phase = np.exp(-0.5j * np.pi * r)
-    pos = np.array([k ** (-r) * phase for k in range(1, K + 1)])
-    uni = np.concatenate([pos[::-1].conj(), [1.0 + 0j], pos])
-    return TrigFunction.from_box([np.arange(-K, K + 1)] * d, _outer_power(uni, d), real=True)
 
 
 def _symmetric_signs(K: int, d: int, rng: np.random.Generator) -> np.ndarray:

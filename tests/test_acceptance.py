@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from sparseqi.analysis import (
-    difference,
     fit_rate,
     lp_block_norm,
     lq_norm,
@@ -109,8 +108,8 @@ def test_criterion_1_exact_symbols():
     # the reduced odd symbol carries the classical coefficient row (1,4,1)/12,
     # recentered by one power so it is symmetric about z^0
     odd_row = LaurentPoly(0, ["1/12", "4/12", "1/12"])
-    assert cubic.p_odd_star == odd_row.shift(-1)
-    assert cubic.p_odd_star.is_symmetric()
+    assert cubic.p_odd_star == LaurentPoly(odd_row.lo - 1, odd_row.coeffs)
+    assert cubic.p_odd_star.coeffs == cubic.p_odd_star.coeffs[::-1]
     assert cubic.p_even_star.coeff_abs_sum() == F(3, 8)
     assert cubic.p_odd_star.coeff_abs_sum() == F(1, 2)
 
@@ -193,11 +192,12 @@ def test_criterion_3_structural_invariants():
                             for j in range(-mu, mu + 1)
                         )
                 assert abs(total - x**degree) < 1e-10 * max(1.0, (ell + mu) ** degree)
-        # order-ell differences annihilate polynomials of degree < ell
+        # the order-ell difference that detail_coeff applies, stencil_delta,
+        # annihilates polynomials of degree < ell: sum_e w_e * (x + e*h)**degree
+        lo, weights = scheme.stencil_delta
+        points = 0.3 + 0.05 * (lo + np.arange(len(weights)))
         for degree in range(ell):
-            f = lambda t, degree=degree: np.asarray(t) ** degree
-            val = difference(f, ell, (0,), (0.05,), (0.3,))
-            assert abs(val) < 1e-12
+            assert abs(np.dot(weights, points**degree)) < 1e-12
     _report(3, "partition of unity, refinement, reproduction, annihilation all hold")
 
 

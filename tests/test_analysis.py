@@ -12,7 +12,6 @@ from sparseqi.analysis import (
     LatticeTooLarge,
     ResolutionTooLow,
     besov_block_norm,
-    difference,
     fit_rate,
     lp_block_norm,
     lq_norm,
@@ -31,6 +30,7 @@ from sparseqi.quasi_interp import (
     grid_values,
 )
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth, witness_g1, witness_g2
+from .conftest import traced_peak
 
 
 class TestLqNorm:
@@ -84,14 +84,16 @@ class TestLqNorm:
             lq_norm(f, 2.0, d, fits + 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("d", [4, 5, 9])
     def test_rank1_lattice_size_cap_raises_before_evaluating(self, monkeypatch, d):
-        # the cap counts the lattice's resolution * d coordinates
-        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 20 * d)
+        # the cap counts 8 entries per point for the generator's search, or
+        # the lattice's d coordinates per point when more
+        per = max(d, 8)
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 20 * per)
         calls = []
         f = lambda x: calls.append(1) or np.ones(len(x))
         assert lq_norm(f, 2.0, d, 20) == 1.0
-        with pytest.raises(LatticeTooLarge, match=f"21\\*{d} = {21 * d} coordinates"):
+        with pytest.raises(LatticeTooLarge, match=f"21\\*{per} = {21 * per} entries"):
             lq_norm(f, 2.0, d, 21)
         assert len(calls) == 1
 
@@ -145,6 +147,24 @@ class TestLqNorm:
         assert val == pytest.approx(2.0 ** (-2.0), rel=0.02)
 
 
+def _list_cbc_generator(n, d):
+    """The generator as it was first built: the prime factors of n - 1 found
+    among all candidates below n, and the powers of g as a Python list."""
+    factors = [t for t in range(2, n) if (n - 1) % t == 0 and analysis._is_prime(t)]
+    g = next(g for g in range(1, n) if all(pow(g, (n - 1) // t, n) != 1 for t in factors))
+    powers = np.array(list(itertools.accumulate(range(n - 2), lambda x, _: x * g % n, initial=1)))
+    t = powers / n
+    omega = 2 * np.pi**2 * (t * t - t + 1 / 6)
+    prod = 1.0 + omega
+    z = [1]
+    fft_omega = np.conj(np.fft.fft(omega))
+    for _ in range(1, d):
+        b = int(np.argmin(np.fft.ifft(np.fft.fft(prod) * fft_omega).real))
+        z.append(int(powers[-b % (n - 1)]))
+        prod = prod * (1.0 + np.roll(omega, b))
+    return tuple(z)
+
+
 class TestRankOneLattice:
     @pytest.mark.parametrize(
         "resolution, n", [(1 << 14, 16381), (200_000, 199_999), (98, 97), (97, 97)]
@@ -157,6 +177,19 @@ class TestRankOneLattice:
         z = np.array(_cbc_generator(n, 4))
         assert P.shape == (n, 4)
         np.testing.assert_array_equal(P, np.outer(np.arange(n), z) % n / n)
+
+    @pytest.mark.parametrize("n, d", [(199_999, 4), (1009, 6), (7919, 5)])
+    def test_generator_matches_the_list_built_one(self, n, d):
+        assert _cbc_generator(n, d) == _list_cbc_generator(n, d)
+
+    def test_peaks_are_the_counted_entries(self):
+        # the d > 3 size check counts 8 float64 entries per point for the
+        # generator's search, or d for the lattice's coordinates when more
+        n = 199_999
+        assert traced_peak(lambda: _cbc_generator.__wrapped__(n, 4)) <= 8 * 8 * n + (1 << 16)
+        _cbc_generator(n, 16)
+        # the coordinates, and then the callable's n values
+        assert traced_peak(lambda: lq_norm(lambda P: np.ones(len(P)), 2.0, 16, n)) <= (16 + 1) * 8 * n + (1 << 18)
 
     @pytest.mark.parametrize("n", [2, 3, 101, 16381])
     def test_generator_range(self, n):
@@ -302,33 +335,24 @@ class TestBlockNorms:
 
 
 class TestDifference:
-    def test_empty_axes_identity(self):
-        f = lambda P: P[:, 0] * 2 + P[:, 1]
-        assert difference(f, 2, (), (0.1, 0.1), (0.3, 0.4)) == pytest.approx(1.0)
+    """The order-``ell`` difference that ``detail_coeff`` applies: the symbol
+    ``(z - 1)**ell``, frozen as ``stencil_delta``."""
 
-    def test_hand_expansion(self):
-        f = lambda x: np.asarray(x) ** 2
+    def test_hand_expansion(self, faber):
         # f(0) - 2 f(0.1) + f(0.2) = 0 - 0.02 + 0.04
-        val = difference(f, 2, (0,), (0.1,), (0.0,))
-        assert val == pytest.approx(0.02, abs=1e-15)
+        lo, weights = faber.stencil_delta
+        assert lo == 0 and weights.tolist() == [1.0, -2.0, 1.0]
+        assert np.dot(weights, (0.1 * np.arange(3)) ** 2) == pytest.approx(0.02, abs=1e-15)
 
     @pytest.mark.parametrize("ell", [2, 4])
     def test_annihilates_low_degree(self, ell):
+        # the tensor difference on two axes, at steps (0.05, 0.07) from (0.2, 0.1)
+        lo, weights = builtin_scheme({2: "faber", 4: "cubic"}[ell]).stencil_delta
+        e = lo + np.arange(len(weights))
+        x, y = np.meshgrid(0.2 + 0.05 * e, 0.1 + 0.07 * e, indexing="ij")
         for deg in range(ell):
-            f = lambda P, deg=deg: P[:, 0] ** deg + (P[:, 1] + 0.5) ** deg
-            val = difference(f, ell, (0, 1), (0.05, 0.07), (0.2, 0.1))
+            val = weights @ (x**deg + (y + 0.5) ** deg) @ weights
             assert abs(val) < 1e-12
-
-    def test_product_rule_across_axes(self):
-        f = lambda P: np.exp(P[:, 0]) * np.sin(P[:, 1] + 0.3)
-        x, h = (0.2, 0.4), (0.03, 0.05)
-        both = difference(f, 2, (0, 1), h, x)
-
-        def inner(P):
-            return np.array([difference(f, 2, (1,), h, (xi, yi)) for xi, yi in P])
-
-        nested = difference(inner, 2, (0,), h, x)
-        assert both == pytest.approx(nested, abs=1e-13)
 
 
 class TestBatchCallables:
@@ -336,8 +360,10 @@ class TestBatchCallables:
 
     def test_difference_with_as_many_points_as_dimensions(self):
         f = lambda P: P[:, 0] ** 2 + P[:, 1] * P[:, 2]
-        # three points at d = 3: f(x) - 2 f(x + h e_0) + f(x + 2h e_0) = 2 h**2
-        assert difference(f, 2, (0,), (0.1, 0.0, 0.0), (0.3, 0.2, 0.5)) == pytest.approx(0.02, abs=1e-14)
+        g = lambda P: P[:, 0]
+        # three points at d = 3, one row each
+        P = np.array([[0.3, 0.2, 0.5], [0.4, 0.2, 0.5], [0.5, 0.1, 0.5]])
+        assert np.array_equal(FieldDifference(f, g, d=3).eval_points(P), f(P) - g(P))
 
     def test_rank1_norm_with_as_many_points_as_dimensions(self):
         calls = []

@@ -97,12 +97,23 @@ class TestUsage:
 
     def test_oversized_evaluation_grid_exits_1(self, tmp_path, capsys, monkeypatch, caches):
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
-        argv = ("recover", "--function", "sine", "--d", 1, "--m", 2, "--out", tmp_path)
-        assert run(*argv, "--eval-grid", 1001) == 1
+        argv = ("recover", "--function", "sine", "--d", 2, "--m", 1, "--out", tmp_path)
+        assert run(*argv, "--eval-grid", 32) == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and "1001**1 = 1001 points" in err
+        assert "usage error" in err and "32**2 = 1024 points" in err
         assert list(tmp_path.iterdir()) == [] and caches == []
-        assert run(*argv, "--eval-grid", 1000) == 0
+        assert run(*argv, "--eval-grid", 31) == 0
+
+    def test_oversized_basis_matrix_exits_1(self, tmp_path, capsys, monkeypatch, caches):
+        # at d = 1 the grid kernel's basis matrix, n points by ell * 2**m shifts,
+        # is larger than the evaluation grid
+        monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
+        argv = ("recover", "--function", "sine", "--d", 1, "--m", 2, "--out", tmp_path)
+        assert run(*argv, "--eval-grid", 63) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "63*16 = 1008 entries" in err
+        assert list(tmp_path.iterdir()) == [] and caches == []
+        assert run(*argv, "--eval-grid", 62) == 0
 
     def test_oversized_fixture_box_exits_1(self, tmp_path, capsys, monkeypatch, caches):
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
@@ -230,13 +241,39 @@ def test_witness_refused_before_allocation_under_a_memory_limit(kind, tmp_path):
 
 
 def test_rank1_lattice_refused_before_allocation_under_a_memory_limit(tmp_path):
-    # 60000000 points of d = 4 coordinates each exceed the real cap; unchecked,
+    # 60000000 points of 8 generator entries each exceed the real cap; unchecked,
     # the lattice's generator search ends in a MemoryError under the limit
     child = run_cli_in_child(["benchmark", "--builtin", "faber", "--d", 4, "--m-range", "1..4",
                               "--K", 1, "--resolution", 60_000_000, "--out", "out"], tmp_path)
     assert child.returncode == 1, child.stderr
-    assert "usage error: a rank-1 lattice of 60000000*4 = 240000000 coordinates" in child.stderr
+    assert "usage error: a rank-1 lattice of 60000000*8 = 480000000 entries" in child.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, what", [
+    # a basis matrix of 2**15 quadrature points by 2**14 shifts, 4 GiB
+    ("benchmark --d 1 --m-range 3..12 --K 64", "a spline basis matrix of 32768*16384"),
+    ("recover --d 1 --m 12 --function sine", "a spline basis matrix of 32768*16384"),
+    ("witness --kind g1 --d 1 --m-range 9..10 --r 1.25", "a spline basis matrix of 32768*16384"),
+    # 70000 evaluation points by 2**13 shifts, refused before coeffs.json is written
+    ("recover --d 1 --m 11 --function sine --eval-grid 70000", "a spline basis matrix of 70000*8192"),
+    # the generator's search for 33000000 points passes a count of their coordinates
+    ("benchmark --builtin faber --d 4 --m-range 1..4 --K 1 --resolution 33000000",
+     "a rank-1 lattice of 33000000*8"),
+], ids=["benchmark-m12", "recover-m12", "witness-g1-m10", "recover-eval-grid", "rank1-generator"])
+def test_refused_before_allocation_under_a_memory_limit(argv, what, tmp_path):
+    child = run_cli_in_child(argv.split() + ["--out", "out"], tmp_path)
+    assert child.returncode == 1, child.stderr
+    assert f"usage error: {what}" in child.stderr and "Traceback" not in child.stderr, child.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", ["benchmark --d 1 --m-range 3..11 --K 64",
+                                  "recover --d 1 --m 11 --function sine"], ids=["benchmark-m11", "recover-m11"])
+def test_largest_admitted_basis_matrix_runs_under_the_memory_limit(argv, tmp_path):
+    # the top basis matrix, 2**14 quadrature points by 2**13 shifts, is 2**27 entries
+    child = run_cli_in_child(argv.split() + ["--out", "out"], tmp_path)
+    assert child.returncode == 0, child.stderr
 
 
 def test_small_witness_runs_under_the_memory_limit(tmp_path):
@@ -339,8 +376,9 @@ class TestRecover:
         assert run("recover", "--builtin", "faber", "--d", 2, "--m", 3,
                    "--samples", samples, "--out", out) == 0
         back = HierCoeffs.from_json(json.loads((out / "coeffs.json").read_text()))
+        stored = dict(back.block_items())
         for k, C in hc.block_items():
-            other = back.block(k)
+            other = stored.get(k)
             if other is None:
                 assert np.max(np.abs(C)) < 1e-11
             else:
@@ -778,8 +816,8 @@ class TestWitness:
             direct = witness_g2(cubic, 2, m, 1.25, 2.0)
             assert text == json.dumps(direct.to_json(), indent=2) + "\n"
             assert [k for k, _ in back.block_items()] == [k for k, _ in direct.block_items()]
-            for k, C in direct.block_items():
-                assert np.array_equal(back.block(k).view(np.int64), C.view(np.int64))
+            for (_, B), (_, C) in zip(back.block_items(), direct.block_items()):
+                assert np.array_equal(B.view(np.int64), C.view(np.int64))
 
     def test_g1_d1_beta_degenerates(self, tmp_path):
         # no log factor in one dimension: free-beta fit stays near zero

@@ -81,8 +81,8 @@ class TestDerivedOrderSix:
 
     def test_scheme_accepted_and_symmetric(self, sextic):
         assert sextic.ell == 6
-        assert sextic.p_even_star.is_symmetric()
-        assert sextic.p_odd_star.is_symmetric()
+        for p in (sextic.p_even_star, sextic.p_odd_star):
+            assert p.coeffs == p.coeffs[::-1]
         from sparseqi.laurent import LaurentPoly
 
         d6 = LaurentPoly(0, [-1, 1]) ** 6

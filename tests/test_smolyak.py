@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from sparseqi.bspline import shifts_per_level
-from sparseqi.quasi_interp import MissingSamples, _compositions, build_scheme, multi_indices
+from sparseqi.quasi_interp import (
+    MissingSamples,
+    SampleCache,
+    _compositions,
+    build_scheme,
+    decompose,
+    multi_indices,
+)
 from sparseqi.smolyak import (
     count_points,
     enumerate_grid,
@@ -142,48 +149,49 @@ class TestGrid:
                     assert (c * shifts_per_level(faber.ell, a - 1)).denominator != 1
 
 
+def _recover_given(scheme, grid, values):
+    """The recovery at the grid's level from ``values`` at its positions."""
+    cache = SampleCache.from_lattice(grid.index, grid.m, values, scheme.ell, grid.d)
+    return decompose(scheme, None, grid.m, grid.d, cache=cache), cache
+
+
 class TestRecover:
     def test_zero_samples_zero_output(self, faber):
         grid = enumerate_grid(2, 2, faber)
-        values = {pt: 0.0 for pt in grid.points}
-        hc = recover(faber, 2, 2, values=values)
+        hc, _ = _recover_given(faber, grid, np.zeros(grid.n))
         assert hc.num_entries() == 0
 
     def test_value_map_equals_callable_path(self, cubic):
-        from sparseqi.quasi_interp import SampleCache, decompose
-
         f = random_mixed_smooth(1.25, 4, 2, seed=3)
         cache = SampleCache(f, cubic.ell, 2)
-        via_callable = decompose(cubic, f, 2, 2, cache=cache)
+        via_callable = dict(decompose(cubic, f, 2, 2, cache=cache).block_items())
         # bit-identical when recovering from the exact samples the callable
-        # path froze
-        via_values = recover(cubic, 2, 2, values=cache.sample_map())
-        for k, C in via_callable.block_items():
-            assert np.array_equal(C, via_values.block(k))
-        # an independently evaluated value map agrees to rounding
-        values = {
-            pt: float(f.eval_points(np.array([[float(c) for c in pt]]))[0])
-            for pt in enumerate_grid(2, 2, cubic).points
-        }
-        via_fresh = recover(cubic, 2, 2, values=values)
-        for k, C in via_callable.block_items():
-            assert np.max(np.abs(C - via_fresh.block(k))) < 1e-12
+        # path froze, read off its cache at the grid's positions
+        grid = enumerate_grid(2, 2, cubic)
+        frozen = cache.lattice_values((2, 2))[tuple(grid.index.T)]
+        via_values, _ = _recover_given(cubic, grid, frozen)
+        assert [k for k, _ in via_values.block_items()] == list(via_callable)
+        for k, C in via_values.block_items():
+            assert np.array_equal(C, via_callable[k])
+        # independently evaluated samples agree to rounding
+        via_fresh, _ = _recover_given(cubic, grid, f.eval_points(grid.as_array()))
+        for k, C in via_fresh.block_items():
+            assert np.max(np.abs(C - via_callable[k])) < 1e-12
 
     def test_missing_sample_reported(self, faber):
         grid = enumerate_grid(1, 2, faber)
-        values = {pt: 1.0 for pt in grid.points}
-        dropped = grid.points[3]
-        del values[dropped]
+        keep = np.delete(np.arange(grid.n), 3)
+        cache = SampleCache.from_lattice(grid.index[keep], 2, np.ones(len(keep)), faber.ell, 1)
         with pytest.raises(MissingSamples) as exc:
-            recover(faber, 1, 2, values=values)
-        assert exc.value.point == dropped
+            decompose(faber, None, 2, 1, cache=cache)
+        assert exc.value.point == grid.points[3]
 
     def test_no_evaluations_on_value_path(self, faber):
         grid = enumerate_grid(1, 3, faber)
-        values = {pt: 0.5 for pt in grid.points}
-        hc = recover(faber, 1, 3, values=values)
+        hc, cache = _recover_given(faber, grid, np.full(grid.n, 0.5))
         pts = rng_points(50, 1)
         assert np.max(np.abs(hc.eval_points(pts) - 0.5)) < 1e-12
+        assert cache.evaluations == 0
 
     def test_linearity(self, cubic):
         fa = random_mixed_smooth(1.25, 4, 2, seed=1)
@@ -193,18 +201,12 @@ class TestRecover:
         def combo(P):
             return alpha * fa.eval_points(P) + beta * fb.eval_points(P)
 
-        hc_a = recover(cubic, 2, 2, f=fa)
-        hc_b = recover(cubic, 2, 2, f=fb)
+        hc_a = dict(recover(cubic, 2, 2, f=fa).block_items())
+        hc_b = dict(recover(cubic, 2, 2, f=fb).block_items())
         hc_c = recover(cubic, 2, 2, f=combo)
         for k, C in hc_c.block_items():
-            expect = alpha * hc_a.block(k) + beta * hc_b.block(k)
+            expect = alpha * hc_a[k] + beta * hc_b[k]
             assert np.max(np.abs(C - expect)) < 1e-12
-
-    def test_requires_exactly_one_source(self, faber):
-        with pytest.raises(ValueError):
-            recover(faber, 1, 1)
-        with pytest.raises(ValueError):
-            recover(faber, 1, 1, values={}, f=lambda x: x)
 
     def test_witness_vanishes_on_grid(self, faber):
         for m in (2, 3):

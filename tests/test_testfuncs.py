@@ -9,7 +9,6 @@ from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin
 from sparseqi.smolyak import enumerate_grid
 from sparseqi.testfuncs import (
     TrigFunction,
-    bernoulli_partial,
     builtin_function,
     g1_level_offset,
     g2_level_offset,
@@ -58,6 +57,12 @@ def _dict_bernoulli_partial(r, K, d):
             c *= uni[v]
         modes[s] = c
     return modes
+
+
+def _bernoulli(r, K, d):
+    """Tensor product of truncated power-decay kernels, a fixture of known norm:
+    ``1 + 2 * sum_{k<=K} k**(-r) cos(2*pi*k*x - r*pi/2)`` on each axis."""
+    return TrigFunction(d, _dict_bernoulli_partial(r, K, d), real=True)
 
 
 def _dict_sine(d):
@@ -157,7 +162,6 @@ class TestBoxAgainstDictPath:
         g = TrigFunction(d, modes, real=True)
         _assert_same_box(g, axes, C)
         _assert_same_values(f, g, seed=d)
-        assert f.modes == modes
         pts = rng_points(300, d, seed=10 + d)
         assert np.array_equal(f.eval_points(pts), _unchunked_eval_points(axes, C, pts).real)
 
@@ -171,12 +175,11 @@ class TestBoxAgainstDictPath:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bernoulli_and_sine(self, d):
-        for modes, f in (
-            (_dict_bernoulli_partial(1.5, 4, d), bernoulli_partial(1.5, 4, d)),
-            (_dict_sine(d), builtin_function("sine", d)),
-        ):
-            _assert_same_box(f, *_dict_box(modes, d))
-            _assert_same_values(f, TrigFunction(d, modes, real=True), seed=d)
+        modes = _dict_bernoulli_partial(1.5, 4, d)
+        _assert_same_box(_bernoulli(1.5, 4, d), *_dict_box(modes, d))
+        modes, f = _dict_sine(d), builtin_function("sine", d)
+        _assert_same_box(f, *_dict_box(modes, d))
+        _assert_same_values(f, TrigFunction(d, modes, real=True), seed=d)
 
     @pytest.mark.parametrize("d,K", [(1, 40), (2, 6), (3, 2)])
     def test_chunked_scattered_eval_is_bit_identical(self, monkeypatch, d, K):
@@ -372,7 +375,7 @@ class TestLatticeEvaluation:
 
     def test_wrong_axis_count_rejected(self):
         with pytest.raises(ValueError):
-            bernoulli_partial(1.5, 3, 2).eval_on_axes([LatticeAxis(0, 1, 4)])
+            _bernoulli(1.5, 3, 2).eval_on_axes([LatticeAxis(0, 1, 4)])
 
 
 class TestHalfSpectrumFold:
@@ -415,7 +418,7 @@ class TestHalfSpectrumFold:
 
     def test_bernoulli_and_sine(self):
         for d in (1, 2, 3):
-            for f in (bernoulli_partial(1.5, 4, d), builtin_function("sine", d)):
+            for f in (_bernoulli(1.5, 4, d), builtin_function("sine", d)):
                 for n in (1, 2, 5, 8):
                     self.assert_matches_complex_path(f, [LatticeAxis(0, 1, n)] * d)
 
@@ -458,7 +461,7 @@ class TestFoldOrder:
     def test_other_boxes_keep_the_first_to_last_order(self, d, K):
         # bit for bit: a box within the half spectrum, and a complex box
         L = 2 * K + 1
-        for f in (random_mixed_smooth(1.25, K, d, seed=50 + d), bernoulli_partial(1.5, K, d)):
+        for f in (random_mixed_smooth(1.25, K, d, seed=50 + d), _bernoulli(1.5, K, d)):
             g = TrigFunction.from_box(f.freq_axes, f.C)
             for n in (5, 2 * L - 2, 2 * L - 1, 2 * L + 3):
                 for axes in ([LatticeAxis(0, 1, n)] * d, [LatticeAxis(1, 3, n)] * d):
@@ -497,32 +500,30 @@ class TestTrigFunction:
         modes[(1, -2)] = modes[(-1, 2)] = 0.0
         f = TrigFunction(2, modes, real=True)
         assert f.C.shape == (5, 5) and f.C[3, 0] == 0
-        assert (1, -2) not in f.modes
-        g = bernoulli_partial(1.5, 2, 2)
+        g = _bernoulli(1.5, 2, 2)
         pts = rng_points(50, 2, seed=8)
-        dropped = g.modes[(1, -2)] * np.exp(2j * np.pi * (pts[:, 0] - 2 * pts[:, 1]))
+        dropped = _dict_bernoulli_partial(1.5, 2, 2)[(1, -2)] * np.exp(2j * np.pi * (pts[:, 0] - 2 * pts[:, 1]))
         expect = g.eval_points(pts) - 2.0 * dropped.real
         assert np.max(np.abs(f.eval_points(pts) - expect)) < 1e-13
 
     def test_empty_mode_set_is_zero(self):
         f = TrigFunction(2, {}, real=True)
-        assert f.modes == {}
+        assert not f.C.any()
         assert np.array_equal(f.eval_points(rng_points(5, 2, seed=9)), np.zeros(5))
         assert np.array_equal(f.eval_on_axes([LatticeAxis(0, 1, 3)] * 2), np.zeros((3, 3)))
 
     def test_box_is_read_only(self):
-        f = bernoulli_partial(1.0, 2, 1)
+        f = _bernoulli(1.0, 2, 1)
         with pytest.raises(ValueError):
             f.C[0] = 1.0
-        with pytest.raises(AttributeError):
-            f.modes = {}
 
     def test_sobolev_norm_of_dict_matches_box(self):
         f = random_mixed_smooth(1.25, 5, 2, seed=4)
-        assert sobolev_norm_fourier(f.modes, 1.25) == sobolev_norm_fourier(f, 1.25)
+        modes = _dict_random_mixed_smooth(1.25, 5, 2, seed=4)
+        assert sobolev_norm_fourier(modes, 1.25) == sobolev_norm_fourier(f, 1.25)
 
     def test_grid_matches_scattered(self):
-        f = bernoulli_partial(2.0, 4, 2)
+        f = _bernoulli(2.0, 4, 2)
         axes = [LatticeAxis(0, 1, 9), LatticeAxis(0, 1, 7)]
         grid = f.eval_on_axes(axes)
         mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, 2)
@@ -540,14 +541,14 @@ class TestTrigFunction:
 class TestBernoulli:
     def test_first_mode_value(self):
         # univariate truncation at K=1, smoothness 2: 1 + 2cos(2 pi x - pi)
-        f = bernoulli_partial(2.0, 1, 1)
+        f = _bernoulli(2.0, 1, 1)
         for x in (0.0, 0.2, 0.65):
             expect = 1.0 + 2.0 * np.cos(2 * np.pi * x - np.pi)
             assert f((x,)) == pytest.approx(expect, abs=1e-13)
 
     def test_tensorization_at_origin(self):
-        uni = bernoulli_partial(1.5, 4, 1)
-        biv = bernoulli_partial(1.5, 4, 2)
+        uni = _bernoulli(1.5, 4, 1)
+        biv = _bernoulli(1.5, 4, 2)
         assert biv((0.0, 0.0)) == pytest.approx(uni((0.0,)) ** 2, abs=1e-12)
 
     def test_sobolev_growth_threshold(self):
@@ -557,7 +558,7 @@ class TestBernoulli:
         r_kernel = 2.0
         for r, diverges in ((r_kernel - 0.3, True), (r_kernel - 0.7, False)):
             norms = [
-                sobolev_norm_fourier(bernoulli_partial(r_kernel, K, 1), r) ** 2
+                sobolev_norm_fourier(_bernoulli(r_kernel, K, 1), r) ** 2
                 for K in (16, 64, 256, 1024)
             ]
             increments = np.diff(norms)
@@ -571,12 +572,12 @@ class TestRandomMixedSmooth:
     def test_reproducible(self):
         f = random_mixed_smooth(1.25, 6, 2, seed=42)
         g = random_mixed_smooth(1.25, 6, 2, seed=42)
-        assert f.modes == g.modes
+        assert np.array_equal(f.C, g.C)
 
     def test_seed_changes_function(self):
         f = random_mixed_smooth(1.25, 6, 2, seed=1)
         g = random_mixed_smooth(1.25, 6, 2, seed=2)
-        assert f.modes != g.modes
+        assert not np.array_equal(f.C, g.C)
 
     def test_unit_norm(self):
         for d in (1, 2):
