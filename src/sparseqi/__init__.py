@@ -11,7 +11,6 @@ from .analysis import (
     LatticeTooLarge,
     RateFit,
     ResolutionTooLow,
-    besov_block_norm,
     fit_rate,
     lp_block_norm,
     lq_norm,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bspline import cardinal_norm, piece_table
 from . import kernels
-from .quasi_interp import HierCoeffs, LatticeAxis, QIScheme, SampleCache, as_batch_function, decompose, grid_values
+from .quasi_interp import HierCoeffs, LatticeAxis, as_batch_function, grid_values
 from .testfuncs import TrigFunction
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "spline_norm",
     "sobolev_norm_fourier",
     "lp_block_norm",
-    "besov_block_norm",
     "fit_rate",
 ]
 
@@ -322,19 +321,13 @@ def spline_norm(hc: HierCoeffs, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sobolev_norm_fourier(coeffs, r: float) -> float:
-    """Mixed Sobolev norm from finitely many Fourier coefficients (p = 2).
-
-    ``coeffs`` is a trigonometric polynomial, or a mapping from frequency
-    vectors to complex coefficients, which is read as one.
-    """
-    if not isinstance(coeffs, TrigFunction):
-        d = len(next(iter(coeffs), ()))
-        coeffs = TrigFunction(d, coeffs)
+def sobolev_norm_fourier(f: TrigFunction, r: float) -> float:
+    """Mixed Sobolev norm of a trigonometric polynomial (p = 2), exact from
+    its coefficients: ``sqrt(sum_s |C_s|**2 * prod_j (1 + s_j**2)**r)``."""
     weight = np.ones(())
-    for a in coeffs.freq_axes:
+    for a in f.freq_axes:
         weight = np.multiply.outer(weight, (1.0 + a.astype(np.float64) ** 2) ** r)
-    return float(np.sqrt(np.sum(np.abs(coeffs.C) ** 2 * weight)))
+    return float(np.sqrt(np.sum(np.abs(f.C) ** 2 * weight)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,68 +335,31 @@ def sobolev_norm_fourier(coeffs, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_fields(f, scheme: QIScheme, m: int, d: int, resolution: int | None, cache):
-    """Each detail block ``(k, q_k(f))`` up to level ``m``, lazily, on the quadrature lattice."""
-    if d > 3:
-        raise ValueError("block norms are quadrature-based and limited to d <= 3")
-    resolution = checked_resolution(d, resolution, m)
-    hc = decompose(scheme, f, m, d, cache=cache)
-    axes = [LatticeAxis(0, 1, resolution).points()] * d
-    table = piece_table(scheme.ell)
-    return ((k, kernels.eval_blocks_on_grid(axes, [(k, C)], scheme.ell, table)) for k, C in hc.block_items())
+def lp_block_norm(hc: HierCoeffs, r: float, p: float, *, resolution: int | None = None) -> float:
+    """L_p norm of the level-weighted square function of the blocks of ``hc``.
 
+    Forms ``sqrt(sum_k |2**(r|k|) q_k|**2)`` pointwise over the detail blocks
+    ``q_k`` of ``hc`` and integrates on the quadrature lattice of
+    :func:`lq_norm` at level ``hc.max_level``.  For the blocks of ``f`` up to
+    level ``m``, pass ``decompose(scheme, f, m, d)``.
 
-def lp_block_norm(
-    f,
-    scheme: QIScheme,
-    r: float,
-    p: float,
-    m: int,
-    *,
-    d: int,
-    resolution: int | None = None,
-    cache: SampleCache | None = None,
-) -> float:
-    """L_p norm of the level-weighted square function of the detail blocks.
-
-    Forms ``sqrt(sum_k |2**(r|k|) q_k(f)|**2)`` pointwise on the quadrature
-    lattice, truncated at total level ``m``, and integrates.
+    Raises:
+        ValueError: ``p`` outside (1, inf), or ``hc.d > 3``.
+        ResolutionTooLow, LatticeTooLarge: the guards of :func:`lq_norm`,
+            raised before any block is evaluated.
     """
     if not (1 < p < inf):
         raise ValueError(f"need p in (1, inf), got {p}")
+    if hc.d > 3:
+        raise ValueError("block norms are quadrature-based and limited to d <= 3")
+    resolution = checked_resolution(hc.d, resolution, hc.max_level)
+    axes = [LatticeAxis(0, 1, resolution).points()] * hc.d
+    table = piece_table(hc.ell)
     square = 0.0
-    for k, field in _block_fields(f, scheme, m, d, resolution, cache):
+    for k, C in hc.block_items():
+        field = kernels.eval_blocks_on_grid(axes, [(k, C)], hc.ell, table)
         square = square + (4.0 ** (r * sum(k))) * field * field
     return _power_mean_norm(np.sqrt(square), p)
-
-
-def besov_block_norm(
-    f,
-    scheme: QIScheme,
-    r: float,
-    p: float,
-    theta: float,
-    m: int,
-    *,
-    d: int,
-    resolution: int | None = None,
-    cache: SampleCache | None = None,
-) -> float:
-    """Besov-style aggregation of per-block L_p norms, truncated at level ``m``.
-
-    ``(sum_k (2**(r|k|) ||q_k(f)||_p)**theta)**(1/theta)``; ``theta = inf``
-    takes the supremum over blocks instead.  ``p`` and ``theta`` may be any
-    positive exponents (including infinity).
-    """
-    if p <= 0 or theta <= 0:
-        raise ValueError("need p > 0 and theta > 0")
-    weighted = [
-        2.0 ** (r * sum(k)) * _power_mean_norm(field, p)
-        for k, field in _block_fields(f, scheme, m, d, resolution, cache)
-    ]
-    if isinf(theta):
-        return float(max(weighted))
-    return float(np.sum(np.array(weighted) ** theta) ** (1.0 / theta))
 
 
 # ---------------------------------------------------------------------------

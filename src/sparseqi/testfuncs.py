@@ -271,27 +271,11 @@ def _fold_transform(
 
 
 def _outer_power(uni: np.ndarray, d: int) -> np.ndarray:
-    """``uni[s_0] * uni[s_1] * ... * uni[s_{d-1}]`` over the ``d``-fold index box.
-
-    Products are taken left to right.  Complex ones use the textbook formula
-    on real and imaginary parts, as scalar complex multiplication does; the
-    vectorised complex multiply fuses multiply-adds and differs in the last
-    bits.
-    """
-    if not np.iscomplexobj(uni):
-        box = uni
-        for _ in range(d - 1):
-            box = np.multiply.outer(box, uni)
-        return box
-    re, im = uni.real, uni.imag
-    box_re, box_im = re, im
+    """``uni[s_0] * uni[s_1] * ... * uni[s_{d-1}]`` over the ``d``-fold index box,
+    products taken left to right."""
+    box = uni
     for _ in range(d - 1):
-        box_re, box_im = (
-            np.multiply.outer(box_re, re) - np.multiply.outer(box_im, im),
-            np.multiply.outer(box_re, im) + np.multiply.outer(box_im, re),
-        )
-    box = np.empty(box_re.shape, dtype=np.complex128)
-    box.real, box.imag = box_re, box_im
+        box = np.multiply.outer(box, uni)
     return box
 
 

@@ -294,7 +294,7 @@ def test_criterion_7_norm_equivalence():
         for seed in range(10):
             f = random_mixed_smooth(r, K, d, seed=seed)
             ratios.append(
-                lp_block_norm(f, cubic, r, p, m, d=d) / sobolev_norm_fourier(f, r)
+                lp_block_norm(decompose(cubic, f, m, d), r, p) / sobolev_norm_fourier(f, r)
             )
     spread = max(ratios) / min(ratios)
     assert spread < 20.0

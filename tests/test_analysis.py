@@ -11,7 +11,6 @@ from sparseqi.analysis import (
     LatticeField,
     LatticeTooLarge,
     ResolutionTooLow,
-    besov_block_norm,
     fit_rate,
     lp_block_norm,
     lq_norm,
@@ -235,10 +234,10 @@ class TestRankOneLattice:
 
 class TestSobolevNormFourier:
     def test_constant(self):
-        assert sobolev_norm_fourier({(0, 0): 1.0}, 1.5) == 1.0
+        assert sobolev_norm_fourier(TrigFunction(2, {(0, 0): 1.0}), 1.5) == 1.0
 
     def test_single_mode(self):
-        val = sobolev_norm_fourier({(1, 0): 0.5}, 1.0)
+        val = sobolev_norm_fourier(TrigFunction(2, {(1, 0): 0.5}), 1.0)
         assert val == pytest.approx(0.5 * np.sqrt(2.0))
 
     def test_matches_direct_summation(self):
@@ -251,7 +250,7 @@ class TestSobolevNormFourier:
         direct = 0.0
         for s, c in modes.items():
             direct += abs(c) ** 2 * np.prod([(1.0 + sj**2) ** r for sj in s])
-        assert sobolev_norm_fourier(modes, r) == pytest.approx(np.sqrt(direct), abs=1e-14)
+        assert sobolev_norm_fourier(TrigFunction(2, modes), r) == pytest.approx(np.sqrt(direct), abs=1e-14)
 
     def test_trig_function_object(self):
         f = random_mixed_smooth(1.25, 6, 2, seed=0)
@@ -261,28 +260,26 @@ class TestSobolevNormFourier:
 class TestBlockNorms:
     def test_constant_function(self, cubic):
         f = lambda P: np.full(P.shape[0], 1.75)
-        val = lp_block_norm(f, cubic, 1.25, 2.0, 3, d=1)
+        val = lp_block_norm(decompose(cubic, f, 3, 1), 1.25, 2.0)
         assert val == pytest.approx(1.75, abs=1e-10)
-        bes = besov_block_norm(f, cubic, 1.25, 2.0, 1.0, 3, d=1)
-        assert bes == pytest.approx(1.75, abs=1e-10)
 
     def test_parseval_sanity(self, cubic):
         # r = 0 block norm approaches the L2 norm from below for band-limited f
         f = random_mixed_smooth(1.25, 3, 1, seed=6)
         l2 = lq_norm(f, 2.0, 1, 2**10)
-        blk = lp_block_norm(f, cubic, 0.0, 2.0, 7, d=1)
+        blk = lp_block_norm(decompose(cubic, f, 7, 1), 0.0, 2.0)
         assert blk < l2 * 1.02
         assert blk > 0.98 * l2
 
     def test_single_block_scaling(self, faber):
         # a lone even-shift hat is its own hierarchical decomposition under
-        # the interpolatory order-2 scheme, so the besov aggregation reduces
+        # the interpolatory order-2 scheme, so the square function reduces
         # to its weighted Lp norm
         C = np.zeros(8)
         C[4] = 1.0
         hc = HierCoeffs(1, 2, 2, {(2,): C})
         r, p = 1.0, 2.0
-        norm = besov_block_norm(hc, faber, r, p, 1.0, 4, d=1, resolution=2**9)
+        norm = lp_block_norm(decompose(faber, hc, 4, 1), r, p, resolution=2**9)
         direct = 2.0 ** (r * 2) * lq_norm(hc, p, 1, 2**9)
         assert norm == pytest.approx(direct, rel=1e-12)
 
@@ -295,43 +292,40 @@ class TestBlockNorms:
             C = np.zeros(2 ** (k0 + 1))
             C[2] = 2.0 ** (-r * k0)
             hc = HierCoeffs(1, 2, k0, {(k0,): C})
-            values.append(lp_block_norm(hc, faber, r, 2.0, k0 + 1, d=1, resolution=2**8))
+            values.append(lp_block_norm(decompose(faber, hc, k0 + 1, 1), r, 2.0, resolution=2**8))
         assert max(values) <= 1.0
         assert all(v > 0 for v in values)
 
-    def test_besov_sup_aggregation(self, faber):
-        f = random_mixed_smooth(1.0, 4, 1, seed=8)
-        m = 4
-        norms = []
-        from sparseqi.quasi_interp import SampleCache
+    def test_refuses_d4(self, cubic):
+        hc = HierCoeffs(4, cubic.ell, 0, {(0, 0, 0, 0): np.ones((4,) * 4)})
+        with pytest.raises(ValueError, match="d <= 3"):
+            lp_block_norm(hc, 1.25, 2.0)
 
-        cache = SampleCache(f, faber.ell, 1)
-        hc = decompose(faber, f, m, 1, cache=cache)
-        axes = [np.arange(2**7) / 2**7]
-        for k, C in hc.block_items():
-            single = HierCoeffs(1, faber.ell, sum(k), {k: C})
-            norms.append(2.0 ** (0.75 * sum(k)) * lq_norm(single, 2.0, 1, 2**7))
-        sup = besov_block_norm(f, faber, 0.75, 2.0, np.inf, m, d=1, resolution=2**7, cache=cache)
-        assert sup == pytest.approx(max(norms), rel=1e-12)
-
-    @pytest.mark.parametrize("norm", ["lp", "besov"])
+    # both instruments measure a given decomposition on the quadrature
+    # lattice of its top level, through the same guards
+    @pytest.mark.parametrize("norm", ["lp", "lq"])
     @pytest.mark.parametrize("d,resolution,error", [
         (2, 16, ResolutionTooLow),  # below 2**(3+2) = 32 at m = 3
         (2, 32, LatticeTooLarge),  # 32**2 points > 1000
         (3, 32, LatticeTooLarge),
     ])
     def test_guards_run_before_sampling(self, monkeypatch, cubic, norm, d, resolution, error):
-        from sparseqi.quasi_interp import SampleCache
+        f = random_mixed_smooth(1.25, 2, d, seed=0)
+        hc = decompose(cubic, f, 3, d)
+        evaluated = []
+
+        def recording(axes, blocks, *args, **kwargs):
+            evaluated.extend(blocks)
+            return np.zeros(tuple(len(a) for a in axes))
 
         monkeypatch.setattr(analysis, "MAX_LATTICE_POINTS", 1000)
-        f = random_mixed_smooth(1.25, 2, d, seed=0)
-        cache = SampleCache(f, cubic.ell, d)
+        monkeypatch.setattr(kernels, "eval_blocks_on_grid", recording)
         with pytest.raises(error):
             if norm == "lp":
-                lp_block_norm(f, cubic, 1.25, 2.0, 3, d=d, resolution=resolution, cache=cache)
+                lp_block_norm(hc, 1.25, 2.0, resolution=resolution)
             else:
-                besov_block_norm(f, cubic, 1.25, 2.0, 1.0, 3, d=d, resolution=resolution, cache=cache)
-        assert cache.evaluations == 0
+                recovery_error(f, hc, 2.0, resolution)
+        assert evaluated == []
 
 
 class TestDifference:

@@ -16,6 +16,7 @@ from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import HierCoeffs
 from sparseqi.smolyak import enumerate_grid
 from .conftest import run_cli_in_child
+from .test_quasi_interp import ORDER6_MASK
 
 
 def run(*argv):
@@ -53,6 +54,19 @@ class TestDeriveScheme:
         mask = tmp_path / "mask.json"
         mask.write_text("{not json")
         assert run("derive-scheme", "--mask", mask, "--out", tmp_path) == 2
+
+    def test_ell_disagreeing_with_builtin_exits_1(self, tmp_path, capsys):
+        assert run("derive-scheme", "--ell", 2, "--builtin", "cubic", "--out", tmp_path) == 1
+        assert "disagrees" in capsys.readouterr().err
+        assert not (tmp_path / "scheme.json").exists()
+
+    def test_mask_file_without_ell_takes_the_flag(self, tmp_path, capsys):
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"mask": ["-1/6", "4/3", "-1/6"]}))
+        assert run("derive-scheme", "--mask", mask, "--out", tmp_path / "a") == 2
+        assert run("derive-scheme", "--mask", mask, "--ell", 4, "--out", tmp_path / "b") == 0
+        assert "scheme        ell4[-1/6,4/3,-1/6]" in capsys.readouterr().out
+        assert json.loads((tmp_path / "b" / "scheme.json").read_text())["scheme_id"] == "ell4[-1/6,4/3,-1/6]"
 
 
 class TestUsage:
@@ -768,6 +782,55 @@ class TestBenchmark:
         cubic = builtin_scheme("cubic")
         assert [row["error_peak"] for row in rows] == [
             spline_norm(witness_g2(cubic, 3, m, 1.25, 2.0), np.inf) for m in range(1, 7)]
+
+
+    def test_peak_probe_alone(self, tmp_path):
+        # the peaked witness's norms scale by 2**(-r) per level exactly
+        assert run("benchmark", "--builtin", "faber", "--d", 1, "--m-range", "2..5",
+                   "--K", 32, "--probe", "peak", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "benchmark_report.json").read_text())
+        assert all(row["error"] == row["error_peak"] for row in report["rows"])
+        assert report["fit"]["rho"] == pytest.approx(1.25, abs=1e-12)
+
+    def test_random_probe_at_p_below_q(self, tmp_path):
+        assert run("benchmark", "--d", 1, "--m-range", "2..5", "--K", 32, "--q", 4,
+                   "--probe", "random", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "benchmark_report.json").read_text())
+        assert report["config"]["probe"] == "random"
+        assert all(row["error"] == row["error_random"] for row in report["rows"])
+        assert not any("error_peak" in row for row in report["rows"])
+
+    def test_pure_dyadic_model_at_d2(self, tmp_path):
+        assert run("benchmark", "--d", 2, "--m-range", "1..4", "--K", 8,
+                   "--model", "pure_dyadic", "--out", tmp_path) == 0
+        fit = json.loads((tmp_path / "benchmark_ratefit.json").read_text())
+        assert fit["beta"] == 0.0 and fit["model"] == "pure_dyadic"
+
+
+# Rates away from r = 1.25 and at order 6, at --p 2 and the default K: the
+# arguments, the theory's exponent and the band |rho - exponent| <= band.
+# Each band holds the fitted rho of seeds 0-31, whose range the comment gives.
+RATE_SWEEPS = {
+    "cubic-r2.5-d1": ("--d 1 --m-range 3..9 --r 2.5", 2.5, 0.1),  # 2.499-2.544
+    "cubic-r2.5-d2": ("--d 2 --m-range 3..7 --r 2.5", 2.5, 0.3),  # 2.227-2.668, with a log factor
+    "order6-r4-d1": ("--d 1 --m-range 3..9 --r 4", 4.0, 0.1),  # 4.010-4.033
+    "order6-r3.5-d2": ("--d 2 --m-range 3..7 --r 3.5", 3.5, 0.4),  # 3.488-3.831, with a log factor
+    "cubic-r2.5-d1-q4": ("--d 1 --m-range 3..9 --r 2.5 --q 4", 2.25, 0.1),  # p < q: 2.250-2.274
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("sweep", sorted(RATE_SWEEPS))
+def test_rate_sweep_in_band(tmp_path, sweep, seed):
+    argv, exponent, band = RATE_SWEEPS[sweep]
+    scheme = ()
+    if sweep.startswith("order6"):
+        scheme = ("--mask", tmp_path / "order6.json")
+        scheme[1].write_text(json.dumps({"ell": 6, "mask": list(ORDER6_MASK)}))
+    assert run("benchmark", *scheme, *shlex.split(argv), "--p", 2, "--seed", seed, "--out", tmp_path) == 0
+    report = json.loads((tmp_path / "benchmark_report.json").read_text())
+    assert report["theory"]["exponent"] == pytest.approx(exponent)
+    assert abs(report["fit"]["rho"] - exponent) <= band
 
 
 class TestWitness:

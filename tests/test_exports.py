@@ -1,6 +1,10 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
+import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -30,9 +34,10 @@ def test_package_imports_are_public_exports():
 
 # Public names with no caller in src/ or sqbench/, each with the reason it stays.
 UNCALLED = {
-    "sobolev_norm_fourier": "one side of the paper's norm equivalence, for its planned report",
-    "lp_block_norm": "the other side of that norm equivalence, for the same report",
-    "besov_block_norm": "the Besov form of that norm equivalence, for the same report",
+    "sobolev_norm_fourier": "the mixed Sobolev side of the paper's W^r_p norm equivalence, "
+                            "for the planned per-level report",
+    "lp_block_norm": "the square-function side of that equivalence, on the sweep's one decomposition, "
+                     "for the same report",
     "detail_coeff": "the scalar reference that tests compare block_coeffs against",
     "block_coeffs_oracle": "the refinement reference that tests compare block_coeffs against",
 }
@@ -64,3 +69,50 @@ def test_every_public_name_has_a_caller():
                 ):
                     uncalled.append(item.name)
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def _readme_dotted_names() -> list[str]:
+    """Dotted names in README code spans that start with a ``sparseqi``
+    module, the package itself or a package-level name."""
+    heads = {*MODULES, "sparseqi", *(n for n in dir(sparseqi) if not n.startswith("_"))}
+    text = (Path(sparseqi.__file__).resolve().parents[2] / "README.md").read_text()
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            if name.split(".")[0] in heads:
+                names.add(name)
+    return sorted(names)
+
+
+def _set_in_init(cls, attr: str) -> bool:
+    """Whether ``cls.__init__`` assigns ``self.<attr>``."""
+    if not isinstance(cls, type) or "__init__" not in vars(cls):
+        return False
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return any(
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr == attr
+        for node in ast.walk(tree)
+    )
+
+
+def _resolves(name: str) -> bool:
+    head, *rest = name.split(".")
+    if head == "sparseqi" or head in MODULES:
+        obj = importlib.import_module("sparseqi" if head == "sparseqi" else f"sparseqi.{head}")
+    else:
+        obj = getattr(sparseqi, head)
+    for i, attr in enumerate(rest):
+        if isinstance(obj, types.ModuleType) and attr in MODULES:
+            obj = importlib.import_module(f"sparseqi.{attr}")
+        elif hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            return i == len(rest) - 1 and _set_in_init(obj, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    names = _readme_dotted_names()
+    assert "MissingSamples.point" in names  # an attribute set in __init__
+    assert [name for name in names if not _resolves(name)] == []

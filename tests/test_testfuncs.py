@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -520,7 +522,7 @@ class TestTrigFunction:
     def test_sobolev_norm_of_dict_matches_box(self):
         f = random_mixed_smooth(1.25, 5, 2, seed=4)
         modes = _dict_random_mixed_smooth(1.25, 5, 2, seed=4)
-        assert sobolev_norm_fourier(modes, 1.25) == sobolev_norm_fourier(f, 1.25)
+        assert sobolev_norm_fourier(TrigFunction(2, modes), 1.25) == sobolev_norm_fourier(f, 1.25)
 
     def test_grid_matches_scattered(self):
         f = _bernoulli(2.0, 4, 2)
@@ -707,6 +709,17 @@ class TestBuiltinFunction:
         pts = rng_points(100, 2, seed=6)
         expect = np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
         assert np.max(np.abs(f.eval_points(pts) - expect)) < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sine_box_is_exact(self, d):
+        # the entry at s is the product of the scalars -i*s_j/2, taken left to
+        # right; compared bit for bit, so the signs of zeros are pinned too
+        uni = {-1: 0.5j, 1: -0.5j}
+        expect = [functools.reduce(operator.mul, (uni[v] for v in s)) for s in itertools.product((-1, 1), repeat=d)]
+        f = builtin_function("sine", d)
+        assert [a.tolist() for a in f.freq_axes] == [[-1, 1]] * d
+        assert f.C.reshape(-1).view(np.int64).tolist() == np.array(expect).view(np.int64).tolist()
+        assert np.all(np.abs(f.C) == 2.0**-d)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
