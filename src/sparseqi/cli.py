@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, smolyak, testfuncs
+from . import analysis, kernels, smolyak, testfuncs
 from .laurent import NotDivisible
 from .quasi_interp import (
     BUILTIN_MASKS,
@@ -140,15 +139,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_number_csv(path: Path, header: list[str], rows) -> None:
-    """What :func:`_write_csv` writes for rows of Python floats and ints, cells as ``repr``.
+def _write_number_csv(path: Path, header: list[str], columns) -> None:
+    """What :func:`_write_csv` writes for the table whose columns are the
+    equal-length 1-D arrays ``columns``: float and int cells as their
+    ``repr``, the cells of an object array of strings as they are.
 
     Number cells and plain column names need no quoting, so the lines are
-    joined directly, with the ``\\r\\n`` terminator of ``csv.writer``.
+    joined directly, with the ``\\r\\n`` terminator of ``csv.writer``.  They
+    are formatted and written in slabs of about ``kernels._SLAB_ENTRIES // 16``
+    cells, so the text held at once does not grow with the table.
     """
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    step = max(1, kernels._SLAB_ENTRIES // (16 * len(columns)))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), step):
+            # str is repr for floats and ints, and a string itself
+            cells = [map(str, col[start : start + step].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +190,13 @@ def cmd_grid(args) -> int:
     out = _out_dir(args)
     if args.format == "csv":
         header = [f"x_{j + 1}" for j in range(args.d)] + [f"k_{j + 1}" for j in range(args.d)]
-        rows = map(list.__add__, grid.as_array().tolist(), grid.provenance.tolist())
+        # each coordinate i / L and each level formatted once, then indexed
+        L = grid.ell << grid.m
+        coords = np.array(list(map(repr, (np.arange(L) / L).tolist())), dtype=object)
+        levels = np.array(list(map(repr, range(grid.m + 1))), dtype=object)
+        columns = [coords[i] for i in grid.index.T] + [levels[k] for k in grid.provenance.T]
         path = out / "grid.csv"
-        _write_number_csv(path, header, rows)
+        _write_number_csv(path, header, columns)
     else:
         path = out / "grid.json"
         _write_json(
@@ -231,15 +242,23 @@ def _read_points(path: str, d: int, *extra: str) -> np.ndarray:
     """
     cols = [f"x_{j + 1}" for j in range(d)] + list(extra)
     with open(path, newline="") as fh:
-        where = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+        where = {name: i for i, name in enumerate(next(csv.reader([fh.readline()]), []))}
         pos = [where[c] for c in cols]
-        body = fh.read()
-    if not body.strip():  # loadtxt warns on a file without rows
-        return np.empty((0, len(cols)))
-    # the per-cell converter only where a fraction may occur
-    converters = _parse_number if "/" in body else None
-    return np.loadtxt(io.StringIO(body), delimiter=",", usecols=pos, comments=None,
-                      quotechar='"', ndmin=2, converters=converters)
+        # the body is scanned in 1 MiB chunks, then read again from its start:
+        # the file must be seekable
+        start = fh.tell()
+        rows = fraction = False
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            rows = rows or not chunk.isspace()
+            if "/" in chunk:
+                fraction = True
+                break
+        if not rows:  # loadtxt warns on a file without rows
+            return np.empty((0, len(cols)))
+        fh.seek(start)
+        # the per-cell converter only where a fraction may occur
+        return np.loadtxt(fh, delimiter=",", usecols=pos, comments=None, quotechar='"', ndmin=2,
+                          converters=_parse_number if fraction else None)
 
 
 def _read_samples(path: str, d: int, m: int, ell: int) -> SampleCache:
@@ -287,13 +306,13 @@ def cmd_recover(args) -> int:
         report["l2_residual"] = analysis.recovery_error(f, hc, 2.0)
         print(f"L2 residual vs '{args.function}': {report['l2_residual']:.6e}")
     out = _out_dir(args)
-    (out / "coeffs.json").write_text(hc.to_json_text())
+    with open(out / "coeffs.json", "w") as fh:
+        hc.write_json(fh)
 
     # a lattice goes to the grid kernel; its 'ij' rows are the C order of the values
     values = hc.eval_points(pts) if axes is None else hc.eval_on_axes(axes).ravel()
-    table = np.column_stack([pts, values])
     header = [f"x_{j + 1}" for j in range(d)] + ["value"]
-    _write_number_csv(out / "recovered.csv", header, table.tolist())
+    _write_number_csv(out / "recovered.csv", header, [*pts.T, values])
     _write_json(out / "recover_report.json", report)
     print(f"wrote {out / 'coeffs.json'}, {out / 'recovered.csv'}")
     return EXIT_OK
@@ -536,7 +555,8 @@ def cmd_witness(args) -> int:
     norms = {row["m"]: row["norm_q"] for row in rows}
     if args.export_coeffs:
         for m in m_range:
-            (_out_dir(args) / f"witness_{args.kind}_m{m}.json").write_text(witnesses[m].to_json_text())
+            with open(_out_dir(args) / f"witness_{args.kind}_m{m}.json", "w") as fh:
+                witnesses[m].write_json(fh)
     for i in range(1, len(m_range)):
         rows[i]["ratio"] = norms[m_range[i]] / norms[m_range[i - 1]]
     report: dict = {

@@ -347,6 +347,14 @@ def grid_values(f, d: int, axes: Sequence[LatticeAxis]) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of an ``(n, d)`` array of
+    non-negative integers, and whether each row, in that order, starts a run
+    of equal rows.  Equal rows keep their given order."""
+    order = np.lexsort(rows.T[::-1])
+    return order, np.diff(rows[order], axis=0, prepend=-1).any(axis=1)
+
+
 class SampleCache:
     """Memoizing store of torus samples, one frozen array per hierarchical block.
 
@@ -379,8 +387,9 @@ class SampleCache:
         and each block has the shape of its :func:`block_axis` axes."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, d)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        _, last = np.unique(index[::-1], axis=0, return_index=True)
-        keep = len(index) - 1 - last
+        # the last row of each position is the first of the reversed rows
+        order, starts = _sorted_rows(index[::-1])
+        keep = len(index) - 1 - order[starts]
         index, values = index[keep], values[keep]
         axes = [block_axis(ell, a) for a in range(level + 1)]
         block_of, local_of = np.empty((2, ell << level), dtype=np.int64)
@@ -388,9 +397,11 @@ class SampleCache:
             block_of[axis.within(ell << level)] = a
             local_of[axis.within(ell << level)] = np.arange(axis.n)
         cache = cls(None, ell, d)
-        levels, group = np.unique(block_of[index], axis=0, return_inverse=True)
-        for g, lev in enumerate(map(tuple, levels.tolist())):
-            rows = group.reshape(-1) == g
+        # the rows of each block level, in their given order
+        levels = block_of[index]
+        order, starts = _sorted_rows(levels)
+        groups = np.split(order, np.flatnonzero(starts)[1:])
+        for lev, rows in zip(map(tuple, levels[order[starts]].tolist()), groups):
             at = tuple(local_of[index[rows]].T)
             block = np.zeros(tuple(axes[aj].n for aj in lev))
             block[at] = values[rows]
@@ -600,36 +611,39 @@ class HierCoeffs:
             "entries": entries,
         }
 
-    def to_json_text(self) -> str:
-        """The coefficient file: ``json.dumps(self.to_json(), indent=2) + "\\n"``,
-        byte for byte, formatted block by block from :meth:`block_items`.
+    def write_json(self, fh) -> None:
+        """Write the coefficient file to the open text file ``fh``:
+        ``json.dumps(self.to_json(), indent=2) + "\\n"``, byte for byte,
+        formatted block by block from :meth:`block_items`.
 
         ``indent`` turns off CPython's C encoder, so ``json.dumps`` would walk
-        one dict per entry in pure Python; here each block's entries are joined
-        as strings from its nonzero values and their row-major shifts.  Values
-        are ``float.__repr__``, except that non-finite ones take JSON's
-        ``NaN``/``Infinity``/``-Infinity`` spelling.
+        one dict per entry in pure Python; here the entries are joined as
+        strings from a block's nonzero values and their row-major shifts, and
+        written in runs of about ``kernels._SLAB_ENTRIES // 16`` numbers, so
+        the text held at once grows with neither the file nor its largest
+        block.  Values are ``float.__repr__``, except that non-finite ones
+        take JSON's ``NaN``/``Infinity``/``-Infinity`` spelling.
         """
         sep = ",\n        "
-        parts = []
-        for k, C in self.block_items():
-            flat = np.flatnonzero(C)  # row-major, as np.nonzero in items()
-            values = C.ravel()[flat]
-            cells = list(map(float.__repr__, values.tolist()))
-            if not np.isfinite(values).all():
-                cells = [_JSON_NONFINITE.get(c, c) for c in cells]
-            # the "s" list of every shift of the block, row-major
-            shifts = list(map(sep.join, itertools.product(*(map(str, range(n)) for n in C.shape))))
-            head = f'    {{\n      "k": [\n        {sep.join(map(str, k))}\n      ],\n      "s": [\n        '
-            parts += [
-                f'{head}{shifts[i]}\n      ],\n      "c": {c}\n    }}'
-                for i, c in zip(flat.tolist(), cells)
-            ]
         header = {"d": self.d, "ell": self.ell, "m": self.max_level, "scheme_id": self.scheme_id}
-        text = json.dumps(header, indent=2)[: -len("\n}")]  # open, after "scheme_id"
-        if not parts:
-            return text + ',\n  "entries": []\n}\n'
-        return text + ',\n  "entries": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
+        fh.write(json.dumps(header, indent=2)[: -len("\n}")] + ',\n  "entries": [')  # open, after "scheme_id"
+        lead = "\n"  # before the first entry; ",\n" before every later one
+        step = max(1, kernels._SLAB_ENTRIES // (16 * (2 * self.d + 1)))  # an entry holds 2d + 1 numbers
+        for k, C in self.block_items():
+            head = f'    {{\n      "k": [\n        {sep.join(map(str, k))}\n      ],\n      "s": [\n        '
+            digits = [list(map(str, range(n))) for n in C.shape]
+            flat = np.flatnonzero(C)  # row-major, as np.nonzero in items()
+            for start in range(0, len(flat), step):
+                at = np.unravel_index(flat[start : start + step], C.shape)
+                values = C[at]
+                cells = list(map(float.__repr__, values.tolist()))
+                if not np.isfinite(values).all():
+                    cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+                shifts = zip(*([names[i] for i in s.tolist()] for names, s in zip(digits, at)))
+                fh.write(lead + ",\n".join(
+                    f'{head}{sep.join(s)}\n      ],\n      "c": {c}\n    }}' for s, c in zip(shifts, cells)))
+                lead = ",\n"
+        fh.write("]\n}\n" if lead == "\n" else "\n  ]\n}\n")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HierCoeffs":

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import sparseqi
-from sparseqi import analysis, testfuncs
+from sparseqi import analysis, kernels, testfuncs
 from sparseqi.cli import _parse_number, _read_points, _write_number_csv, main
 from sparseqi.laurent import LaurentPoly
-from sparseqi.quasi_interp import HierCoeffs
+from sparseqi.quasi_interp import HierCoeffs, builtin_scheme
 from sparseqi.smolyak import enumerate_grid
-from .conftest import run_cli_in_child
+from .conftest import run_cli_in_child, traced_peak
 from .test_quasi_interp import ORDER6_MASK
 
 
@@ -232,7 +232,7 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     pts = _read_points("grid/grid.csv", d)
     values = np.prod(np.sin(2 * np.pi * pts), axis=1)
     header = [f"x_{j + 1}" for j in range(d)] + ["value"]
-    _write_number_csv(Path("samples.csv"), header, np.column_stack([pts, values]).tolist())
+    _write_number_csv(Path("samples.csv"), header, [*pts.T, values])
     for argv in commands:
         assert main(argv) == 0, " ".join(argv)
 
@@ -520,19 +520,98 @@ class TestReadPoints:
         with pytest.raises(KeyError, match="x_2"):
             _read_points(str(path), 2, "value")
 
+    def test_fraction_after_the_first_mib(self, tmp_path):
+        # the body is scanned for "/" in 1 MiB chunks; a fraction in a later
+        # chunk still turns the converter on
+        floats = _random_float_rows(20_000)
+        assert len(floats) > 1 << 20
+        path = tmp_path / "points.csv"
+        path.write_bytes(("x_1,x_2,value\r\n" + floats + "1/3,-2/7,5\r\n").encode())
+        new = _read_points(str(path), 2, "value")
+        assert np.array_equal(new, _read_points_per_cell(str(path), 2, "value"))
+        assert new[-1].tolist() == [1 / 3, -2 / 7, 5.0]
 
-def test_float_csv_matches_csv_writer(tmp_path):
+    def test_blank_lines_only_is_empty(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x_1,x_2,x_3\n\n  \n\n")
+        assert _read_points(str(path), 3).shape == (0, 3)
+
+    def test_line_endings_agree(self, tmp_path):
+        body = ["0.5,0.25,1", "1/3,2/3,-7/3", '"0.125",nan,-0.0']
+        arrays = []
+        for end in ("\n", "\r\n"):
+            path = tmp_path / "points.csv"
+            path.write_bytes(end.join(["x_1,x_2,value", *body, ""]).encode())
+            arrays.append(_read_points(str(path), 2, "value"))
+        assert arrays[0].shape == (3, 3)
+        assert np.array_equal(*arrays, equal_nan=True)
+        assert np.array_equal(*map(np.signbit, arrays))
+
+
+def test_float_csv_matches_csv_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     table = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, size=(200, 4))
     table[0] = [np.nan, np.inf, -np.inf, -0.0]
     table[1, 0] = 5e-324
     header = ["x_1", "x_2", "x_3", "value"]
-    _write_number_csv(tmp_path / "fast.csv", header, table.tolist())
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([repr(float(c)) for c in row] for row in table)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # one slab, slabs of 37 rows (6 slabs, the last one short), and one row per slab
+    for slab, slabs in ((kernels._SLAB_ENTRIES, 1), (16 * 4 * 37, 6), (1, 200)):
+        monkeypatch.setattr(kernels, "_SLAB_ENTRIES", slab)
+        assert -(-len(table) // max(1, slab // (16 * 4))) == slabs
+        _write_number_csv(tmp_path / "fast.csv", header, list(table.T))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _rowwise_grid_csv(grid) -> bytes:
+    """``grid.csv`` as the row-wise writer that the per-axis lookup replaced wrote it."""
+    header = [f"x_{j + 1}" for j in range(grid.d)] + [f"k_{j + 1}" for j in range(grid.d)]
+    rows = map(list.__add__, grid.as_array().tolist(), grid.provenance.tolist())
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+@pytest.mark.parametrize("name", ["cubic", "faber"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_csv_matches_rowwise_writer(tmp_path, monkeypatch, name, d):
+    for m in range(5):
+        expect = _rowwise_grid_csv(enumerate_grid(d, m, builtin_scheme(name)))
+        for slab in (kernels._SLAB_ENTRIES, 16 * 2 * d * 5):  # one slab, and slabs of 5 rows
+            monkeypatch.setattr(kernels, "_SLAB_ENTRIES", slab)
+            assert run("grid", "--builtin", name, "--d", d, "--m", m, "--out", tmp_path) == 0
+            assert (tmp_path / "grid.csv").read_bytes() == expect
+
+
+def test_recover_memory_bound(tmp_path, monkeypatch):
+    # The traced peak of `recover --samples ... --eval ...` at d = 3, m = 5
+    # with 20 000 evaluation points: 27.9 MB with whole-file text, 7.5 MB
+    # with the files streamed, which leaves the scattered kernel's fixed
+    # buffers (about 7.7 MB at its own peak) the largest cost.  The bound
+    # is under half the whole-file peak.
+    monkeypatch.chdir(tmp_path)
+    d, m = 3, 5
+    assert run("grid", "--builtin", "cubic", "--d", d, "--m", m, "--out", "grid") == 0
+    pts = _read_points("grid/grid.csv", d)
+    values = np.prod(np.sin(2 * np.pi * pts), axis=1)
+    _write_number_csv(Path("samples.csv"), ["x_1", "x_2", "x_3", "value"], [*pts.T, values])
+    points = np.random.default_rng(0).random((20_000, d))
+    _write_number_csv(Path("eval.csv"), ["x_1", "x_2", "x_3"], list(points.T))
+    argv = ["recover", "--builtin", "cubic", "--d", d, "--m", m, "--samples", "samples.csv",
+            "--eval", "eval.csv", "--out", "out"]
+    assert traced_peak(lambda: run(*argv)) < 10_000_000
+    assert Path("out/coeffs.json").stat().st_size > 5_000_000
+
+
+def test_number_csv_writer_streams(tmp_path):
+    # the writer's traced peak does not grow with the rows it writes
+    columns = list(np.random.default_rng(1).standard_normal((2, 200_000)))
+    peaks = [traced_peak(lambda: _write_number_csv(tmp_path / "t.csv", ["a", "b"],
+                                                    [c[:n] for c in columns]))
+             for n in (20_000, 200_000)]
+    assert peaks[1] <= peaks[0] + 1_000_000
 
 
 @pytest.mark.parametrize("cells", [None, ["abc"], ["1_000"]])

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -327,6 +328,75 @@ class TestBlockRule:
             assert tuple(old_a.tolist()) == a
             assert exc.value.point == _block_point(ell, a, old_local.tolist())
             assert exc.value.point == tuple(F(int(t), ell << m) for t in index[drop])
+
+
+def _row_unique_from_lattice(index, level, values, ell, d):
+    """The ``SampleCache.from_lattice`` that flat keys replaced: row-wise
+    ``np.unique(axis=0)`` for the repeated positions and the block levels."""
+    index = np.asarray(index, dtype=np.int64).reshape(-1, d)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    _, last = np.unique(index[::-1], axis=0, return_index=True)
+    keep = len(index) - 1 - last
+    index, values = index[keep], values[keep]
+    axes = [block_axis(ell, a) for a in range(level + 1)]
+    block_of, local_of = np.empty((2, ell << level), dtype=np.int64)
+    for a, axis in enumerate(axes):
+        block_of[axis.within(ell << level)] = a
+        local_of[axis.within(ell << level)] = np.arange(axis.n)
+    cache = SampleCache(None, ell, d)
+    levels, group = np.unique(block_of[index], axis=0, return_inverse=True)
+    for g, lev in enumerate(map(tuple, levels.tolist())):
+        rows = group.reshape(-1) == g
+        at = tuple(local_of[index[rows]].T)
+        block = np.zeros(tuple(axes[aj].n for aj in lev))
+        block[at] = values[rows]
+        absent = np.ones(block.shape, dtype=bool)
+        absent[at] = False
+        if absent.any():
+            cache._absent[lev] = tuple(np.argwhere(absent)[0].tolist())
+        else:
+            block.flags.writeable = False
+            cache._blocks[lev] = block
+    return cache
+
+
+class TestFromLatticeKeys:
+    """``from_lattice`` keyed by flat positions against the row-``unique`` version it replaced."""
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 3)])
+    def test_blocks_order_and_absent_points_unchanged(self, d, m, ell):
+        index, _ = _blocks_grid(d, m, ell)
+        rng = np.random.default_rng([d, m, ell])
+        n = len(index)
+        cases = [np.arange(n), rng.permutation(n), np.zeros(0, dtype=np.int64)]
+        # repeated positions in any order, keeping the last value of each
+        cases.append(rng.integers(0, n, size=2 * n))
+        # missing points: a random half, and every third position sum
+        cases.append(rng.choice(n, size=n // 2, replace=False))
+        cases.append(np.flatnonzero(index.sum(axis=1) % 3 != 0))
+        for rows in cases:
+            values = rng.normal(size=len(rows))
+            values[::7] = -0.0
+            new = SampleCache.from_lattice(index[rows], m, values, ell, d)
+            old = _row_unique_from_lattice(index[rows], m, values, ell, d)
+            assert list(new._blocks) == list(old._blocks)
+            assert all(_same_bits(new._blocks[a], block) for a, block in old._blocks.items())
+            assert all(not block.flags.writeable for block in new._blocks.values())
+            assert list(new._absent.items()) == list(old._absent.items())
+            assert all(type(v) is int for lev in new._absent for v in lev)
+
+    def test_lattice_of_more_positions_than_int64_keys(self):
+        # (2 * 2**3)**16 = 2**64 positions: no flat int64 key names them all,
+        # yet the level-3 faber grid at d = 16 (83 427 328 points) is under
+        # the size cap
+        index = np.zeros((3, 16), dtype=np.int64)
+        index[1, -1] = index[2, 0] = 15
+        new = SampleCache.from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
+        old = _row_unique_from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
+        assert list(new._blocks) == list(old._blocks) == []
+        assert list(new._absent.items()) == list(old._absent.items())
+        assert len(new._absent) == 3
 
 
 def lp(lo, *coeffs):
@@ -889,9 +959,9 @@ class TestHierCoeffs:
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_json_text_is_the_indented_dump(self, d, ell):
+    def test_json_text_is_the_indented_dump(self, d, ell, monkeypatch):
         rng = np.random.default_rng([d, ell])
-        m = 3 if d <= 2 else 2
+        m = {1: 5, 2: 3}.get(d, 2)
         blocks = {}
         for k in multi_indices(d, m):
             shape = tuple(ell << kj for kj in k)
@@ -899,15 +969,24 @@ class TestHierCoeffs:
             C[rng.random(shape) < 0.3] = 0.0
             C.flat[-1] = -0.0
             blocks[k] = C
-        first, second, *_, last = sorted(blocks)
-        blocks[first].flat[0] = np.nan
-        blocks[second].flat[0] = np.inf
-        blocks[second].flat[1] = -np.inf
-        blocks[last].flat[0] = 5e-324  # subnormal
-        blocks[(0,) * d][...] = 0.0  # an all-zero block
+        # in the order they are written
+        order = sorted(blocks, key=lambda k: (sum(k), k))
+        blocks[order[1]].flat[0] = np.nan
+        blocks[order[2]].flat[0] = np.inf
+        blocks[order[2]].flat[1] = -np.inf
+        blocks[order[-2]].flat[0] = 5e-324  # subnormal
+        for k in (order[0], order[len(order) // 2], order[-1]):  # all-zero blocks
+            blocks[k][...] = 0.0
         scheme_id = f'ell{ell}["-1/6"] \u00e9 \\'  # a quote, non-ASCII and a backslash
-        for hc in (HierCoeffs(d, ell, m, blocks, scheme_id), HierCoeffs(d, ell, m, {}, scheme_id)):
-            assert hc.to_json_text() == json.dumps(hc.to_json(), indent=2) + "\n"
+        # the default slab, and runs of 7 entries, fewer than the largest block's
+        runs = 7
+        for slab in (kernels._SLAB_ENTRIES, 16 * (2 * d + 1) * runs):
+            monkeypatch.setattr(kernels, "_SLAB_ENTRIES", slab)
+            for hc in (HierCoeffs(d, ell, m, blocks, scheme_id), HierCoeffs(d, ell, m, {}, scheme_id)):
+                text = io.StringIO()
+                hc.write_json(text)
+                assert text.getvalue() == json.dumps(hc.to_json(), indent=2) + "\n"
+        assert max(np.count_nonzero(C) for C in blocks.values()) > runs
 
     def test_entries_sorted(self, faber):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) + np.cos(2 * np.pi * P[:, 1])
