@@ -341,7 +341,7 @@ def lp_block_norm(hc: HierCoeffs, r: float, p: float, *, resolution: int | None 
     Forms ``sqrt(sum_k |2**(r|k|) q_k|**2)`` pointwise over the detail blocks
     ``q_k`` of ``hc`` and integrates on the quadrature lattice of
     :func:`lq_norm` at level ``hc.max_level``.  For the blocks of ``f`` up to
-    level ``m``, pass ``decompose(scheme, f, m, d)``.
+    level ``m``, pass ``smolyak.recover(scheme, d, m, f)``.
 
     Raises:
         ValueError: ``p`` outside (1, inf), or ``hc.d > 3``.

@@ -81,8 +81,12 @@ def _load_scheme(args) -> QIScheme:
     if getattr(args, "mask", None):
         with open(args.mask) as fh:
             data = json.load(fh)
-        ell = int(data["ell"]) if args.ell is None else args.ell
-        return build_scheme(ell, data["mask"])
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.mask}: expected a JSON object {{'ell': int, 'mask': [rationals]}}")
+        ell, mask = data["ell"] if args.ell is None else args.ell, data["mask"]
+        if type(ell) is not int or not isinstance(mask, list) or any(type(c) not in (int, float, str) for c in mask):
+            raise ValueError(f"{args.mask}: need an integer 'ell' and a list of rationals 'mask', got {data!r}")
+        return build_scheme(ell, mask)
     name = getattr(args, "builtin", None) or "cubic"
     scheme = builtin_scheme(name)
     if args.ell is not None and args.ell != scheme.ell:
@@ -188,30 +192,40 @@ def cmd_grid(args) -> int:
     _check_grid_size(args.d, args.m, scheme)
     grid = smolyak.enumerate_grid(args.d, args.m, scheme)
     out = _out_dir(args)
+    # each coordinate i / L and each level formatted once, then indexed
+    L = grid.ell << grid.m
+    levels = np.array(list(map(repr, range(grid.m + 1))), dtype=object)
     if args.format == "csv":
         header = [f"x_{j + 1}" for j in range(args.d)] + [f"k_{j + 1}" for j in range(args.d)]
-        # each coordinate i / L and each level formatted once, then indexed
-        L = grid.ell << grid.m
         coords = np.array(list(map(repr, (np.arange(L) / L).tolist())), dtype=object)
-        levels = np.array(list(map(repr, range(grid.m + 1))), dtype=object)
-        columns = [coords[i] for i in grid.index.T] + [levels[k] for k in grid.provenance.T]
         path = out / "grid.csv"
-        _write_number_csv(path, header, columns)
+        _write_number_csv(path, header, [coords[i] for i in grid.index.T] + [levels[k] for k in grid.provenance.T])
     else:
+        coords = np.empty(L, dtype=object)
+        for i in np.array_split(np.arange(L), -(-L // kernels._SLAB_ENTRIES)):
+            g = np.gcd(i, L)  # str(Fraction(i, L)) is (i/g)/(L/g), or 0
+            coords[i] = [f'"{a}/{b}"' if b > 1 else f'"{a}"' for a, b in zip((i // g).tolist(), (L // g).tolist())]
         path = out / "grid.json"
-        _write_json(
-            path,
-            {
-                "d": grid.d,
-                "m": grid.m,
-                "ell": grid.ell,
-                "n": grid.n,
-                "points": [[str(c) for c in pt] for pt in grid.points],
-                "provenance": grid.provenance.tolist(),
-            },
-        )
+        _write_grid_json(path, grid, coords, levels)
     print(f"grid level {args.m}, d={args.d}: {grid.n} points -> {path}")
     return EXIT_OK
+
+
+def _write_grid_json(path: Path, grid: smolyak.SampleGrid, coords: np.ndarray, levels: np.ndarray) -> None:
+    """Write ``json.dumps(obj, indent=2) + "\\n"`` byte for byte for the grid
+    object of ``d``, ``m``, ``ell``, ``n``, the points and their provenance,
+    from the JSON text of each lattice coordinate and each level, in slabs of
+    about ``kernels._SLAB_ENTRIES // 16`` cells.  A grid is never empty."""
+    step, sep = max(1, kernels._SLAB_ENTRIES // (16 * grid.d)), ",\n      "
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"d": grid.d, "m": grid.m, "ell": grid.ell, "n": grid.n}, indent=2)[:-2])
+        for key, names, rows in (("points", coords, grid.index), ("provenance", levels, grid.provenance)):
+            fh.write(f',\n  "{key}": [\n')
+            for start in range(0, grid.n, step):
+                cells = zip(*(names[col] for col in rows[start : start + step].T))
+                fh.write((",\n" if start else "") + ",\n".join(f"    [\n      {sep.join(c)}\n    ]" for c in cells))
+            fh.write("\n  ]")
+        fh.write("\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +303,7 @@ def cmd_recover(args) -> int:
         pts = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
     f = None
     if args.samples:
-        cache = _read_samples(args.samples, d, m, scheme.ell)
-        hc = decompose(scheme, None, m, d, cache=cache)
+        hc = decompose(scheme, _read_samples(args.samples, d, m, scheme.ell))
     else:
         _check_quadrature(d, None, m, scheme.ell)  # of the residual below
         f = testfuncs.builtin_function(args.function, d)
@@ -401,10 +414,10 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
     # f evaluated once on the top level's quadrature lattice (d <= 3), which
     # is refused here if too large, before any sample is taken
     field = analysis.sweep_field(f, cfg.d, m_hi, cfg.resolution)
-    cache = SampleCache(field, scheme.ell, cfg.d)
+    samples = SampleCache(field, scheme.ell, cfg.d, m_hi)
     # a block's coefficients do not depend on m: decompose once at the top
     # level and restrict to |k|_1 <= m per level
-    sweep = decompose(scheme, field, m_hi, cfg.d, cache=cache).block_items()
+    sweep = decompose(scheme, samples).block_items()
     err_random: dict[int, float] = {}
     err_peak: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -446,7 +459,7 @@ def run_benchmark(cfg: BenchConfig, scheme: QIScheme) -> dict:
         "fit": fit.to_json(),
         "theory": cfg.theoretical(),
         "sampling": {
-            "evaluated": cache.evaluations,
+            "evaluated": samples.evaluations,
             "grid_points": counts[m_hi],
             "fixture_lattice": field.N if isinstance(field, analysis.LatticeField) else None,
         },
@@ -660,6 +673,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # an --out that is, or lies below, an existing non-directory is refused before any output
+        existing = next(p for p in (Path(args.out).absolute(), *Path(args.out).absolute().parents) if p.exists())
+        if not existing.is_dir():
+            raise _UsageError(f"--out {args.out}: {existing} exists and is not a directory")
         return args.func(args)
     except (_UsageError, analysis.ResolutionTooLow, analysis.LatticeTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -673,7 +690,8 @@ def main(argv=None) -> int:
     except (NotAQuasiInterpolant, NotDivisible) as exc:
         print(f"scheme error: {exc}", file=sys.stderr)
         return EXIT_SCHEME
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         # malformed mask/scheme/sample inputs; no partial outputs were written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEME

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -245,7 +244,7 @@ def builtin_scheme(name: str) -> QIScheme:
 
 
 # ---------------------------------------------------------------------------
-# function adapters and the sample cache
+# function adapters and the sample table
 # ---------------------------------------------------------------------------
 
 
@@ -356,86 +355,83 @@ def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SampleCache:
-    """Memoizing store of torus samples, one frozen array per hierarchical block.
+    """The samples of a torus function on the level-``m`` sparse grid, one
+    frozen array per hierarchical block ``a``, ``|a|_1 <= m``: block ``a``
+    holds the points whose minimal per-axis levels are exactly ``a``, and the
+    level-``k`` lattice is the union of the blocks ``a <= k``.
 
-    Block ``a`` holds the points whose minimal per-axis levels are exactly
-    ``a``; the level-``k`` lattice is the union of the blocks ``a <= k``.  A
-    missing block is fetched once, from its own points only, and then reused
-    everywhere, so the stored values do not depend on the order in which
-    lattices are visited.  Fetches run under one lock, so racing threads
-    evaluate each point once and ``evaluations`` counts each point once.
+    ``f`` is a torus function, evaluated once on every block's own points as
+    the table is built (``evaluations`` counts them), or a mapping that holds
+    every block's values (no evaluation).  The table is never written after
+    that, so threads read it freely.  ``d < 1`` or ``m < 0`` is a ``ValueError``.
     """
 
-    def __init__(self, f, ell: int, d: int):
-        self.ell = ell
-        self.d = d
+    def __init__(self, f, ell: int, d: int, m: int):
+        if d < 1 or m < 0:
+            raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
+        self.ell, self.d, self.m = ell, d, m
         self._blocks: dict[tuple[int, ...], np.ndarray] = {}
-        # value-table source: block -> block-local index of its first absent point
-        self._absent: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._f = f
-        self._lock = threading.Lock()
-        self.evaluations = 0
+        given = isinstance(f, Mapping)
+        for a in multi_indices(d, m):
+            axes = [block_axis(ell, aj) for aj in a]
+            block = np.asarray(f[a], dtype=np.float64) if given else np.array(grid_values(f, d, axes), dtype=np.float64)
+            block.flags.writeable = False
+            self._blocks[a] = block
+        self.evaluations = 0 if given else len(self)
 
     @classmethod
-    def from_lattice(cls, index, level: int, values, ell: int, d: int) -> "SampleCache":
-        """A cache reading samples at the points ``index / (ell * 2**level)``, for
-        ``(n, d)`` integer positions in ``[0, ell * 2**level)``; a repeated
-        position keeps its last value.
+    def from_lattice(cls, index, m: int, values, ell: int, d: int) -> "SampleCache":
+        """The level-``m`` table of the samples ``values`` at the points
+        ``index / (ell * 2**m)``, for ``(n, d)`` integer positions in
+        ``[0, ell * 2**m)``; a repeated position keeps its last value, and
+        positions off the sparse grid are ignored.  A grid point without a
+        sample is a :class:`MissingSamples` naming the first absent point, in
+        row-major order, of the first incomplete block in :func:`multi_indices`
+        order.
 
         A position's block level and its index inside the block come from the
-        slices ``block_axis(ell, a).within(ell * 2**level)``, ``a <= level``,
-        and each block has the shape of its :func:`block_axis` axes."""
+        slices ``block_axis(ell, a).within(ell * 2**m)``, ``a <= m``, and each
+        block has the shape of its :func:`block_axis` axes."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, d)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         # the last row of each position is the first of the reversed rows
         order, starts = _sorted_rows(index[::-1])
         keep = len(index) - 1 - order[starts]
         index, values = index[keep], values[keep]
-        axes = [block_axis(ell, a) for a in range(level + 1)]
-        block_of, local_of = np.empty((2, ell << level), dtype=np.int64)
+        axes = [block_axis(ell, a) for a in range(m + 1)]
+        block_of, local_of = np.empty((2, ell << m), dtype=np.int64)
         for a, axis in enumerate(axes):
-            block_of[axis.within(ell << level)] = a
-            local_of[axis.within(ell << level)] = np.arange(axis.n)
-        cache = cls(None, ell, d)
-        # the rows of each block level, in their given order
+            block_of[axis.within(ell << m)] = a
+            local_of[axis.within(ell << m)] = np.arange(axis.n)
+        # the rows of each block level
         levels = block_of[index]
         order, starts = _sorted_rows(levels)
         groups = np.split(order, np.flatnonzero(starts)[1:])
-        for lev, rows in zip(map(tuple, levels[order[starts]].tolist()), groups):
+        rows_of = dict(zip(map(tuple, levels[order[starts]].tolist()), groups))
+        blocks = {}
+        for a in multi_indices(d, m):
+            rows = rows_of.get(a, np.zeros(0, dtype=np.int64))
             at = tuple(local_of[index[rows]].T)
-            block = np.zeros(tuple(axes[aj].n for aj in lev))
+            block = np.zeros(tuple(axes[aj].n for aj in a))
             block[at] = values[rows]
-            absent = np.ones(block.shape, dtype=bool)
-            absent[at] = False
-            if absent.any():
-                cache._absent[lev] = tuple(np.argwhere(absent)[0].tolist())
-            else:
-                block.flags.writeable = False
-                cache._blocks[lev] = block
-        return cache
+            if len(rows) < block.size:  # the positions are distinct
+                absent = np.ones(block.shape, dtype=bool)
+                absent[at] = False
+                first = np.argwhere(absent)[0].tolist()
+                raise MissingSamples(tuple(axes[aj].fraction(i) for aj, i in zip(a, first)))
+            blocks[a] = block
+        return cls(blocks, ell, d, m)
 
     def lattice_values(self, k: Sequence[int]) -> np.ndarray:
+        """The samples on the level-``k`` lattice; a ``ValueError`` unless ``|k|_1 <= m``."""
+        if len(k) != self.d or min(k) < 0 or sum(k) > self.m:
+            raise ValueError(f"lattice {tuple(k)} is not within the level-{self.m} table of dimension {self.d}")
         out = np.empty(tuple(self.ell << kj for kj in k), dtype=np.float64)
         for a in itertools.product(*(range(kj + 1) for kj in k)):
-            block = self._blocks.get(a)  # a published block is read without the lock
             # block a sits on a strided sub-lattice of the level-k lattice
             where = tuple(block_axis(self.ell, aj).within(self.ell << kj) for aj, kj in zip(a, k))
-            out[where] = self._fetch(a) if block is None else block
+            out[where] = self._blocks[a]
         return out
-
-    def _fetch(self, a: tuple[int, ...]) -> np.ndarray:
-        # the samples of block a, from its own points only
-        axes = [block_axis(self.ell, aj) for aj in a]
-        if self._f is None:
-            first = self._absent.get(a, (0,) * self.d)
-            raise MissingSamples(tuple(ax.fraction(i) for ax, i in zip(axes, first)))
-        with self._lock:
-            if a not in self._blocks:  # else a racing thread fetched it first
-                block = np.array(grid_values(self._f, self.d, axes), dtype=np.float64)
-                block.flags.writeable = False
-                self._blocks[a] = block  # published whole: a racing reader never sees a partial one
-                self.evaluations += block.size
-            return self._blocks[a]
 
     def __len__(self) -> int:
         return sum(block.size for block in self._blocks.values())
@@ -792,17 +788,11 @@ def detail_coeff(scheme: QIScheme, k: Sequence[int], s: Sequence[int], f) -> flo
 # ---------------------------------------------------------------------------
 
 
-def decompose(scheme: QIScheme, f, m: int, d: int, *, cache: SampleCache | None = None) -> HierCoeffs:
-    """Hierarchical coefficients of ``f`` for all blocks with |k|_1 <= m.
-
-    Function values are fetched through a memoizing sample cache; pass one in
-    to share samples across calls (the grids are nested in ``m``).
-    """
-    if m < 0:
-        raise ValueError(f"max level must be >= 0, got {m}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if cache is None:
-        cache = SampleCache(f, scheme.ell, d)
-    blocks = {k: block_coeffs(scheme, cache, k) for k in multi_indices(d, m)}
-    return HierCoeffs(d, scheme.ell, m, blocks, scheme_id=scheme.scheme_id)
+def decompose(scheme: QIScheme, samples: SampleCache) -> HierCoeffs:
+    """Hierarchical coefficients of all blocks ``|k|_1 <= m`` from the level-``m``
+    sample table ``samples`` of dimension ``d``; a table of another order than
+    the scheme's is a ``ValueError``.  From a function: :func:`sparseqi.smolyak.recover`."""
+    if samples.ell != scheme.ell:
+        raise ValueError(f"a sample table of order {samples.ell} for a scheme of order {scheme.ell}")
+    blocks = {k: block_coeffs(scheme, samples, k) for k in multi_indices(samples.d, samples.m)}
+    return HierCoeffs(samples.d, scheme.ell, samples.m, blocks, scheme_id=scheme.scheme_id)

@@ -11,7 +11,6 @@ are integer positions on the level-``m`` lattice and need no deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -20,6 +19,7 @@ from .quasi_interp import (
     HierCoeffs,
     MissingSamples,
     QIScheme,
+    SampleCache,
     block_axis,
     decompose,
     multi_indices,
@@ -40,9 +40,6 @@ def grid_level_gap(ell: int) -> int:
     return (ell - 1).bit_length()
 
 
-PointKey = tuple[Fraction, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """The point set read by recovery at total level ``m``.
@@ -61,12 +58,6 @@ class SampleGrid:
     @property
     def n(self) -> int:
         return len(self.index)
-
-    @property
-    def points(self) -> tuple[PointKey, ...]:
-        """The points as exact rational coordinates, built on demand."""
-        L = self.ell << self.m
-        return tuple(tuple(Fraction(t, L) for t in row) for row in self.index.tolist())
 
     def as_array(self) -> np.ndarray:
         return self.index / (self.ell << self.m)
@@ -112,7 +103,7 @@ def count_points(d: int, m: int, scheme: QIScheme) -> int:
 
 
 def recover(scheme: QIScheme, d: int, m: int, f: Callable) -> HierCoeffs:
-    """Build the recovery operator's hierarchical coefficients at level ``m``
-    from samples of the torus function ``f``.  Given samples are recovered
-    through :meth:`SampleCache.from_lattice` and :func:`decompose`."""
-    return decompose(scheme, f, m, d)
+    """The recovery operator's hierarchical coefficients at level ``m`` from
+    the samples of the torus function ``f`` at each point of the level-``m``
+    grid, and no other.  Given samples go through :meth:`SampleCache.from_lattice`."""
+    return decompose(scheme, SampleCache(f, scheme.ell, d, m))

@@ -63,6 +63,30 @@ def tensor_value(ell: int, k, s, x) -> Fraction:
     return prod(periodic_value(ell, kj, sj, xj) for kj, sj, xj in zip(k, s, x, strict=True))
 
 
+def grid_points(grid) -> tuple:
+    """The points of a sparse grid as exact rational coordinates, in grid order."""
+    L = grid.ell << grid.m
+    return tuple(tuple(Fraction(t, L) for t in row) for row in grid.index.tolist())
+
+
+def grid_samples(table, grid) -> np.ndarray:
+    """The samples of a sample table at the points of the sparse grid ``grid``
+    of the same level, in grid order, read off the table's lattices
+    ``|k|_1 = m``: position ``i`` of the level-``m`` lattice is position
+    ``i / 2**(m - k_j)`` of lattice ``k`` on axis ``j`` when it divides."""
+    from sparseqi.quasi_interp import multi_indices
+
+    out = np.full(grid.n, np.nan)
+    for k in multi_indices(grid.d, grid.m):
+        if sum(k) < grid.m:
+            continue
+        step = np.array([1 << (grid.m - kj) for kj in k])
+        on = np.all(grid.index % step == 0, axis=1)
+        out[on] = table.lattice_values(k)[tuple((grid.index[on] // step).T)]
+    assert not np.isnan(out).any()
+    return out
+
+
 def rng_points(n, d, seed=0):
     return np.random.default_rng(seed).random((n, d))
 

@@ -24,14 +24,14 @@ from sparseqi.bspline import eval_cardinal_exact, piece_table
 from sparseqi.kernels import spline_basis_matrix
 from sparseqi.laurent import LaurentPoly
 from sparseqi.quasi_interp import (
+    HierCoeffs,
     SampleCache,
     block_coeffs,
     block_coeffs_oracle,
     builtin_scheme,
-    decompose,
     multi_indices,
 )
-from sparseqi.smolyak import count_points, enumerate_grid
+from sparseqi.smolyak import count_points, enumerate_grid, recover
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 from .conftest import periodic_row
 
@@ -66,11 +66,12 @@ def _combined(err_random, err_peak):
 def sweep_d1():
     scheme = builtin_scheme("cubic")
     f = random_mixed_smooth(R_EFF, 2048, 1, seed=0)
-    cache = SampleCache(f, scheme.ell, 1)
     m_range = range(3, 10)
+    # a block's coefficients do not depend on m: decompose once at the top level
+    sweep = recover(scheme, 1, max(m_range), f).block_items()
     err = {2.0: {}, 4.0: {}}
     for m in m_range:
-        hc = decompose(scheme, f, m, 1, cache=cache)
+        hc = HierCoeffs(1, scheme.ell, m, {k: C for k, C in sweep if sum(k) <= m})
         for q in err:
             err[q][m] = recovery_error(f, hc, q)
     peak4 = _peak_errors(scheme, 1, 4.0, m_range)
@@ -81,11 +82,11 @@ def sweep_d1():
 def sweep_d2():
     scheme = builtin_scheme("cubic")
     f = random_mixed_smooth(R_EFF, 512, 2, seed=0)
-    cache = SampleCache(f, scheme.ell, 2)
     m_range = range(3, 8)
+    sweep = recover(scheme, 2, max(m_range), f).block_items()
     err = {2.0: {}, 4.0: {}, inf: {}}
     for m in m_range:
-        hc = decompose(scheme, f, m, 2, cache=cache)
+        hc = HierCoeffs(2, scheme.ell, m, {k: C for k, C in sweep if sum(k) <= m})
         for q in err:
             err[q][m] = recovery_error(f, hc, q)
     peaks = {q: _peak_errors(scheme, 2, q, m_range) for q in (4.0, inf)}
@@ -132,7 +133,7 @@ def test_criterion_2_formula_vs_oracle():
         for d in (1, 2):
             for seed in range(10):
                 f = random_mixed_smooth(R_EFF, 5, d, seed=seed)
-                cache = SampleCache(f, scheme.ell, d)
+                cache = SampleCache(f, scheme.ell, d, 4)
                 fn_scale = 0.0
                 blocks = {}
                 for k in multi_indices(d, 4):
@@ -294,7 +295,7 @@ def test_criterion_7_norm_equivalence():
         for seed in range(10):
             f = random_mixed_smooth(r, K, d, seed=seed)
             ratios.append(
-                lp_block_norm(decompose(cubic, f, m, d), r, p) / sobolev_norm_fourier(f, r)
+                lp_block_norm(recover(cubic, d, m, f), r, p) / sobolev_norm_fourier(f, r)
             )
     spread = max(ratios) / min(ratios)
     assert spread < 20.0

@@ -25,9 +25,9 @@ from sparseqi.quasi_interp import (
     as_batch_function,
     block_axis,
     builtin_scheme,
-    decompose,
     grid_values,
 )
+from sparseqi.smolyak import recover
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth, witness_g1, witness_g2
 from .conftest import traced_peak
 
@@ -260,14 +260,14 @@ class TestSobolevNormFourier:
 class TestBlockNorms:
     def test_constant_function(self, cubic):
         f = lambda P: np.full(P.shape[0], 1.75)
-        val = lp_block_norm(decompose(cubic, f, 3, 1), 1.25, 2.0)
+        val = lp_block_norm(recover(cubic, 1, 3, f), 1.25, 2.0)
         assert val == pytest.approx(1.75, abs=1e-10)
 
     def test_parseval_sanity(self, cubic):
         # r = 0 block norm approaches the L2 norm from below for band-limited f
         f = random_mixed_smooth(1.25, 3, 1, seed=6)
         l2 = lq_norm(f, 2.0, 1, 2**10)
-        blk = lp_block_norm(decompose(cubic, f, 7, 1), 0.0, 2.0)
+        blk = lp_block_norm(recover(cubic, 1, 7, f), 0.0, 2.0)
         assert blk < l2 * 1.02
         assert blk > 0.98 * l2
 
@@ -279,7 +279,7 @@ class TestBlockNorms:
         C[4] = 1.0
         hc = HierCoeffs(1, 2, 2, {(2,): C})
         r, p = 1.0, 2.0
-        norm = lp_block_norm(decompose(faber, hc, 4, 1), r, p, resolution=2**9)
+        norm = lp_block_norm(recover(faber, 1, 4, hc), r, p, resolution=2**9)
         direct = 2.0 ** (r * 2) * lq_norm(hc, p, 1, 2**9)
         assert norm == pytest.approx(direct, rel=1e-12)
 
@@ -292,7 +292,7 @@ class TestBlockNorms:
             C = np.zeros(2 ** (k0 + 1))
             C[2] = 2.0 ** (-r * k0)
             hc = HierCoeffs(1, 2, k0, {(k0,): C})
-            values.append(lp_block_norm(decompose(faber, hc, k0 + 1, 1), r, 2.0, resolution=2**8))
+            values.append(lp_block_norm(recover(faber, 1, k0 + 1, hc), r, 2.0, resolution=2**8))
         assert max(values) <= 1.0
         assert all(v > 0 for v in values)
 
@@ -311,7 +311,7 @@ class TestBlockNorms:
     ])
     def test_guards_run_before_sampling(self, monkeypatch, cubic, norm, d, resolution, error):
         f = random_mixed_smooth(1.25, 2, d, seed=0)
-        hc = decompose(cubic, f, 3, d)
+        hc = recover(cubic, d, 3, f)
         evaluated = []
 
         def recording(axes, blocks, *args, **kwargs):
@@ -431,11 +431,8 @@ class TestFitRate:
 def test_recovery_error_decreases(faber):
     f = random_mixed_smooth(1.0, 8, 2, seed=0)
     errs = []
-    from sparseqi.quasi_interp import SampleCache
-
-    cache = SampleCache(f, faber.ell, 2)
     for m in (2, 3, 4):
-        hc = decompose(faber, f, m, 2, cache=cache)
+        hc = recover(faber, 2, m, f)
         errs.append(recovery_error(f, hc, 2.0))
     assert errs[0] > errs[1] > errs[2]
 
@@ -513,7 +510,7 @@ class TestFieldDifferenceInPlace:
         f = random_mixed_smooth(1.25, 6, d, seed=d)
         field = LatticeField(f, d, 32)
         before = field._values.copy()
-        hc = decompose(cubic, field, 3, d)
+        hc = recover(cubic, d, 3, field)
         err = recovery_error(field, hc, 2.0, 32)
         assert np.array_equal(field._values, before) and not field._values.flags.writeable
         axes = [LatticeAxis(0, 1, 32)] * d
@@ -522,7 +519,7 @@ class TestFieldDifferenceInPlace:
         assert err == analysis._power_mean_norm(expect, 2.0)
 
     def test_stored_sources_are_never_written(self, cubic):
-        hc = decompose(cubic, random_mixed_smooth(1.25, 4, 2, seed=0), 2, 2)
+        hc = recover(cubic, 2, 2, random_mixed_smooth(1.25, 4, 2, seed=0))
         axes = [LatticeAxis(0, 1, 16)] * 2
         values = np.random.default_rng(3).standard_normal((16, 16))
         for a, b in ((_StoredSource(values), hc), (hc, _StoredSource(values)),
@@ -536,7 +533,7 @@ class TestFieldDifferenceInPlace:
 
     def test_complex_source_minus_recovery(self, cubic):
         f = TrigFunction(2, {(1, 2): 1.0 + 2.0j, (0, -1): 0.5})
-        hc = decompose(cubic, random_mixed_smooth(1.25, 4, 2, seed=1), 2, 2)
+        hc = recover(cubic, 2, 2, random_mixed_smooth(1.25, 4, 2, seed=1))
         axes = [LatticeAxis(0, 1, 8)] * 2
         got = FieldDifference(f, hc).eval_on_axes(axes)
         assert got.dtype == np.complex128

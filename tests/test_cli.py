@@ -13,9 +13,9 @@ import sparseqi
 from sparseqi import analysis, kernels, testfuncs
 from sparseqi.cli import _parse_number, _read_points, _write_number_csv, main
 from sparseqi.laurent import LaurentPoly
-from sparseqi.quasi_interp import HierCoeffs, builtin_scheme
-from sparseqi.smolyak import enumerate_grid
-from .conftest import run_cli_in_child, traced_peak
+from sparseqi.quasi_interp import HierCoeffs, build_scheme, builtin_scheme
+from sparseqi.smolyak import enumerate_grid, recover
+from .conftest import grid_points, run_cli_in_child, traced_peak
 from .test_quasi_interp import ORDER6_MASK
 
 
@@ -55,6 +55,24 @@ class TestDeriveScheme:
         mask.write_text("{not json")
         assert run("derive-scheme", "--mask", mask, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("blob", [
+        {"ell": 4, "mask": 3},
+        {"ell": None, "mask": ["-1/6", "4/3", "-1/6"]},
+        [4, ["-1/6", "4/3", "-1/6"]],
+        {"ell": 2, "mask": [None]},
+        {"ell": 2.5, "mask": ["1"]},
+        {"ell": "4", "mask": ["-1/6", "4/3", "-1/6"]},
+        {"ell": 4, "mask": ["-1/6", ["4/3"], "-1/6"]},
+    ], ids=["mask-number", "ell-null", "list", "mask-null", "ell-fraction", "ell-string", "mask-nested"])
+    def test_mask_file_of_wrong_types_exits_2_without_output(self, tmp_path, capsys, blob):
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps(blob))
+        out = tmp_path / "result"
+        assert run("derive-scheme", "--mask", mask, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), captured.err
+        assert not (out / "scheme.json").exists()
+
     def test_ell_disagreeing_with_builtin_exits_1(self, tmp_path, capsys):
         assert run("derive-scheme", "--ell", 2, "--builtin", "cubic", "--out", tmp_path) == 1
         assert "disagrees" in capsys.readouterr().err
@@ -72,6 +90,41 @@ class TestDeriveScheme:
 class TestUsage:
     def test_unknown_flag_exits_1(self):
         assert run("grid", "--bogus") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("derive-scheme", "--builtin", "faber"),
+        ("grid", "--d", 1, "--m", 2),
+        ("recover", "--d", 1, "--m", 2, "--function", "sine"),
+        ("benchmark", "--d", 1, "--m-range", "2..5", "--K", 8),
+        ("benchmark", "--d", 1, "--m-range", "3..8", "--selftest"),
+        ("witness", "--kind", "g2", "--d", 1, "--m-range", "1..2", "--r", 1.25),
+    ], ids=["derive-scheme", "grid", "recover", "benchmark", "benchmark-selftest", "witness"])
+    def test_out_below_a_file_exits_1_before_any_output(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        for out in (blocker, blocker / "sub"):
+            assert run(*argv, "--out", out) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage error: --out"), captured.err
+            assert "is not a directory" in captured.err
+        assert blocker.read_text() == "kept" and sorted(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["directory", "below-a-file"])
+    @pytest.mark.parametrize("flag", ["--mask", "--samples", "--eval"])
+    def test_directory_as_an_input_file_exits_2(self, tmp_path, capsys, flag, below_a_file):
+        path = tmp_path
+        if below_a_file:
+            (tmp_path / "file").write_text("kept")
+            path = tmp_path / "file" / "input"
+        argv = {
+            "--mask": ("derive-scheme", "--mask", path),
+            "--samples": ("recover", "--d", 1, "--m", 2, "--samples", path),
+            "--eval": ("recover", "--d", 1, "--m", 2, "--function", "sine", "--eval", path),
+        }[flag]
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_exits_1(self):
         assert run("grid") == 1
@@ -325,7 +378,7 @@ class TestGrid:
             rows = list(csv.DictReader(fh))
         assert len(rows) == grid.n
         parsed = {(F(row["x_1"]), F(row["x_2"])) for row in rows}
-        assert parsed == set(grid.points)
+        assert parsed == set(grid_points(grid))
 
     @pytest.mark.parametrize("d, m", [(1, 4), (3, 2)])
     def test_csv_matches_csv_writer(self, tmp_path, cubic, d, m):
@@ -345,6 +398,43 @@ class TestGrid:
                    "--format", "json", "--out", tmp_path) == 0
         blob = json.loads((tmp_path / "grid.json").read_text())
         assert blob["n"] == 16 and len(blob["points"]) == 16
+
+    @pytest.mark.parametrize("name", ["faber", "cubic", "order6"])
+    @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2), (4, 1)])
+    def test_json_matches_the_indented_dump(self, tmp_path, monkeypatch, name, d, m):
+        mask = tmp_path / "order6.json"
+        mask.write_text(json.dumps({"ell": 6, "mask": list(ORDER6_MASK)}))
+        scheme = ("--mask", mask) if name == "order6" else ("--builtin", name)
+        grid = enumerate_grid(d, m, build_scheme(6, ORDER6_MASK) if name == "order6" else builtin_scheme(name))
+        # the default slab, and slabs of 3 points, fewer than the grid's
+        for slab in (kernels._SLAB_ENTRIES, 16 * d * 3):
+            monkeypatch.setattr(kernels, "_SLAB_ENTRIES", slab)
+            assert run("grid", *scheme, "--d", d, "--m", m, "--format", "json", "--out", tmp_path / "out") == 0
+            blob = json.loads((tmp_path / "out" / "grid.json").read_text())
+            assert grid.n > 3
+            expect = {"d": d, "m": m, "ell": grid.ell, "n": grid.n,
+                      "points": [[str(c) for c in pt] for pt in grid_points(grid)],
+                      "provenance": grid.provenance.tolist()}
+            assert blob == expect
+            assert (tmp_path / "out" / "grid.json").read_text() == json.dumps(expect, indent=2) + "\n"
+
+    def test_json_grid_streams_under_the_memory_limit(self, tmp_path):
+        # 2**21 points: dumped as one object, the grid peaked at 1.4 GB
+        # resident, and under a 1 GiB address-space limit it ended in a
+        # MemoryError; the bytes are checked at small sizes above, and here
+        # the size is that of the whole-object dump
+        child = run_cli_in_child(["grid", "--builtin", "faber", "--d", 1, "--m", 20,
+                                  "--format", "json", "--out", "out"], tmp_path, limit=1 << 30)
+        assert child.returncode == 0, child.stderr
+        path = tmp_path / "out" / "grid.json"
+        assert path.stat().st_size == 121_236_994
+        head = ('{\n  "d": 1,\n  "m": 20,\n  "ell": 2,\n  "n": 2097152,\n  "points": [\n    [\n      "0"\n'
+                '    ],\n    [\n      "1/2097152"\n    ],\n    [\n      "1/1048576"\n    ],\n')
+        tail = '    [\n      20\n    ]\n  ]\n}\n'
+        with open(path, "rb") as fh:
+            assert fh.read(len(head)) == head.encode()
+            fh.seek(-len(tail), 2)
+            assert fh.read() == tail.encode()
 
 
 class TestRecover:
@@ -373,17 +463,17 @@ class TestRecover:
     def test_round_trip_from_exported_samples(self, tmp_path, faber):
         # recover a spline combination from its own grid samples: the
         # recovered coefficients reproduce the source (interpolatory order)
-        from sparseqi.quasi_interp import HierCoeffs, decompose
+        from sparseqi.quasi_interp import HierCoeffs
         from sparseqi.testfuncs import builtin_function
 
         f = builtin_function("sine", 2)
-        hc = decompose(faber, f, 3, 2)
+        hc = recover(faber, 2, 3, f)
         grid = enumerate_grid(2, 3, faber)
         samples = tmp_path / "samples.csv"
         with open(samples, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x_1", "x_2", "value"])
-            for pt in grid.points:
+            for pt in grid_points(grid):
                 x = np.array([[float(c) for c in pt]])
                 writer.writerow([str(pt[0]), str(pt[1]), repr(float(hc.eval_points(x)[0]))])
         out = tmp_path / "rec"
@@ -404,7 +494,7 @@ class TestRecover:
         with open(samples, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x_1", "value"])
-            for pt in grid.points[:-1]:  # drop one point
+            for pt in grid_points(grid)[:-1]:  # drop one point
                 writer.writerow([str(pt[0]), "1.0"])
         assert run("recover", "--builtin", "faber", "--d", 1, "--m", 2,
                    "--samples", samples, "--out", tmp_path) == 3
@@ -415,7 +505,7 @@ class TestRecover:
         with open(samples, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x_1", "value"])
-            for pt in grid.points:
+            for pt in grid_points(grid):
                 writer.writerow([str(pt[0]), "0.0"])
         out = tmp_path / "zero"
         assert run("recover", "--builtin", "faber", "--d", 1, "--m", 2,
@@ -641,9 +731,6 @@ class TestOrder6RoundTrip:
 
     @pytest.fixture
     def setup(self, tmp_path):
-        from sparseqi.quasi_interp import build_scheme
-        from sparseqi.smolyak import recover
-
         mask = tmp_path / "mask.json"
         mask.write_text(json.dumps({"ell": 6, "mask": self.MASK}))
         assert run("grid", "--mask", mask, "--d", 2, "--m", 2, "--format", "csv",
@@ -770,7 +857,6 @@ class TestBenchmark:
     def test_one_decomposition_leaves_the_sweep_unchanged(self, tmp_path, cubic, monkeypatch,
                                                           caches, extra, fixture_calls):
         from sparseqi import smolyak, testfuncs
-        from sparseqi.quasi_interp import SampleCache, decompose
 
         calls = []
         on_axes = testfuncs.TrigFunction.eval_on_axes
@@ -785,15 +871,14 @@ class TestBenchmark:
         monkeypatch.undo()
         assert [c.evaluations for c in caches] == [smolyak.count_points(2, 4, cubic)]
         assert len(calls) == fixture_calls
-        # against one decomposition per level over a shared cache, each read
-        # from f itself: the sweep reads f from the top quadrature lattice,
-        # whose transforms round differently (measured within 1e-14)
+        # against one recovery per level, each sampled from f itself: the
+        # sweep reads f from the top quadrature lattice, whose transforms
+        # round differently (measured within 1e-14)
         report = json.loads((tmp_path / "benchmark_report.json").read_text())
         cfg = report["config"]
         f = testfuncs.random_mixed_smooth(cfg["r_eff"], cfg["K"], 2, cfg["seed"])
-        cache = SampleCache(f, cubic.ell, 2)
         for row in report["rows"]:
-            hc = decompose(cubic, f, row["m"], 2, cache=cache)
+            hc = smolyak.recover(cubic, 2, row["m"], f)
             expect = analysis.recovery_error(f, hc, 2.0, cfg["resolution"])
             assert row["error"] == pytest.approx(expect, rel=1e-12)
 

@@ -19,9 +19,9 @@ from sparseqi.quasi_interp import (
     block_coeffs_oracle,
     build_scheme,
     builtin_scheme,
-    decompose,
     multi_indices,
 )
+from sparseqi.smolyak import recover
 from sparseqi.testfuncs import random_mixed_smooth
 
 
@@ -101,8 +101,9 @@ class TestDerivedOrderSix:
     @pytest.mark.parametrize("d", [1, 2])
     def test_formula_vs_oracle(self, sextic, d):
         f = random_mixed_smooth(2.0, 4, d, seed=0)
-        cache = SampleCache(f, sextic.ell, d)
-        for k in multi_indices(d, 3 if d == 1 else 2):
+        m = 3 if d == 1 else 2
+        cache = SampleCache(f, sextic.ell, d, m)
+        for k in multi_indices(d, m):
             direct = block_coeffs(sextic, cache, k)
             oracle = block_coeffs_oracle(sextic, cache, k)
             scale = max(1e-9, float(np.max(np.abs(direct))))
@@ -112,9 +113,8 @@ class TestDerivedOrderSix:
         # order 6 resolves a very smooth function at better than fourth order
         f = random_mixed_smooth(3.5, 64, 1, seed=1)
         errs = []
-        cache = SampleCache(f, sextic.ell, 1)
         for m in (2, 3, 4, 5):
-            hc = decompose(sextic, f, m, 1, cache=cache)
+            hc = recover(sextic, 1, m, f)
             errs.append(recovery_error(f, hc, 2.0))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 3.0)
@@ -123,7 +123,7 @@ class TestDerivedOrderSix:
 class TestThreeDimensions:
     def test_formula_vs_oracle_d3(self, faber):
         f = random_mixed_smooth(1.0, 3, 3, seed=2)
-        cache = SampleCache(f, faber.ell, 3)
+        cache = SampleCache(f, faber.ell, 3, 2)
         for k in multi_indices(3, 2):
             direct = block_coeffs(faber, cache, k)
             oracle = block_coeffs_oracle(faber, cache, k)
@@ -133,14 +133,13 @@ class TestThreeDimensions:
     def test_recovery_error_decreases_d3(self, faber):
         f = random_mixed_smooth(1.0, 6, 3, seed=3)
         errs = []
-        cache = SampleCache(f, faber.ell, 3)
         for m in (1, 2, 3):
-            hc = decompose(faber, f, m, 3, cache=cache)
+            hc = recover(faber, 3, m, f)
             errs.append(recovery_error(f, hc, 2.0, resolution=2**5))
         assert errs[0] > errs[1] > errs[2]
 
     def test_constant_reproduced_d3(self, cubic):
         f = lambda P: np.full(P.shape[0], -0.4)
-        hc = decompose(cubic, f, 2, 3)
+        hc = recover(cubic, 3, 2, f)
         pts = np.random.default_rng(0).random((20, 3))
         assert np.max(np.abs(hc.eval_points(pts) + 0.4)) < 1e-12

@@ -5,8 +5,8 @@ import pytest
 
 from sparseqi import analysis, kernels, quasi_interp, testfuncs
 from sparseqi.bspline import piece_table
-from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, decompose, grid_values, multi_indices
-from sparseqi.smolyak import enumerate_grid
+from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, grid_values, multi_indices
+from sparseqi.smolyak import enumerate_grid, recover
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
 from .conftest import periodic_row, traced_peak
 
@@ -14,7 +14,7 @@ from .conftest import periodic_row, traced_peak
 @pytest.fixture(scope="module")
 def combo_2d(cubic):
     f = random_mixed_smooth(1.25, 6, 2, seed=4)
-    return decompose(cubic, f, 3, 2)
+    return recover(cubic, 2, 3, f)
 
 
 @pytest.mark.parametrize("ell", [2, 4, 6])
@@ -38,7 +38,7 @@ def test_grid_path_matches_scattered(combo_2d):
 
 def test_grid_path_3d(faber):
     f = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.sin(2 * np.pi * P[:, 1]) * np.sin(2 * np.pi * P[:, 2])
-    hc = decompose(faber, f, 2, 3)
+    hc = recover(faber, 3, 2, f)
     axes = [LatticeAxis(0, 1, 7), LatticeAxis(1, 2, 5), LatticeAxis(2, 3, 6)]
     grid_vals = hc.eval_on_axes(axes)
     mesh = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, 3)

@@ -30,9 +30,9 @@ from sparseqi.quasi_interp import (
     multi_indices,
     quasi_coeffs,
 )
-from sparseqi.smolyak import count_points, enumerate_grid
+from sparseqi.smolyak import count_points, enumerate_grid, recover
 from sparseqi.testfuncs import TrigFunction, random_mixed_smooth
-from .conftest import rng_points, tensor_value
+from .conftest import grid_points, grid_samples, rng_points, tensor_value
 
 
 def _rolled_refine_axis(A, axis, ell):
@@ -131,8 +131,9 @@ class TestAgainstReplacedPaths:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_and_quasi_coeffs(self, name, d):
         scheme = SCHEMES[name]()
-        cache = SampleCache(self._samples(d), scheme.ell, d)
-        for k in multi_indices(d, 3 if d < 3 else 2):
+        m = 3 if d < 3 else 2
+        cache = SampleCache(self._samples(d), scheme.ell, d, m)
+        for k in multi_indices(d, m):
             F = cache.lattice_values(k)
             assert _same_bits(block_coeffs(scheme, cache, k), _split_block_coeffs(scheme, F, k))
             expect = F
@@ -194,7 +195,7 @@ def _ix_lattice_values(cache, k):
     axes: each block written through ``np.ix_`` arrays of its integer positions."""
     out = np.empty(tuple(cache.ell << kj for kj in k))
     for a in itertools.product(*(range(kj + 1) for kj in k)):
-        out[np.ix_(*(block_positions(cache.ell, aj, kj) for aj, kj in zip(a, k)))] = cache._fetch(a)
+        out[np.ix_(*(block_positions(cache.ell, aj, kj) for aj, kj in zip(a, k)))] = cache._blocks[a]
     return out
 
 
@@ -235,8 +236,9 @@ class TestLatticeAxis:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_lattice_values_match_the_index_assembly(self, name, d):
         scheme = SCHEMES[name]()
-        cache = SampleCache(TestAgainstReplacedPaths._samples(d), scheme.ell, d)
-        for k in multi_indices(d, 4 if d < 3 else 3):
+        m = 4 if d < 3 else 3
+        cache = SampleCache(TestAgainstReplacedPaths._samples(d), scheme.ell, d, m)
+        for k in multi_indices(d, m):
             assert _same_bits(cache.lattice_values(k), _ix_lattice_values(cache, k))
 
 
@@ -278,7 +280,6 @@ class TestBlockRule:
             cache = SampleCache.from_lattice(index, level, index, ell, 1)
             a, local = _frexp_block_index(index, level)
             assert sorted(cache._blocks) == [(lev,) for lev in range(level + 1)]
-            assert not cache._absent
             for lev, block in cache._blocks.items():
                 assert block.shape == (ell << max(lev[0] - 1, 0),)
             got = np.array([cache._blocks[(aj,)][i] for aj, i in zip(a.tolist(), local.tolist())])
@@ -291,7 +292,11 @@ class TestBlockRule:
         cache = SampleCache.from_lattice(index, level, index[:, 0] * n + index[:, 1], ell, 2)
         a, local = _frexp_block_index(index, level)
         for row, (lev, at) in enumerate(zip(map(tuple, a.tolist()), map(tuple, local.tolist()))):
-            assert cache._blocks[lev][at] == index[row, 0] * n + index[row, 1]
+            if sum(lev) > level:  # off the sparse grid: ignored
+                assert lev not in cache._blocks
+            else:
+                assert cache._blocks[lev][at] == index[row, 0] * n + index[row, 1]
+        assert sorted(cache._blocks) == sorted(multi_indices(2, level))
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (4, 2)])
@@ -305,9 +310,7 @@ class TestBlockRule:
         assert count_points(d, m, scheme) == len(index) == sum(
             math.prod(len(block_positions(ell, aj, aj)) for aj in a) for a in multi_indices(d, m))
 
-        cache = SampleCache(TestAgainstReplacedPaths._samples(d), ell, d)
-        for k in multi_indices(d, m):
-            cache.lattice_values(k)
+        cache = SampleCache(TestAgainstReplacedPaths._samples(d), ell, d, m)
         # the stored samples, read at the grid's positions by the replaced
         # block rule, fill a cache from the positions alone with the same blocks
         old_a, old_local = _frexp_block_index(index, m)
@@ -316,14 +319,13 @@ class TestBlockRule:
         assert sorted(again._blocks) == sorted(cache._blocks)
         assert all(_same_bits(again._blocks[a], block) for a, block in cache._blocks.items())
 
-        # without one point of block a, fetching a names that point
+        # without one point of block a, building the table names that point
         for a in multi_indices(d, m):
             rows = np.flatnonzero((provenance == a).all(axis=1))
             drop = rows[len(rows) // 2]
             keep = np.delete(np.arange(len(index)), drop)
-            sparse = SampleCache.from_lattice(index[keep], m, np.zeros(len(keep)), ell, d)
             with pytest.raises(MissingSamples) as exc:
-                sparse.lattice_values(a)
+                SampleCache.from_lattice(index[keep], m, np.zeros(len(keep)), ell, d)
             old_a, old_local = _frexp_block_index(index[drop], m)
             assert tuple(old_a.tolist()) == a
             assert exc.value.point == _block_point(ell, a, old_local.tolist())
@@ -331,8 +333,10 @@ class TestBlockRule:
 
 
 def _row_unique_from_lattice(index, level, values, ell, d):
-    """The ``SampleCache.from_lattice`` that flat keys replaced: row-wise
-    ``np.unique(axis=0)`` for the repeated positions and the block levels."""
+    """The blocks of the ``SampleCache.from_lattice`` that flat keys replaced:
+    row-wise ``np.unique(axis=0)`` for the repeated positions and the block
+    levels.  Returns the complete blocks, and the block-local index of the
+    first absent point of each incomplete one."""
     index = np.asarray(index, dtype=np.int64).reshape(-1, d)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     _, last = np.unique(index[::-1], axis=0, return_index=True)
@@ -343,7 +347,7 @@ def _row_unique_from_lattice(index, level, values, ell, d):
     for a, axis in enumerate(axes):
         block_of[axis.within(ell << level)] = a
         local_of[axis.within(ell << level)] = np.arange(axis.n)
-    cache = SampleCache(None, ell, d)
+    blocks, absent_at = {}, {}
     levels, group = np.unique(block_of[index], axis=0, return_inverse=True)
     for g, lev in enumerate(map(tuple, levels.tolist())):
         rows = group.reshape(-1) == g
@@ -353,15 +357,31 @@ def _row_unique_from_lattice(index, level, values, ell, d):
         absent = np.ones(block.shape, dtype=bool)
         absent[at] = False
         if absent.any():
-            cache._absent[lev] = tuple(np.argwhere(absent)[0].tolist())
+            absent_at[lev] = tuple(np.argwhere(absent)[0].tolist())
         else:
-            block.flags.writeable = False
-            cache._blocks[lev] = block
-    return cache
+            blocks[lev] = block
+    return blocks, absent_at
+
+
+def _lazily_missing_point(blocks, absent_at, ell, d, m):
+    """The point the lazily filled cache named when a decomposition to level
+    ``m`` read the ``blocks`` given with gaps at ``absent_at``: the lattices
+    ``k`` were read in ``multi_indices`` order, and each read its blocks
+    ``a <= k`` in ``itertools.product`` order; the first block not given
+    named its first absent point, or its first point when it had no rows.
+    ``None`` when every block was given."""
+    for k in multi_indices(d, m):
+        for a in itertools.product(*(range(kj + 1) for kj in k)):
+            if a not in blocks:
+                first = absent_at.get(a, (0,) * d)
+                return tuple(block_axis(ell, aj).fraction(i) for aj, i in zip(a, first))
+    return None
 
 
 class TestFromLatticeKeys:
-    """``from_lattice`` keyed by flat positions against the row-``unique`` version it replaced."""
+    """``from_lattice`` keyed by flat positions against the row-``unique``
+    version it replaced, and its missing point against the lazily filled
+    cache's."""
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 3)])
@@ -378,13 +398,18 @@ class TestFromLatticeKeys:
         for rows in cases:
             values = rng.normal(size=len(rows))
             values[::7] = -0.0
+            old, absent_at = _row_unique_from_lattice(index[rows], m, values, ell, d)
+            missing = _lazily_missing_point(old, absent_at, ell, d, m)
+            if missing is not None:
+                with pytest.raises(MissingSamples) as exc:
+                    SampleCache.from_lattice(index[rows], m, values, ell, d)
+                assert exc.value.point == missing
+                assert all(type(c) is F for c in exc.value.point)
+                continue
             new = SampleCache.from_lattice(index[rows], m, values, ell, d)
-            old = _row_unique_from_lattice(index[rows], m, values, ell, d)
-            assert list(new._blocks) == list(old._blocks)
-            assert all(_same_bits(new._blocks[a], block) for a, block in old._blocks.items())
+            assert list(new._blocks) == list(multi_indices(d, m)) and sorted(old) == sorted(new._blocks)
+            assert all(_same_bits(new._blocks[a], block) for a, block in old.items())
             assert all(not block.flags.writeable for block in new._blocks.values())
-            assert list(new._absent.items()) == list(old._absent.items())
-            assert all(type(v) is int for lev in new._absent for v in lev)
 
     def test_lattice_of_more_positions_than_int64_keys(self):
         # (2 * 2**3)**16 = 2**64 positions: no flat int64 key names them all,
@@ -392,11 +417,31 @@ class TestFromLatticeKeys:
         # the size cap
         index = np.zeros((3, 16), dtype=np.int64)
         index[1, -1] = index[2, 0] = 15
-        new = SampleCache.from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
-        old = _row_unique_from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
-        assert list(new._blocks) == list(old._blocks) == []
-        assert list(new._absent.items()) == list(old._absent.items())
-        assert len(new._absent) == 3
+        old, absent_at = _row_unique_from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
+        assert old == {} and len(absent_at) == 3
+        with pytest.raises(MissingSamples) as exc:
+            SampleCache.from_lattice(index, 3, [1.0, 2.0, 3.0], 2, 16)
+        assert exc.value.point == _lazily_missing_point(old, absent_at, 2, 16, 3) == (F(0),) * 15 + (F(1, 2),)
+
+    @pytest.mark.parametrize("name", ["faber", "cubic"])
+    @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3)])
+    def test_random_dropped_rows_name_the_lazily_missing_point(self, name, d, m):
+        # any set of dropped rows, from one row to most of the grid: the table
+        # refuses at once and names the point the lazy cache named
+        scheme = builtin_scheme(name)
+        grid = enumerate_grid(d, m, scheme)
+        points = grid_points(grid)
+        rng = np.random.default_rng([d, m, scheme.ell])
+        for trial in range(12):
+            size = rng.integers(1, 4) if trial % 2 else rng.integers(1, grid.n)  # a few rows, or many
+            drop = rng.choice(grid.n, size=int(size), replace=False)
+            keep = np.delete(np.arange(grid.n), drop)
+            values = rng.normal(size=len(keep))
+            old, absent_at = _row_unique_from_lattice(grid.index[keep], m, values, scheme.ell, d)
+            with pytest.raises(MissingSamples) as exc:
+                SampleCache.from_lattice(grid.index[keep], m, values, scheme.ell, d)
+            assert exc.value.point == _lazily_missing_point(old, absent_at, scheme.ell, d, m)
+            assert exc.value.point in {points[i] for i in drop.tolist()}
 
 
 def lp(lo, *coeffs):
@@ -535,7 +580,7 @@ class TestBuildScheme:
 
 def _a_coeff(scheme, k, s, f):
     # univariate quasi-interpolant coefficient Lambda(f, s) at level k
-    return quasi_coeffs(scheme, SampleCache(f, scheme.ell, 1), (k,))[s]
+    return quasi_coeffs(scheme, SampleCache(f, scheme.ell, 1, k), (k,))[s]
 
 
 class TestACoeff:
@@ -582,7 +627,7 @@ class TestDetailCoeff:
     def test_scalar_oracle_entry(self, cubic):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, 1])
         val = detail_coeff(cubic, (1, 2), (3, 5), f)
-        ora = block_coeffs_oracle(cubic, SampleCache(f, cubic.ell, 2), (1, 2))[3, 5]
+        ora = block_coeffs_oracle(cubic, SampleCache(f, cubic.ell, 2, 3), (1, 2))[3, 5]
         assert val == pytest.approx(ora, abs=1e-13)
 
 
@@ -592,7 +637,7 @@ def test_formula_vs_oracle_random(name, d):
     scheme = builtin_scheme(name)
     for seed in range(3):
         f = random_mixed_smooth(1.25, 5, d, seed=seed)
-        cache = SampleCache(f, scheme.ell, d)
+        cache = SampleCache(f, scheme.ell, d, 3)
         for k in multi_indices(d, 3):
             direct = block_coeffs(scheme, cache, k)
             oracle = block_coeffs_oracle(scheme, cache, k)
@@ -609,8 +654,8 @@ def test_telescoping_inclusion_exclusion(name, d, m):
 
     scheme = builtin_scheme(name)
     f = random_mixed_smooth(1.0, 4, d, seed=7)
-    cache = SampleCache(f, scheme.ell, d)
-    hc = decompose(scheme, f, m, d, cache=cache)
+    cache = SampleCache(f, scheme.ell, d, m)
+    hc = decompose(scheme, cache)
     pts = rng_points(40, d, seed=3)
     direct = hc.eval_points(pts)
 
@@ -630,7 +675,7 @@ def test_telescoping_inclusion_exclusion(name, d, m):
 class TestDecompose:
     def test_constant_only_base_block(self, cubic):
         f = lambda P: np.full(P.shape[0], 3.25)
-        hc = decompose(cubic, f, 3, 2)
+        hc = recover(cubic, 2, 3, f)
         for k, C in hc.block_items():
             if sum(k) == 0:
                 assert np.max(np.abs(C)) > 1.0
@@ -642,14 +687,14 @@ class TestDecompose:
     def test_base_level_coefficient_placement(self, faber):
         # order 2, level 0, d = 1: the two coefficients read f(1/2) and f(0)
         f = lambda x: 10.0 * x + 1.0
-        hc = decompose(faber, f, 0, 1)
+        hc = recover(faber, 1, 0, f)
         C = dict(hc.block_items())[(0,)]
         assert C[0] == pytest.approx(f(0.5))
         assert C[1] == pytest.approx(f(0.0))  # wraps: reads f(1) = f(0)
 
     def test_parabola_tail_bound(self, faber):
         g = lambda x: (x % 1.0) * (1.0 - (x % 1.0))
-        hc = decompose(faber, g, 6, 1)
+        hc = recover(faber, 1, 6, g)
         xs = rng_points(1000, 1, seed=11)
         resid = np.abs(hc.eval_points(xs) - g(xs[:, 0]))
         assert resid.max() < 4.0**-6
@@ -661,8 +706,8 @@ class TestDecompose:
 
     def test_projector_round_trip_interpolatory(self, faber):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, 1])
-        hc1 = decompose(faber, f, 3, 2)
-        hc2 = dict(decompose(faber, hc1, 3, 2).block_items())
+        hc1 = recover(faber, 2, 3, f)
+        hc2 = dict(recover(faber, 2, 3, hc1).block_items())
         for k, C in hc1.block_items():
             assert np.max(np.abs(C - hc2[k])) < 1e-12
 
@@ -673,7 +718,7 @@ class TestDecompose:
         f_inf = np.max(np.abs(f.eval_points(xs[:, None])))
         bound = float(cubic.norm_lambda) * f_inf
         for k in (0, 2, 4):
-            A = quasi_coeffs(cubic, SampleCache(f, 4, 1), (k,))
+            A = quasi_coeffs(cubic, SampleCache(f, 4, 1, k), (k,))
             qk = HierCoeffs(1, 4, k, {(k,): A})
             assert np.max(np.abs(qk.eval_points(xs[:, None]))) <= bound * (1 + 1e-12)
 
@@ -695,19 +740,20 @@ class TestSampleCache:
             ]
             for f in sources:
                 rec = RecordingSource(f)
-                cache = SampleCache(rec, scheme.ell, d)
-                decompose(scheme, rec, m, d, cache=cache)
+                cache = SampleCache(rec, scheme.ell, d, m)
+                decompose(scheme, cache)
                 n_calls = len(rec.calls)
                 assert rec.points() == cache.evaluations == len(cache) == count_points(d, m, scheme)
-                decompose(scheme, rec, m, d, cache=cache)
+                decompose(scheme, cache)
                 assert len(rec.calls) == n_calls  # fully served from the cache
 
     def test_exact_dyadic_dedup_across_levels(self, faber):
-        cache = SampleCache(lambda x: x, faber.ell, 1)
-        cache.lattice_values((2,))
+        cache = SampleCache(lambda x: x, faber.ell, 1, 2)
+        fine = cache.lattice_values((2,))
         n_fine = len(cache)
-        cache.lattice_values((1,))  # coarse lattice is a subset
-        assert len(cache) == n_fine
+        # the coarse lattice is a subset, read from the same samples
+        assert np.array_equal(cache.lattice_values((1,)), fine[::2])
+        assert len(cache) == n_fine == count_points(1, 2, faber)
 
     @pytest.mark.parametrize("d, shape", [(1, (5 * kernels._SLAB_ENTRIES // 2,)), (2, (1024, 600))])
     def test_grid_values_fallback_chunks_bit_equal(self, d, shape):
@@ -736,10 +782,34 @@ class TestSampleCache:
         assert peak < n**d * d * 8
 
     def test_value_map_missing_sample(self, faber):
-        cache = SampleCache.from_lattice([[0, 0]], 0, [1.0], faber.ell, 2)
         with pytest.raises(MissingSamples) as exc:
-            cache.lattice_values((0, 0))
+            SampleCache.from_lattice([[0, 0]], 0, [1.0], faber.ell, 2)
         assert exc.value.point == (F(0), F(1, 2))
+
+    def test_lattice_above_the_table_refused(self, faber):
+        cache = SampleCache(lambda P: P[:, 0], faber.ell, 2, 2)
+        for k in [(2, 1), (3, 0), (0, 3), (1, 1, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match="not within the level-2 table"):
+                cache.lattice_values(k)
+        with pytest.raises(ValueError, match="not within the level-2 table"):
+            block_coeffs(faber, cache, (1, 2))
+
+    @pytest.mark.parametrize("d, m", [(0, 2), (2, -1)])
+    def test_dimension_and_level_checked(self, faber, d, m):
+        with pytest.raises(ValueError, match="need d >= 1 and m >= 0"):
+            SampleCache(lambda P: P[:, 0], faber.ell, d, m)
+
+    def test_decompose_refuses_a_table_of_another_order(self, faber, cubic):
+        f = lambda P: P[:, 0]
+        with pytest.raises(ValueError, match="of order 2 for a scheme of order 4"):
+            decompose(cubic, SampleCache(f, faber.ell, 2, 2))
+        grid = enumerate_grid(1, 2, cubic)
+        given = SampleCache.from_lattice(grid.index, 2, np.ones(grid.n), cubic.ell, 1)
+        with pytest.raises(ValueError, match="of order 4 for a scheme of order 2"):
+            decompose(faber, given)
+        # d and m come from the table
+        hc = decompose(cubic, SampleCache(f, cubic.ell, 2, 3))
+        assert (hc.d, hc.max_level, hc.ell) == (2, 3, 4)
 
 
 class FractionSampleCache:
@@ -851,19 +921,19 @@ class TestAgainstFractionCache:
     @pytest.mark.parametrize("d,m", [(1, 5), (2, 4), (3, 3)])
     @pytest.mark.parametrize("source", ["trig", "plain"])
     def test_shuffled_visit_orders(self, cubic, d, m, source):
-        # each block is fetched once, from its own points only, whatever the
-        # order in which lattices are visited
+        # each block is sampled once, from its own points only, and the
+        # lattices read the same values in any order of visits
         f = random_mixed_smooth(1.25, 6, d, seed=4) if source == "trig" else self.plain
         for seed in range(3):
             ks = list(multi_indices(d, m)) * 2
             random.Random(seed).shuffle(ks)
             f_new = RecordingSource(f)
-            new = SampleCache(f_new, cubic.ell, d)
+            new = SampleCache(f_new, cubic.ell, d, m)
             old = FractionSampleCache(f, cubic.ell, d)
             for k in ks:
                 self.assert_close(new.lattice_values(k), old.lattice_values(k), f)
-                assert new.evaluations == old.evaluations
-                assert len(new) == len(old)
+            assert new.evaluations == old.evaluations == count_points(d, m, cubic)
+            assert len(new) == len(old)
             blocks = f_new.blocks(cubic.ell, d, m)
             assert None not in blocks
             assert sorted(blocks) == sorted(multi_indices(d, m))
@@ -873,7 +943,7 @@ class TestAgainstFractionCache:
     def test_values_independent_of_visit_order(self, cubic, d, m, source):
         f = random_mixed_smooth(1.25, 6, d, seed=4) if source == "trig" else self.plain
         ks = list(multi_indices(d, m))
-        forward, reverse = SampleCache(f, cubic.ell, d), SampleCache(f, cubic.ell, d)
+        forward, reverse = SampleCache(f, cubic.ell, d, m), SampleCache(f, cubic.ell, d, m)
         for k in ks:
             forward.lattice_values(k)
         for k in reversed(ks):
@@ -883,15 +953,14 @@ class TestAgainstFractionCache:
 
     def test_grid_samples_round_trip(self, cubic):
         f = random_mixed_smooth(1.25, 4, 2, seed=6)
-        cache = SampleCache(f, cubic.ell, 2)
-        decompose(cubic, f, 3, 2, cache=cache)
+        cache = SampleCache(f, cubic.ell, 2, 3)
         old = FractionSampleCache(f, cubic.ell, 2)
         for k in multi_indices(2, 3):
             old.lattice_values(k)
         grid = enumerate_grid(2, 3, cubic)
-        assert len(cache) == grid.n and set(grid.points) == old._store.keys()
-        samples = cache.lattice_values((3, 3))[tuple(grid.index.T)]
-        self.assert_close(samples, np.array([old._store[p] for p in grid.points]), f)
+        assert len(cache) == grid.n and set(grid_points(grid)) == old._store.keys()
+        samples = grid_samples(cache, grid)
+        self.assert_close(samples, np.array([old._store[p] for p in grid_points(grid)]), f)
         again = SampleCache.from_lattice(grid.index, 3, samples, cubic.ell, 2)
         for k in multi_indices(2, 3):
             assert np.array_equal(again.lattice_values(k), cache.lattice_values(k))
@@ -902,33 +971,36 @@ class TestAgainstFractionCache:
         full = np.arange(grid.n, dtype=np.float64)
         rng = np.random.default_rng(0)
         for drop in rng.choice(grid.n, size=6, replace=False):
-            dropped = grid.points[drop]
-            block = tuple(grid.provenance[drop].tolist())
+            dropped = grid_points(grid)[drop]
             keep = np.delete(np.arange(grid.n), drop)
             # a repeated position keeps its last value
             index = np.concatenate([grid.index[keep[::2]], grid.index[keep]])
             values = np.concatenate([np.full(len(keep[::2]), -1.0), full[keep]])
-            new = SampleCache.from_lattice(index, 3, values, cubic.ell, 2)
             old = FractionSampleCache.from_values(
-                {pt: v for pt, v in zip(grid.points, full.tolist()) if pt != dropped}, cubic.ell, 2)
+                {pt: v for pt, v in zip(grid_points(grid), full.tolist()) if pt != dropped}, cubic.ell, 2)
+            # the first lattice that needs the dropped point names it
+            named = None
             for k in multi_indices(2, 3):
-                if all(a <= kj for a, kj in zip(block, k)):
-                    # the lattice needs the dropped point: both name the same
-                    # absent point, the first one in row-major order
-                    with pytest.raises(MissingSamples) as exc:
-                        new.lattice_values(k)
-                    with pytest.raises(MissingSamples) as exc_old:
-                        old.lattice_values(k)
-                    assert exc.value.point == exc_old.value.point == dropped
-                else:
-                    assert np.array_equal(new.lattice_values(k), old.lattice_values(k))
-            assert new.evaluations == 0
+                try:
+                    old.lattice_values(k)
+                except MissingSamples as exc:
+                    named = exc.point
+                    break
+            # the table names the same absent point, when it is built
+            with pytest.raises(MissingSamples) as exc:
+                SampleCache.from_lattice(index, 3, values, cubic.ell, 2)
+            assert exc.value.point == named == dropped
+        # with every point given, the repeated positions keep their last values
+        index = np.concatenate([grid.index[::2], grid.index])
+        values = np.concatenate([np.full(len(grid.index[::2]), -1.0), full])
+        again = SampleCache.from_lattice(index, 3, values, cubic.ell, 2)
+        assert np.array_equal(grid_samples(again, grid), full) and again.evaluations == 0
 
 
 class TestHierCoeffs:
     def test_json_round_trip(self, cubic):
         f = random_mixed_smooth(1.25, 4, 2, seed=5)
-        hc = decompose(cubic, f, 2, 2)
+        hc = recover(cubic, 2, 2, f)
         blob = json.dumps(hc.to_json())
         back = HierCoeffs.from_json(json.loads(blob))
         pts = rng_points(50, 2)
@@ -990,7 +1062,7 @@ class TestHierCoeffs:
 
     def test_entries_sorted(self, faber):
         f = lambda P: np.sin(2 * np.pi * P[:, 0]) + np.cos(2 * np.pi * P[:, 1])
-        hc = decompose(faber, f, 2, 2)
+        hc = recover(faber, 2, 2, f)
         keys = [(sum(k), k, s) for k, s, _ in hc.items()]
         assert keys == sorted(keys)
 
@@ -1019,7 +1091,7 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         f = random_mixed_smooth(1.25, 6, 2, seed=10)
-        hc = decompose(cubic, f, 3, 2)
+        hc = recover(cubic, 2, 3, f)
         pts = rng_points(500, 2, seed=11)
         expect = hc.eval_points(pts)
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -1028,8 +1100,8 @@ class TestConcurrency:
             assert np.array_equal(got, expect)
 
     def test_concurrent_cache_races_benign(self, faber):
-        # racing threads fetch each block once, under the cache's lock, so the
-        # outcome is bit-equal to serial and every point is counted once
+        # racing threads read one immutable table, so the outcome is bit-equal
+        # to serial and every point is counted once
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -1039,9 +1111,9 @@ class TestConcurrency:
         plain = lambda P: np.sin(2 * np.pi * P[:, 0]) * np.cos(4 * np.pi * P[:, 1])
         ks = list(multi_indices(2, 3)) * 4
         for f in (plain, tf):
-            hc = decompose(faber, f, 3, 2)
+            hc = recover(faber, 2, 3, f)
             for _ in range(20):
-                cache = SampleCache(f, faber.ell, 2)
+                cache = SampleCache(f, faber.ell, 2, 3)
                 interval = sys.getswitchinterval()
                 sys.setswitchinterval(1e-6)  # switch threads often, to provoke races
                 try:
@@ -1050,7 +1122,7 @@ class TestConcurrency:
                 finally:
                     sys.setswitchinterval(interval)
                 assert cache.evaluations == len(cache) == count_points(2, 3, faber)
-                hc2 = dict(decompose(faber, f, 3, 2, cache=cache).block_items())
+                hc2 = dict(decompose(faber, cache).block_items())
                 for k, C in hc.block_items():
                     assert np.array_equal(C, hc2[k])
 

@@ -21,7 +21,7 @@ from sparseqi.smolyak import (
     recover,
 )
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1
-from .conftest import rng_points
+from .conftest import grid_points, grid_samples, rng_points
 
 
 def brute_force_grid(d, m, scheme):
@@ -81,7 +81,7 @@ class TestAgainstFractionGrid:
             for m in range(6):
                 grid = enumerate_grid(d, m, scheme)
                 points, provenance = fraction_grid(d, m, ell)
-                assert grid.points == points
+                assert grid_points(grid) == points
                 assert tuple(map(tuple, grid.provenance.tolist())) == provenance
                 assert grid.n == len(points) == count_points(d, m, scheme)
                 assert np.array_equal(grid.as_array(), [[float(c) for c in p] for p in points])
@@ -112,20 +112,20 @@ class TestGrid:
         scheme = faber if name == "faber" else cubic
         grid = enumerate_grid(d, m, scheme)
         oracle = brute_force_grid(d, m, scheme)
-        assert set(grid.points) == oracle
+        assert set(grid_points(grid)) == oracle
 
     def test_d1_full_lattice(self, faber, cubic):
         for scheme in (faber, cubic):
             for m in range(5):
                 grid = enumerate_grid(1, m, scheme)
                 L = scheme.ell * 2**m
-                assert grid.points == tuple((F(t, L),) for t in range(L))
+                assert grid_points(grid) == tuple((F(t, L),) for t in range(L))
                 assert grid.n == L
 
     def test_nestedness(self, cubic):
         for m in range(4):
-            a = set(enumerate_grid(2, m, cubic).points)
-            b = set(enumerate_grid(2, m + 1, cubic).points)
+            a = set(grid_points(enumerate_grid(2, m, cubic)))
+            b = set(grid_points(enumerate_grid(2, m + 1, cubic)))
             assert a < b
 
     def test_count_matches_enumeration(self, faber, cubic):
@@ -141,7 +141,7 @@ class TestGrid:
 
     def test_provenance_levels(self, faber):
         grid = enumerate_grid(2, 2, faber)
-        for pt, prov in zip(grid.points, grid.provenance):
+        for pt, prov in zip(grid_points(grid), grid.provenance):
             assert sum(prov) <= grid.m
             for c, a in zip(pt, prov):
                 assert (c * shifts_per_level(faber.ell, a)).denominator == 1
@@ -152,7 +152,7 @@ class TestGrid:
 def _recover_given(scheme, grid, values):
     """The recovery at the grid's level from ``values`` at its positions."""
     cache = SampleCache.from_lattice(grid.index, grid.m, values, scheme.ell, grid.d)
-    return decompose(scheme, None, grid.m, grid.d, cache=cache), cache
+    return decompose(scheme, cache), cache
 
 
 class TestRecover:
@@ -163,12 +163,12 @@ class TestRecover:
 
     def test_value_map_equals_callable_path(self, cubic):
         f = random_mixed_smooth(1.25, 4, 2, seed=3)
-        cache = SampleCache(f, cubic.ell, 2)
-        via_callable = dict(decompose(cubic, f, 2, 2, cache=cache).block_items())
+        cache = SampleCache(f, cubic.ell, 2, 2)
+        via_callable = dict(decompose(cubic, cache).block_items())
         # bit-identical when recovering from the exact samples the callable
         # path froze, read off its cache at the grid's positions
         grid = enumerate_grid(2, 2, cubic)
-        frozen = cache.lattice_values((2, 2))[tuple(grid.index.T)]
+        frozen = grid_samples(cache, grid)
         via_values, _ = _recover_given(cubic, grid, frozen)
         assert [k for k, _ in via_values.block_items()] == list(via_callable)
         for k, C in via_values.block_items():
@@ -181,10 +181,9 @@ class TestRecover:
     def test_missing_sample_reported(self, faber):
         grid = enumerate_grid(1, 2, faber)
         keep = np.delete(np.arange(grid.n), 3)
-        cache = SampleCache.from_lattice(grid.index[keep], 2, np.ones(len(keep)), faber.ell, 1)
         with pytest.raises(MissingSamples) as exc:
-            decompose(faber, None, 2, 1, cache=cache)
-        assert exc.value.point == grid.points[3]
+            SampleCache.from_lattice(grid.index[keep], 2, np.ones(len(keep)), faber.ell, 1)
+        assert exc.value.point == grid_points(grid)[3]
 
     def test_no_evaluations_on_value_path(self, faber):
         grid = enumerate_grid(1, 3, faber)

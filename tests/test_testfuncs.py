@@ -7,8 +7,8 @@ import pytest
 
 from sparseqi import kernels, testfuncs
 from sparseqi.analysis import fit_rate, lq_norm, sobolev_norm_fourier, spline_norm
-from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin_scheme, decompose
-from sparseqi.smolyak import enumerate_grid
+from sparseqi.quasi_interp import LatticeAxis, block_axis, build_scheme, builtin_scheme
+from sparseqi.smolyak import enumerate_grid, recover
 from sparseqi.testfuncs import (
     TrigFunction,
     builtin_function,
@@ -670,7 +670,7 @@ class TestWitnesses:
         scheme = {2: builtin_scheme("faber"), 4: builtin_scheme("cubic"), 6: build_scheme(6, ORDER6_MASK)}[ell]
         for m in levels:
             w = witness_g2(scheme, d, m, 1.25, 2.0)
-            assert decompose(scheme, w, m, d).num_entries() == 0
+            assert recover(scheme, d, m, w).num_entries() == 0
 
     def test_g2_norm_ratio(self, cubic):
         r, p, q = 1.25, 2.0, 4.0
