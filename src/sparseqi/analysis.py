@@ -4,7 +4,9 @@ Integral norms on the torus use the uniform tensor lattice (the trapezoid
 rule collapses to the lattice mean for periodic integrands) for dimension up
 to three, and above that a deterministic rank-1 lattice rule with n = largest
 prime <= resolution (fast CBC generator, Nuyens & Cools, Math. Comp. 2006).
-Reductions run in a fixed chunking order, so repeated runs give identical values.
+A tensor lattice is read in row slabs of axis 0, so no grid-sized array is
+made beside a stored one; sums and maxima accumulate slab by slab in a
+fixed order, so repeated runs give identical values.
 A single spline needs no lattice: :func:`spline_norm` is its exact norm.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isinf, isqrt, pi
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,14 +59,15 @@ class DegenerateFit(ValueError):
 # rank-1 and evaluation lattices, sample grids, fixture boxes, witness
 # blocks, the grid kernel's largest basis matrix), 2**27: a 512**3 lattice
 # fits.  Its float64 values take 1 GiB.
-# Peak traced bytes (tracemalloc) per lattice point: 11.8 for a d = 3
-# witness norm at 128**3 (the grid kernel's output, which takes its products
-# in slabs, its partial fields and the basis matrices in use), so some
-# 1.5 GiB at the limit; 20 for a d = 3 recovery error at 128**3, where the
-# fixture's real values hold 8 more while the combination is evaluated, and
-# the difference is taken in place.  A d > 3 rank-1 lattice counts 8 entries
-# per point for its generator's search (64 traced bytes per point at
-# n = 199 999 and 1 999 993, d = 4), or its d coordinates when d > 8.
+# Peak traced bytes (tracemalloc) per lattice point at 128**3, where the
+# quadrature reads the lattice in row slabs: 7.9 for a d = 3 witness norm
+# (g1 at level 8: the grid kernel's partial fields and basis matrices), and
+# 13.2 while a d = 3 sweep evaluates its K = 16 fixture on the lattice (the
+# 8-byte values and the complex field before the last axis), beside which a
+# recovery error takes 4.4 more; so some 1.7 GiB at the limit.  A d > 3
+# rank-1 lattice counts 8 entries per point for its generator's search (64
+# traced bytes per point at n = 199 999 and 1 999 993, d = 4), or its d
+# coordinates when d > 8.
 MAX_LATTICE_POINTS = 1 << 27
 
 
@@ -117,13 +120,13 @@ class FieldDifference:
         return as_batch_function(self._a, self.d)(P) - as_batch_function(self._b, self.d)(P)
 
     def eval_on_axes(self, axes):
-        a = grid_values(self._a, self.d, axes)
-        b = grid_values(self._b, self.d, axes)
-        if isinstance(self._b, HierCoeffs) and np.result_type(a, b) == b.dtype:
-            # a recovery's grid values are a fresh array: take the difference
-            # in it, with the bits of a - b, and make no third grid
-            return np.subtract(a, b, out=b)
-        return a - b
+        return grid_values(self._a, self.d, axes) - grid_values(self._b, self.d, axes)
+
+    def slabs_on_axes(self, axes):
+        """The values of :meth:`eval_on_axes` as row slabs of axis 0: each
+        source's slab (:func:`_grid_slabs`) less the other's, in turn."""
+        for a, b in zip(_grid_slabs(self._a, self.d, axes), _grid_slabs(self._b, self.d, axes), strict=True):
+            yield a - b
 
 
 def default_resolution(d: int, m: int) -> int:
@@ -135,21 +138,44 @@ def default_resolution(d: int, m: int) -> int:
     return 200_000
 
 
-def _power_mean_norm(values: np.ndarray, q: float) -> float:
-    """``(mean |v|**q)**(1/q)``, or ``max |v|`` at ``q = inf``, with no temporary
-    the size of real ``values``: ``q = 2`` is one dot product, and other ``q``
-    are summed in slabs of ``kernels._SLAB_ENTRIES`` entries."""
-    v = np.ravel(values)
-    if np.iscomplexobj(v):
-        v = np.abs(v)
-    if isinf(q):
-        return float(np.maximum(v.max(), -v.min()))
-    if q == 2:
-        return float(np.sqrt(np.vdot(v, v) / v.size))
-    total, step = 0.0, kernels._SLAB_ENTRIES
-    for lo in range(0, v.size, step):
-        total += float(np.sum(np.abs(v[lo : lo + step]) ** q))
-    return (total / v.size) ** (1.0 / q)
+def _row_slabs(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of ``values`` in row slabs of axis 0, as
+    :func:`sparseqi.kernels.grid_slabs` cuts a grid of the same shape."""
+    rows = kernels._slab_rows(values.shape)
+    return (values[lo : lo + rows] for lo in range(0, len(values), rows))
+
+
+def _grid_slabs(f, d: int, axes: Sequence[LatticeAxis]) -> Iterator[np.ndarray]:
+    """The values of ``f`` on the tensor grid of ``axes`` in row slabs of
+    axis 0: streamed by a source with ``slabs_on_axes`` (a combination or a
+    difference), else views of :func:`grid_values` (a stored lattice reads
+    its own values, with no copy)."""
+    if hasattr(f, "slabs_on_axes"):
+        return f.slabs_on_axes(axes)
+    return _row_slabs(grid_values(f, d, axes))
+
+
+def _power_mean(slabs: Iterable[np.ndarray], q: float) -> float:
+    """``(mean |v|**q)**(1/q)``, or ``max |v|`` at ``q = inf``, over the values
+    of ``slabs``, accumulated one slab at a time in order: no temporary is
+    larger than a slab.  ``ValueError`` when there is no value."""
+    total, size = 0.0, 0
+    for v in slabs:
+        v = np.ravel(v)
+        if np.iscomplexobj(v):
+            v = np.abs(v)
+        if not v.size:
+            continue
+        if isinf(q):
+            total = float(np.maximum(total, np.maximum(v.max(), -v.min())))
+        elif q == 2:
+            total += float(np.vdot(v, v))
+        else:
+            total += float(np.sum(np.abs(v) ** q))
+        size += v.size
+    if not size:
+        raise ValueError("a norm over no points")
+    return total if isinf(q) else (total / size) ** (1.0 / q)
 
 
 def _is_prime(p: int) -> bool:
@@ -235,14 +261,14 @@ def lq_norm(
         raise ValueError(f"need q > 1, got {q}")
     resolution = checked_resolution(d, resolution, min_level)
     if d <= 3:
-        return _power_mean_norm(grid_values(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
+        return _power_mean(_grid_slabs(f, d, [LatticeAxis(0, 1, resolution)] * d), q)
     n = next(p for p in range(resolution, 1, -1) if _is_prime(p))
     # (i * z_j mod n) / n in place, one float64 entry per coordinate: the
     # products stay below n**2, which float64 holds exactly for n < 2**26
     points = np.multiply.outer(np.arange(n, dtype=np.float64), _cbc_generator(n, d))
     np.remainder(points, n, out=points)
     points /= n
-    return _power_mean_norm(as_batch_function(f, d)(points), q)
+    return _power_mean(_row_slabs(as_batch_function(f, d)(points)), q)
 
 
 class LatticeField:
@@ -355,11 +381,11 @@ def lp_block_norm(hc: HierCoeffs, r: float, p: float, *, resolution: int | None 
     resolution = checked_resolution(hc.d, resolution, hc.max_level)
     axes = [LatticeAxis(0, 1, resolution).points()] * hc.d
     table = piece_table(hc.ell)
-    square = 0.0
+    square = np.zeros((resolution,) * hc.d)
     for k, C in hc.block_items():
-        field = kernels.eval_blocks_on_grid(axes, [(k, C)], hc.ell, table)
-        square = square + (4.0 ** (r * sum(k))) * field * field
-    return _power_mean_norm(np.sqrt(square), p)
+        for rows, field in zip(_row_slabs(square), kernels.grid_slabs(axes, [(k, C)], hc.ell, table), strict=True):
+            rows += (4.0 ** (r * sum(k))) * field * field
+    return _power_mean(map(np.sqrt, _row_slabs(square)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ spline's piece table, and both evaluation paths are built on it:
   weights are shared by all blocks: per block, one gather of the ``ell**d``
   coefficients each point meets, then ``d`` contractions, one axis at a time
   (sum factorization);
-* :func:`eval_blocks_on_grid` - a tensor grid, one axis at a time against
-  dense basis matrices (:func:`spline_basis_matrix`), each held from its
-  first use to its last.
+* :func:`grid_slabs` - a tensor grid, in row slabs of axis 0, one axis at
+  a time against dense basis matrices (:func:`spline_basis_matrix`), each
+  held from its first use to its last; :func:`eval_blocks_on_grid`
+  assembles its slabs into the whole grid.
 
 :func:`_contract_axis` is the one separable contraction of spline coefficient
 boxes, for every dimension; trigonometric fixtures fold and transform instead
@@ -22,16 +23,18 @@ against a matrix of shape ``(n_j, L_j)``.  That costs ``n_j`` multiply-adds
 per entry of the current field and scales its size by ``n_j / L_j``;
 exchanging adjacent axes ``i, j`` shows that ``i`` goes first when
 ``1/L_i - 1/n_i < 1/L_j - 1/n_j``, which minimises the total
-(:func:`_axis_order`).  The grid kernel contracts each block along all but
-the last axis of that order (on equal grid axes, its shortest coefficient
-axis) and sums the small partial fields of equal last axis and level; one
-product per axis then takes all of that axis's sums to the grid, so the
-grid-sized passes number at most ``d`` however many blocks there are (the
-unidirectional principle of Bungartz & Griebel, *Sparse grids*, Acta
-Numerica 2004).  That product is added to the output slab by slab, so it
-is never held whole.  Orders and groups depend on the shapes and levels
-alone, so equal inputs always take the same summation order and give
-bit-identical results.
+(:func:`_axis_order`).  The grid kernel plans once: it contracts each block
+along all but the last axis of that order (on equal grid axes, its
+shortest coefficient axis) and sums the small partial fields of equal last
+axis and level.  One product per axis then takes all of that axis's sums to
+the grid, so the grid-sized passes number at most ``d`` however many blocks
+there are (the unidirectional principle of Bungartz & Griebel, *Sparse
+grids*, Acta Numerica 2004).  The grid is emitted in row slabs of axis 0,
+each the sum of those products on its own rows, so no grid-sized array is
+made unless a caller assembles one: the quadrature of
+:mod:`sparseqi.analysis` reads the slabs one at a time.  Orders and groups
+depend on the shapes and levels alone, so equal inputs always take the
+same summation order and give bit-identical results.
 
 An empty combination evaluates to zero on both paths.  The kernels take the
 blocks as given; :class:`sparseqi.quasi_interp.HierCoeffs` collapses its
@@ -44,6 +47,7 @@ one slab of points, sees one block per shorter leading levels, such as
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from math import prod
 
 import numpy as np
@@ -52,18 +56,21 @@ __all__ = [
     "active_backend",
     "spline_basis_matrix",
     "eval_blocks_at_points",
+    "grid_slabs",
     "eval_blocks_on_grid",
 ]
 
 # The one slab size, 2**17 entries (1 MiB of float64), read at call time as
 # ``kernels._SLAB_ENTRIES``, so one patch resizes every slab.  It bounds the
 # index and value buffers of eval_blocks_at_points (points times ``ell**d``:
-# 2048 points at d = 3, ell = 4) and the output slabs of each grid kernel
-# product (_add_contracted); the points per batch call of
-# quasi_interp.grid_values; the widest array per slab of
-# testfuncs.TrigFunction.eval_points_complex and the coefficients per slab
-# of testfuncs._check_conjugate_symmetry; and the partial sums of
-# analysis._power_mean_norm.  quasi_interp._LIFT_ENTRIES, four slabs, is
+# 2048 points at d = 3, ell = 4); the row slabs of axis 0 of a grid
+# (_slab_rows), in which grid_slabs emits the grid kernel's output, analysis
+# reads every quadrature lattice and testfuncs.TrigFunction.eval_on_axes
+# folds its last axis, and the slabs of each grid kernel product
+# (_add_contracted); the points per batch call of quasi_interp.grid_values;
+# the widest array per slab of testfuncs.TrigFunction.eval_points_complex;
+# and the coefficients per slab of testfuncs._check_conjugate_symmetry.
+# quasi_interp._LIFT_ENTRIES, four slabs, is
 # fixed at import, so that a patch changes no bits.
 _SLAB_ENTRIES = 2**17
 
@@ -211,19 +218,30 @@ def _add_contracted(out: np.ndarray, M: np.ndarray, field: np.ndarray, j: int) -
             dst[lo : lo + rows, :, c : c + cols] += np.matmul(M, src[lo : lo + rows, :, c : c + cols])
 
 
-def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
-    """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``.
+def _slab_rows(shape) -> int:
+    """Rows of axis 0 in one output slab of a grid of ``shape``: about
+    ``_SLAB_ENTRIES`` entries, and at least one row."""
+    return max(1, _SLAB_ENTRIES // max(1, prod(shape[1:])))
 
-    Each block contracts every axis but the last of its :func:`_axis_order`,
-    ``j``, into a partial field: grid-long on the other axes and ``L_j``-long
-    on axis ``j``.  One axis ``j`` at a time, the partial fields of the
-    blocks that end on ``j`` are summed per level ``k[j]`` in block order,
-    concatenated along ``j`` in ascending ``k[j]``, and contracted in one
-    product against their spline basis matrices side by side, which is added
-    to the output slab by slab (:func:`_add_contracted`).  The orders come
-    from the matrices' shapes alone, so the uses of each basis matrix are
-    counted before any is built: each is built at its first use and released
-    after its last, and a group of one level takes its matrix as it is.
+
+def grid_slabs(axes, blocks, ell: int, table: np.ndarray) -> Iterator[np.ndarray]:
+    """The block combination on the tensor grid ``axes[0] x ... x axes[d-1]``,
+    as row slabs of axis 0 of :func:`_slab_rows` rows each, in order.
+
+    First the plan, once for all slabs.  Each block contracts every axis but
+    the last of its :func:`_axis_order`, ``j``, into a partial field:
+    grid-long on the other axes and ``L_j``-long on axis ``j``.  One axis
+    ``j`` at a time, the partial fields of the blocks that end on ``j`` are
+    summed per level ``k[j]`` in block order and concatenated along ``j`` in
+    ascending ``k[j]``, beside their spline basis matrices side by side.  The
+    orders come from the matrices' shapes alone, so the uses of each basis
+    matrix are counted before any is built: each is built at its first use
+    and released after its last, and a group of one level takes its matrix
+    as it is.  Then each slab sums the products of those sums with their
+    matrices, axis by axis (:func:`_add_contracted`), on its own rows: the
+    rows of a partial field, or on axis 0 the rows of its matrix.  A product
+    covers the slab's rows alone, and BLAS may round a product of a few rows
+    differently from one of many, so the bits can depend on the slab size.
     """
     shape = tuple(len(a) for a in axes)
     ending: list[list[tuple[tuple[int, ...], np.ndarray, list[int]]]] = [[] for _ in shape]
@@ -247,7 +265,7 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray
             del basis[j, kj]
         return B
 
-    out = np.zeros(shape)
+    sums: list[tuple[int, np.ndarray, np.ndarray]] = []  # (axis, matrices, partial fields)
     for j, group in enumerate(ending):
         partial: dict[int, np.ndarray] = {}
         for k, C, order in group:
@@ -258,9 +276,27 @@ def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray
         if partial:
             levels = sorted(partial)
             if len(levels) == 1:
-                M, field = matrix(j, levels[0]), partial.pop(levels[0])
+                sums.append((j, matrix(j, levels[0]), partial.pop(levels[0])))
             else:
                 M = np.concatenate([matrix(j, kj) for kj in levels], axis=1)
-                field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
-            _add_contracted(out, M, field, j)
+                sums.append((j, M, np.concatenate([partial.pop(kj) for kj in levels], axis=j)))
+    rows = _slab_rows(shape)
+    for lo in range(0, shape[0], rows):
+        slab = np.zeros((min(rows, shape[0] - lo),) + shape[1:])
+        for j, M, field in sums:
+            if j == 0:
+                _add_contracted(slab, M[lo : lo + rows], field, 0)
+            else:
+                _add_contracted(slab, M, field[lo : lo + rows], j)
+        yield slab
+
+
+def eval_blocks_on_grid(axes, blocks, ell: int, table: np.ndarray) -> np.ndarray:
+    """Evaluate a block combination on the tensor grid ``axes[0] x ... x axes[d-1]``:
+    the slabs of :func:`grid_slabs`, assembled."""
+    out = np.empty(tuple(len(a) for a in axes))
+    lo = 0
+    for slab in grid_slabs(axes, blocks, ell, table):
+        out[lo : lo + len(slab)] = slab
+        lo += len(slab)
     return out

@@ -470,8 +470,9 @@ class HierCoeffs:
     place of ``C(max_level + d, d)`` (21 in place of 56 at d = 3, m = 5).
     On a tensor grid the kernel then sums those blocks as small partial
     fields and reaches the grid one axis at a time, with at most ``d``
-    grid-sized products (:func:`sparseqi.kernels.eval_blocks_on_grid`), so
-    one axis is enough there.  The scattered kernel gathers ``ell**d``
+    grid-sized products, emitted in row slabs of axis 0
+    (:func:`sparseqi.kernels.grid_slabs`; :meth:`slabs_on_axes` streams
+    them, :meth:`eval_on_axes` assembles them), so one axis is enough there.  The scattered kernel gathers ``ell**d``
     coefficients per point and block, so :meth:`eval_points` collapses more
     trailing axes when there are many points (:meth:`_scattered_axes`): 6
     blocks at d = 3, m = 5.  Access, serialization and block norms keep the
@@ -589,6 +590,14 @@ class HierCoeffs:
         xs = [a.points() for a in axes]
         return kernels.eval_blocks_on_grid(xs, self._collapsed(), self.ell, piece_table(self.ell))
 
+    def slabs_on_axes(self, axes: Sequence[LatticeAxis]) -> Iterator[np.ndarray]:
+        """The values of :meth:`eval_on_axes`, bit for bit, as row slabs of
+        axis 0 (:func:`sparseqi.kernels.grid_slabs`)."""
+        if len(axes) != self.d:
+            raise ValueError(f"{len(axes)} axes for dimension {self.d}")
+        xs = [a.points() for a in axes]
+        return kernels.grid_slabs(xs, self._collapsed(), self.ell, piece_table(self.ell))
+
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)
         return float(self.eval_points(pt)[0])
@@ -643,16 +652,42 @@ class HierCoeffs:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HierCoeffs":
+        """The combination of a coefficient file's parsed JSON (:meth:`write_json`).
+
+        Raises:
+            ValueError: naming the entry, when its level ``k`` or shift ``s``
+                is not ``d`` non-negative integers, a shift lies beyond its
+                level's ``ell * 2**k_j`` shifts, or ``(k, s)`` repeats an
+                earlier entry; and, from the constructor, for a level above
+                ``m``.
+        """
         d = int(data["d"])
         ell = int(data["ell"])
         m = int(data["m"])
         blocks: dict[tuple[int, ...], np.ndarray] = {}
-        for entry in data["entries"]:
-            k = tuple(int(v) for v in entry["k"])
+        seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        for i, entry in enumerate(data["entries"]):
+            k, s = _entry_index(entry, "k", d, i), _entry_index(entry, "s", d, i)
             if k not in blocks:
                 blocks[k] = np.zeros(tuple(shifts_per_level(ell, kj) for kj in k))
-            blocks[k][tuple(int(v) for v in entry["s"])] = float(entry["c"])
+            if any(sj >= n for sj, n in zip(s, blocks[k].shape)):
+                raise ValueError(f"entry {i} {entry!r}: shift beyond the {blocks[k].shape} shifts of level {k}")
+            if (k, s) in seen:
+                raise ValueError(f"entry {i} {entry!r}: repeats level {k} and shift {s}")
+            seen.add((k, s))
+            blocks[k][s] = float(entry["c"])
         return cls(d, ell, m, blocks, scheme_id=str(data.get("scheme_id", "")))
+
+
+def _entry_index(entry: Mapping, key: str, d: int, i: int) -> tuple[int, ...]:
+    """``entry[key]`` of coefficient entry ``i`` as ``d`` non-negative
+    integers, or a ``ValueError`` naming the entry: a value is not truncated
+    (``1.7``), and a negative one, which numpy would wrap, is refused."""
+    values = entry[key]
+    ints = [int(v) if isinstance(v, (int, float)) and float(v).is_integer() else None for v in values]
+    if len(ints) != d or any(v is None or v < 0 for v in ints):
+        raise ValueError(f"entry {i} {entry!r}: {key!r} must be {d} non-negative integers")
+    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------

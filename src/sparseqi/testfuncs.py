@@ -13,7 +13,10 @@ the box plus ``O(n log n)`` per line, instead of a dense phase matrix of
 residues ``0..n//2`` and takes a real inverse DFT, as each of its lines is
 then a real polynomial, so its values are float from the start; when its
 box is longer than that half spectrum, the last axis is folded first, as
-``irfftn`` orders it, so no full-length complex field is made.  The
+``irfftn`` orders it, so no full-length complex field is made.  Otherwise
+the axes go first to last, and the last one is folded and transformed one
+row slab of axis 0 at a time, into the output, so its folded coefficients
+are never held whole.  The
 witness builders return hierarchical combinations that vanish identically on
 the sample grid they are built against.  The tests check it (the level-``m``
 decomposition of the single bump is exactly zero), and ``witness`` reports
@@ -88,7 +91,10 @@ class TrigFunction:
 
         Each axis is the lattice ``x0 + i/n`` of its :class:`LatticeAxis`.
         Axes are folded and inverse-transformed one at a time, first to last
-        (:func:`_fold_transform`), at a cost of ``O(box + lattice * log(lattice))``.
+        (:func:`_fold_transform`), at a cost of ``O(box + lattice * log(lattice))``;
+        for ``d > 1`` the last axis goes one row slab of axis 0 at a time
+        (``kernels._slab_rows``), each written into the output, with the
+        bits of a single pass.
         A real polynomial whose last axis has more frequencies than that
         axis's half spectrum (``n//2 + 1`` residues) takes the order of
         ``irfftn`` instead: its last axis is folded first, without its
@@ -104,11 +110,20 @@ class TrigFunction:
         early = self.real and len(self.freq_axes[last]) > n // 2 + 1
         if early:
             field = _fold_transform(field, last, self.freq_axes[last], axes[last].x0, n, True, transform=False)
-        for j, a in enumerate(axes[:last] if early else axes):
-            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n, self.real and j == last)
+        for j, a in enumerate(axes[:last]):
+            field = _fold_transform(field, j, self.freq_axes[j], a.x0, a.n, False)
         if early:
-            field = np.fft.irfft(field, n, axis=last, norm="forward")
-        return field
+            return np.fft.irfft(field, n, axis=last, norm="forward")
+        if last == 0:
+            return _fold_transform(field, 0, self.freq_axes[0], axes[0].x0, n, self.real)
+        # the last axis one row slab of axis 0 at a time, into the output
+        shape = tuple(a.n for a in axes)
+        out = np.empty(shape, dtype=np.float64 if self.real else np.complex128)
+        rows = kernels._slab_rows(shape)
+        for lo in range(0, shape[0], rows):
+            out[lo : lo + rows] = _fold_transform(
+                field[lo : lo + rows], last, self.freq_axes[last], axes[last].x0, n, self.real)
+        return out
 
     def eval_points_complex(self, P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))

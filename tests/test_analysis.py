@@ -42,7 +42,7 @@ class TestLqNorm:
         for v in (values, values[2::7], values[: n - n % 12].reshape(-1, 4, 3), (1 - 2j) * values):
             a = np.abs(v)
             old = float(a.max()) if np.isinf(q) else float(np.mean(a**q) ** (1.0 / q))
-            assert analysis._power_mean_norm(v, q) == pytest.approx(old, rel=1e-14, abs=0)
+            assert analysis._power_mean(analysis._row_slabs(v), q) == pytest.approx(old, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, np.inf])
     def test_power_mean_makes_no_value_sized_temporary(self, q):
@@ -51,7 +51,7 @@ class TestLqNorm:
         values = np.random.default_rng(0).standard_normal(1 << 20)
         tracemalloc.start()
         try:
-            analysis._power_mean_norm(values, q)
+            analysis._power_mean(analysis._row_slabs(values), q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,7 +516,7 @@ class TestFieldDifferenceInPlace:
         axes = [LatticeAxis(0, 1, 32)] * d
         expect = field.eval_on_axes(axes) - hc.eval_on_axes(axes)
         assert np.array_equal(FieldDifference(field, hc).eval_on_axes(axes), expect)
-        assert err == analysis._power_mean_norm(expect, 2.0)
+        assert err == analysis._power_mean(analysis._row_slabs(expect), 2.0)
 
     def test_stored_sources_are_never_written(self, cubic):
         hc = recover(cubic, 2, 2, random_mixed_smooth(1.25, 4, 2, seed=0))
@@ -538,6 +538,74 @@ class TestFieldDifferenceInPlace:
         got = FieldDifference(f, hc).eval_on_axes(axes)
         assert got.dtype == np.complex128
         assert np.array_equal(got, f.eval_on_axes(axes) - hc.eval_on_axes(axes))
+
+
+def _whole_power_mean_norm(values, q):
+    """The replaced quadrature reduction, over a whole lattice's values at once."""
+    v = np.ravel(values)
+    if np.iscomplexobj(v):
+        v = np.abs(v)
+    if np.isinf(q):
+        return float(np.maximum(v.max(), -v.min()))
+    if q == 2:
+        return float(np.sqrt(np.vdot(v, v) / v.size))
+    return float(np.sum(np.abs(v) ** q) / v.size) ** (1.0 / q)
+
+
+def _quadrature_sources(cubic, d, N):
+    f = random_mixed_smooth(1.25, 6, d, seed=d)
+    hc = recover(cubic, d, 3, f)
+    wave = TrigFunction(d, {(1,) * d: 1.0 + 2.0j, (0,) * (d - 1) + (-2,): 0.5})
+    return {
+        "combination": hc,
+        "recovery difference": FieldDifference(LatticeField(f, d, N), hc),
+        "trig": f,
+        "batch callable": lambda P: np.cos(2 * np.pi * (P if d == 1 else P @ np.arange(1.0, d + 1))),
+        "complex": wave,
+        "complex difference": FieldDifference(wave, hc),
+    }
+
+
+class TestStreamedQuadrature:
+    """lq_norm reads its source in row slabs of axis 0; the reference is the
+    whole lattice from grid_values, reduced at once.  96 and 1000 points are
+    no multiple of the slab rows at d = 2 or 3, or, with 333-entry slabs, at
+    d = 1."""
+
+    @pytest.mark.parametrize("d, N", [(1, 96), (1, 1000), (2, 96), (2, 1000), (3, 96)])
+    @pytest.mark.parametrize("cap", [None, 333])
+    def test_matches_the_whole_lattice(self, monkeypatch, cubic, d, N, cap):
+        if cap is not None:
+            monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
+        axes = [LatticeAxis(0, 1, N)] * d
+        for name, source in _quadrature_sources(cubic, d, N).items():
+            whole = grid_values(source, d, axes)
+            for q in (2.0, 3.0, np.inf):
+                expect = _whole_power_mean_norm(whole, q)
+                assert lq_norm(source, q, d, N) == pytest.approx(expect, rel=1e-12, abs=0), (name, q)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slabs_assemble_to_the_whole_grid(self, monkeypatch, cubic, d):
+        # bit for bit, in uneven slabs
+        monkeypatch.setattr(kernels, "_SLAB_ENTRIES", 333)
+        axes = [LatticeAxis(0, 1, 40)] * d
+        for source in _quadrature_sources(cubic, d, 40).values():
+            if hasattr(source, "slabs_on_axes"):
+                slabs = list(source.slabs_on_axes(axes))
+                assert [len(v) for v in slabs[:-1]] == [kernels._slab_rows((40,) * d)] * (len(slabs) - 1)
+                assert np.array_equal(np.concatenate(slabs), source.eval_on_axes(axes))
+
+    def test_no_points_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no points"):
+            lq_norm(lambda x: x, 2.0, 1, 0)
+
+    def test_recovery_error_peak_at_rate_d3_top(self, cubic):
+        # rate-d3's top level, m = 5 on 128**3: the kernel's plan and a few
+        # slabs beside the stored field, 8.8 MiB; the whole grid kernel's
+        # output beside it peaked at 20.0 MiB
+        field = sweep_field(random_mixed_smooth(1.25, 16, 3, seed=1), 3, 5)
+        hc = recover(cubic, 3, 5, field)
+        assert traced_peak(lambda: recovery_error(field, hc, 2.0)) <= 10 << 20
 
 
 def _float_lattice(x):

@@ -353,6 +353,37 @@ def test_grid_matches_cached_basis_kernel_bitwise(d, m, ell):
                                   _grid_kernel_cached(axes, [block], ell, table))
 
 
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("cap", [1, 7, 24 * 9 - 1, 24 * 24 * 5])
+def test_grid_slabs_are_row_slabs_of_the_grid(d, m, cap, monkeypatch):
+    # uneven row slabs of axis 0, single rows, and slabs of a few rows; the
+    # assembly is the slabs' bits, and the cached kernel agrees to rounding,
+    # as BLAS may take other paths for products of other shapes
+    monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
+    hc = _random_combination(d, 4, m, seed=60 + d)
+    table = piece_table(4)
+    for axes in (_grid_axes(d), [np.arange(24) / 24] * d):
+        blocks = hc._collapsed()
+        expect = _grid_kernel_cached(axes, blocks, 4, table)
+        slabs = list(kernels.grid_slabs(axes, blocks, 4, table))
+        rows = kernels._slab_rows(expect.shape)
+        assert [len(v) for v in slabs] == [min(rows, len(axes[0]) - lo) for lo in range(0, len(axes[0]), rows)]
+        got = kernels.eval_blocks_on_grid(axes, blocks, 4, table)
+        assert np.array_equal(np.concatenate(slabs), got)
+        total = sum(np.abs(C).sum() for _, C in blocks)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * total
+
+
+def test_grid_matches_cached_basis_kernel_bitwise_at_rate_d3_top():
+    # rate-d3's top level, cubic at d = 3, m = 5, on 128**3: 16 slabs of 8
+    # rows, whose products have the cached kernel's shapes
+    hc = _random_combination(3, 4, 5, seed=53)
+    axes, blocks = [np.arange(128) / 128] * 3, hc._collapsed()
+    assert kernels._slab_rows((128,) * 3) == 8
+    got = kernels.eval_blocks_on_grid(axes, blocks, 4, piece_table(4))
+    assert np.array_equal(got, _grid_kernel_cached(axes, blocks, 4, piece_table(4)))
+
+
 def _rate_d2_top():
     # the block shapes of the rate-d2 sweep's top level, cubic at d = 2, m = 7
     return _random_combination(2, 4, 7, seed=72)
@@ -639,8 +670,11 @@ def test_one_patch_resizes_every_slab(monkeypatch):
     rng = np.random.default_rng(0)
     f = random_mixed_smooth(1.25, 128, 2, seed=1)
     values, table = rng.standard_normal(1 << 18), piece_table(4)
+    trig = random_mixed_smooth(1.25, 3, 3, seed=2)
+    field = analysis.LatticeField(trig, 3, 64)
+    hc = _random_combination(3, 4, 4, seed=3)
     users = {
-        "power mean": lambda: analysis._power_mean_norm(values, 3.0),
+        "power mean": lambda: analysis._power_mean(analysis._row_slabs(values), 3.0),
         "symmetry check": lambda: testfuncs._check_conjugate_symmetry(f.freq_axes, f.C),
         "trig points": lambda: f.eval_points_complex(rng.random((1024, 2))),
         "grid adapter": lambda: grid_values(np.cos, 1, [LatticeAxis(0, 1, 1 << 18)]),
@@ -648,6 +682,8 @@ def test_one_patch_resizes_every_slab(monkeypatch):
             rng.random((2048, 3)), [((3, 3, 3), rng.standard_normal((32,) * 3))], table),
         "grid kernel": lambda: kernels.eval_blocks_on_grid(
             [np.arange(512) / 512] * 2, [((3, 3), rng.standard_normal((32, 32)))], 4, table),
+        "trig last axis": lambda: trig.eval_on_axes([LatticeAxis(0, 1, 64)] * 3),
+        "streamed quadrature": lambda: analysis.recovery_error(field, hc, 2.0),
     }
 
     default = {name: traced_peak(run) for name, run in users.items()}

@@ -1006,6 +1006,40 @@ class TestHierCoeffs:
         pts = rng_points(50, 2)
         assert np.array_equal(hc.eval_points(pts), back.eval_points(pts))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("s", [-1, 0], "'s' must be 2 non-negative integers"),  # numpy wrapped it to the last shift
+        ("s", [1.7, 0], "'s' must be 2 non-negative integers"),  # int() truncated it to 1
+        ("k", [1.7, 0], "'k' must be 2 non-negative integers"),
+        ("k", [-1, 1], "'k' must be 2 non-negative integers"),
+        ("s", [0], "'s' must be 2 non-negative integers"),  # numpy set a whole row
+        ("s", [0, 16], "shift beyond the \\(4, 16\\) shifts of level \\(0, 2\\)"),
+    ])
+    def test_from_json_names_a_bad_entry(self, key, value, message):
+        data = self._json_of_one_block()
+        data["entries"][1][key] = value
+        with pytest.raises(ValueError, match=f"entry 1 .*{message}"):
+            HierCoeffs.from_json(data)
+
+    def test_from_json_names_a_repeated_entry(self):
+        # the last of two equal (k, s) entries won
+        data = self._json_of_one_block()
+        data["entries"].append(dict(data["entries"][0], c=5.0))
+        with pytest.raises(ValueError, match=r"entry 3 .*repeats level \(0, 2\) and shift \(0, 1\)"):
+            HierCoeffs.from_json(data)
+
+    def test_from_json_takes_integral_floats(self):
+        data = self._json_of_one_block()
+        data["entries"][1]["s"] = [0.0, 3.0]
+        assert list(HierCoeffs.from_json(data).items())[1] == ((0, 2), (0, 3), 2.0)
+
+    @staticmethod
+    def _json_of_one_block():
+        C = np.zeros((4, 16))
+        C[0, 1], C[0, 3], C[2, 5] = 1.0, 2.0, 3.0
+        data = HierCoeffs(2, 4, 2, {(0, 2): C}).to_json()
+        assert HierCoeffs.from_json(data).to_json() == data
+        return data
+
     def test_items_match_full_scan(self):
         # nonzero entries in row-major order, -0.0 skipped and NaN kept, as a
         # scan over every shift gives them

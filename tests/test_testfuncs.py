@@ -471,6 +471,27 @@ class TestFoldOrder:
                         assert np.array_equal(*self.assert_matches_first_to_last(f, axes))
                     assert np.array_equal(*self.assert_matches_first_to_last(g, axes))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cap", [1, 100, 2**17])
+    def test_last_axis_in_row_slabs_is_bitwise(self, monkeypatch, d, cap):
+        # the last axis folds and transforms one row slab of axis 0 at a
+        # time: single rows, uneven slabs and one slab give the same bits
+        monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
+        f = random_mixed_smooth(1.25, 5, d, seed=70 + d)
+        for g in (f, TrigFunction.from_box(f.freq_axes, f.C), _bernoulli(1.5, 4, d)):
+            for axes in ([LatticeAxis(0, 1, 30)] * d, [LatticeAxis(1, 3, 13)] * (d - 1) + [LatticeAxis(0, 1, 40)]):
+                assert np.array_equal(*self.assert_matches_first_to_last(g, axes))
+
+    def test_rate_d3_fixture_peak(self):
+        # rate-d3's fixture on its 128**3 lattice, in the first-to-last
+        # order: the (128, 128, 33) complex field before the last axis, the
+        # 16 MiB output and a slab, 26.4 MiB; folding the last axis whole
+        # held its (128, 128, 65) complex half spectrum too, 40.6 MiB
+        f = random_mixed_smooth(1.25, 16, 3, seed=3)
+        axes = [LatticeAxis(0, 1, 128)] * 3
+        assert traced_peak(lambda: f.eval_on_axes(axes)) <= 28 << 20
+        assert np.array_equal(f.eval_on_axes(axes), _fold_first_to_last(f, axes))
+
     def test_headline_fixture_peak(self):
         # rate-d2's fixture on its top lattice: every intermediate is
         # half-spectrum long on the last axis, so the peak is about two
