@@ -472,8 +472,9 @@ class HierCoeffs:
     fields and reaches the grid one axis at a time, with at most ``d``
     grid-sized products, emitted in row slabs of axis 0
     (:func:`sparseqi.kernels.grid_slabs`; :meth:`slabs_on_axes` streams
-    them, :meth:`eval_on_axes` assembles them), so one axis is enough there.  The scattered kernel gathers ``ell**d``
-    coefficients per point and block, so :meth:`eval_points` collapses more
+    them, :meth:`eval_on_axes` assembles them), so one axis is enough
+    there.  The scattered kernel gathers ``ell**d`` coefficients per point
+    and block, so :meth:`eval_points` collapses more
     trailing axes when there are many points (:meth:`_scattered_axes`): 6
     blocks at d = 3, m = 5.  Access, serialization and block norms keep the
     stored per-block form.
@@ -585,18 +586,18 @@ class HierCoeffs:
         return kernels.eval_blocks_at_points(points, blocks, piece_table(self.ell))
 
     def eval_on_axes(self, axes: Sequence[LatticeAxis]) -> np.ndarray:
-        if len(axes) != self.d:
-            raise ValueError(f"{len(axes)} axes for dimension {self.d}")
-        xs = [a.points() for a in axes]
-        return kernels.eval_blocks_on_grid(xs, self._collapsed(), self.ell, piece_table(self.ell))
+        return kernels.eval_blocks_on_grid(*self._grid_args(axes))
 
     def slabs_on_axes(self, axes: Sequence[LatticeAxis]) -> Iterator[np.ndarray]:
         """The values of :meth:`eval_on_axes`, bit for bit, as row slabs of
         axis 0 (:func:`sparseqi.kernels.grid_slabs`)."""
+        return kernels.grid_slabs(*self._grid_args(axes))
+
+    def _grid_args(self, axes: Sequence[LatticeAxis]) -> tuple:
+        """The grid kernel's arguments for the tensor grid of ``axes``."""
         if len(axes) != self.d:
             raise ValueError(f"{len(axes)} axes for dimension {self.d}")
-        xs = [a.points() for a in axes]
-        return kernels.grid_slabs(xs, self._collapsed(), self.ell, piece_table(self.ell))
+        return [a.points() for a in axes], self._collapsed(), self.ell, piece_table(self.ell)
 
     def __call__(self, x) -> float:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, self.d)
@@ -670,12 +671,13 @@ class HierCoeffs:
             k, s = _entry_index(entry, "k", d, i), _entry_index(entry, "s", d, i)
             if k not in blocks:
                 blocks[k] = np.zeros(tuple(shifts_per_level(ell, kj) for kj in k))
-            if any(sj >= n for sj, n in zip(s, blocks[k].shape)):
-                raise ValueError(f"entry {i} {entry!r}: shift beyond the {blocks[k].shape} shifts of level {k}")
             if (k, s) in seen:
                 raise ValueError(f"entry {i} {entry!r}: repeats level {k} and shift {s}")
             seen.add((k, s))
-            blocks[k][s] = float(entry["c"])
+            try:
+                blocks[k][s] = float(entry["c"])
+            except IndexError:
+                raise ValueError(f"entry {i} {entry!r}: shift beyond the {blocks[k].shape} shifts of level {k}") from None
         return cls(d, ell, m, blocks, scheme_id=str(data.get("scheme_id", "")))
 
 
@@ -683,11 +685,14 @@ def _entry_index(entry: Mapping, key: str, d: int, i: int) -> tuple[int, ...]:
     """``entry[key]`` of coefficient entry ``i`` as ``d`` non-negative
     integers, or a ``ValueError`` naming the entry: a value is not truncated
     (``1.7``), and a negative one, which numpy would wrap, is refused."""
-    values = entry[key]
-    ints = [int(v) if isinstance(v, (int, float)) and float(v).is_integer() else None for v in values]
-    if len(ints) != d or any(v is None or v < 0 for v in ints):
+    try:
+        values = tuple(entry[key])
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        values, ints = None, ()
+    if len(ints) != d or ints != values or min(ints, default=0) < 0:
         raise ValueError(f"entry {i} {entry!r}: {key!r} must be {d} non-negative integers")
-    return tuple(ints)
+    return ints
 
 
 # ---------------------------------------------------------------------------

@@ -1012,6 +1012,8 @@ class TestHierCoeffs:
         ("k", [1.7, 0], "'k' must be 2 non-negative integers"),
         ("k", [-1, 1], "'k' must be 2 non-negative integers"),
         ("s", [0], "'s' must be 2 non-negative integers"),  # numpy set a whole row
+        ("s", 3, "'s' must be 2 non-negative integers"),
+        ("s", ["0", "1"], "'s' must be 2 non-negative integers"),
         ("s", [0, 16], "shift beyond the \\(4, 16\\) shifts of level \\(0, 2\\)"),
     ])
     def test_from_json_names_a_bad_entry(self, key, value, message):
