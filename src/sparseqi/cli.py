@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,23 +144,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_number_csv(path: Path, header: list[str], columns) -> None:
-    """What :func:`_write_csv` writes for the table whose columns are the
-    equal-length 1-D arrays ``columns``: float and int cells as their
-    ``repr``, the cells of an object array of strings as they are.
+def _write_number_csv(path: Path, header: list[str], tables) -> None:
+    """What :func:`_write_csv` writes for the rows of the tables ``tables``,
+    one table after another; a table is a list of equal-length 1-D arrays,
+    its columns, one per name of ``header``.  Float and int cells are
+    written as their ``repr``, the cells of an object array of strings as
+    they are.
 
     Number cells and plain column names need no quoting, so the lines are
     joined directly, with the ``\\r\\n`` terminator of ``csv.writer``.  They
     are formatted and written in slabs of about ``kernels._SLAB_ENTRIES // 16``
-    cells, so the text held at once does not grow with the table.
+    cells, so the text held at once does not grow with a table.
     """
-    step = max(1, kernels._SLAB_ENTRIES // (16 * len(columns)))
+    step = max(1, kernels._SLAB_ENTRIES // (16 * len(header)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), step):
-            # str is repr for floats and ints, and a string itself
-            cells = [map(str, col[start : start + step].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for columns in tables:
+            for start in range(0, len(columns[0]), step):
+                # str is repr for floats and ints, and a string itself
+                cells = [map(str, col[start : start + step].tolist()) for col in columns]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,7 @@ def cmd_grid(args) -> int:
         header = [f"x_{j + 1}" for j in range(args.d)] + [f"k_{j + 1}" for j in range(args.d)]
         coords = np.array(list(map(repr, (np.arange(L) / L).tolist())), dtype=object)
         path = out / "grid.csv"
-        _write_number_csv(path, header, [coords[i] for i in grid.index.T] + [levels[k] for k in grid.provenance.T])
+        _write_number_csv(path, header, [[coords[i] for i in grid.index.T] + [levels[k] for k in grid.provenance.T]])
     else:
         coords = np.empty(L, dtype=object)
         for i in np.array_split(np.arange(L), -(-L // kernels._SLAB_ENTRIES)):
@@ -300,7 +304,6 @@ def cmd_recover(args) -> int:
         analysis.check_size(n**d, f"an evaluation grid of {n}**{d} = {n**d} points")
         _check_basis(n, m, scheme.ell)
         axes = [LatticeAxis(0, 1, n)] * d
-        pts = np.stack(np.meshgrid(*(a.points() for a in axes), indexing="ij"), axis=-1).reshape(-1, d)
     f = None
     if args.samples:
         hc = decompose(scheme, _read_samples(args.samples, d, m, scheme.ell))
@@ -322,13 +325,26 @@ def cmd_recover(args) -> int:
     with open(out / "coeffs.json", "w") as fh:
         hc.write_json(fh)
 
-    # a lattice goes to the grid kernel; its 'ij' rows are the C order of the values
-    values = hc.eval_points(pts) if axes is None else hc.eval_on_axes(axes).ravel()
     header = [f"x_{j + 1}" for j in range(d)] + ["value"]
-    _write_number_csv(out / "recovered.csv", header, [*pts.T, values])
+    tables = [[*pts.T, hc.eval_points(pts)]] if axes is None else _lattice_tables(hc, axes)
+    _write_number_csv(out / "recovered.csv", header, tables)
     _write_json(out / "recover_report.json", report)
     print(f"wrote {out / 'coeffs.json'}, {out / 'recovered.csv'}")
     return EXIT_OK
+
+
+def _lattice_tables(hc: HierCoeffs, axes: list[LatticeAxis]) -> Iterator[list[np.ndarray]]:
+    """The rows of ``hc`` on the lattice of ``axes``, in C order: one table
+    per row slab of axis 0 (:meth:`HierCoeffs.slabs_on_axes`), its point
+    coordinates beside its values.  Each coordinate is formatted once and
+    indexed by the slab's ``np.indices``."""
+    coords = [np.array(list(map(repr, a.points().tolist())), dtype=object) for a in axes]
+    lo = 0
+    for slab in hc.slabs_on_axes(axes):
+        index = np.indices(slab.shape).reshape(len(axes), -1)
+        index[0] += lo
+        lo += len(slab)
+        yield [c[i] for c, i in zip(coords, index)] + [slab.ravel()]
 
 
 # ---------------------------------------------------------------------------

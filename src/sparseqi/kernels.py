@@ -65,11 +65,10 @@ __all__ = [
 # index and value buffers of eval_blocks_at_points (points times ``ell**d``:
 # 2048 points at d = 3, ell = 4); the row slabs of axis 0 of a grid
 # (_slab_rows), in which grid_slabs emits the grid kernel's output, analysis
-# reads every quadrature lattice and testfuncs.TrigFunction.eval_on_axes
-# folds its last axis, and the slabs of each grid kernel product
-# (_add_contracted); the points per batch call of quasi_interp.grid_values;
-# the widest array per slab of testfuncs.TrigFunction.eval_points_complex;
-# and the coefficients per slab of testfuncs._check_conjugate_symmetry.
+# reads every quadrature lattice, testfuncs.TrigFunction.eval_on_axes folds
+# its last axis and testfuncs._check_conjugate_symmetry compares its
+# coefficients; the points per batch call of quasi_interp.grid_values; and
+# the widest array per slab of testfuncs.TrigFunction.eval_points_complex.
 # quasi_interp._LIFT_ENTRIES, four slabs, is
 # fixed at import, so that a patch changes no bits.
 _SLAB_ENTRIES = 2**17
@@ -195,29 +194,6 @@ def _contract_axis(M: np.ndarray, field: np.ndarray, j: int) -> np.ndarray:
     return out.reshape(shape[:j] + (n,) + shape[j + 1 :])
 
 
-def _add_contracted(out: np.ndarray, M: np.ndarray, field: np.ndarray, j: int) -> None:
-    """``out += _contract_axis(M, field, j)`` in slabs of at most
-    ``_SLAB_ENTRIES`` entries of ``out`` (or one line of axis ``j``, when
-    longer), so no grid-sized product is made.  A slab is a run of whole
-    rows of the axes before ``j`` or, when one such row is larger than a
-    slab, a run of columns of the axes after ``j`` within a row."""
-    if out.size == 0:
-        return
-    n, L = M.shape
-    pre, post = prod(out.shape[:j]), prod(out.shape[j + 1 :])
-    cols = min(post, max(1, _SLAB_ENTRIES // n))
-    rows = max(1, _SLAB_ENTRIES // (n * cols))
-    if post == 1:  # the last axis: rows of the field times M.T
-        dst, src = out.reshape(pre, n), field.reshape(pre, L)
-        for lo in range(0, pre, rows):
-            dst[lo : lo + rows] += src[lo : lo + rows] @ M.T
-        return
-    dst, src = out.reshape(pre, n, post), field.reshape(pre, L, post)
-    for lo in range(0, pre, rows):
-        for c in range(0, post, cols):
-            dst[lo : lo + rows, :, c : c + cols] += np.matmul(M, src[lo : lo + rows, :, c : c + cols])
-
-
 def _slab_rows(shape) -> int:
     """Rows of axis 0 in one output slab of a grid of ``shape``: about
     ``_SLAB_ENTRIES`` entries, and at least one row."""
@@ -238,10 +214,11 @@ def grid_slabs(axes, blocks, ell: int, table: np.ndarray) -> Iterator[np.ndarray
     matrix are counted before any is built: each is built at its first use
     and released after its last, and a group of one level takes its matrix
     as it is.  Then each slab sums the products of those sums with their
-    matrices, axis by axis (:func:`_add_contracted`), on its own rows: the
-    rows of a partial field, or on axis 0 the rows of its matrix.  A product
-    covers the slab's rows alone, and BLAS may round a product of a few rows
-    differently from one of many, so the bits can depend on the slab size.
+    matrices, axis by axis, each one :func:`_contract_axis` on the slab's
+    own rows: the rows of a partial field, or on axis 0 the rows of its
+    matrix.  A product is thus exactly one output slab, so no grid-sized
+    product is made; BLAS may round a product of a few rows differently
+    from one of many, so the bits can depend on the slab size.
     """
     shape = tuple(len(a) for a in axes)
     ending: list[list[tuple[tuple[int, ...], np.ndarray, list[int]]]] = [[] for _ in shape]
@@ -285,9 +262,9 @@ def grid_slabs(axes, blocks, ell: int, table: np.ndarray) -> Iterator[np.ndarray
         slab = np.zeros((min(rows, shape[0] - lo),) + shape[1:])
         for j, M, field in sums:
             if j == 0:
-                _add_contracted(slab, M[lo : lo + rows], field, 0)
+                slab += _contract_axis(M[lo : lo + rows], field, 0)
             else:
-                _add_contracted(slab, M, field[lo : lo + rows], j)
+                slab += _contract_axis(M, field[lo : lo + rows], j)
         yield slab
 
 

@@ -189,8 +189,9 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
     Each axis is first extended to its symmetric closure, so reversing every
     axis of the coefficient array maps ``s`` to ``-s``; when every axis is
     its own closure, ``C`` is tested as it is, without a copy.  The rows of
-    the first axis are compared in slabs of about ``kernels._SLAB_ENTRIES``
-    entries, in order, so the first mode reported is the first that fails.
+    the first axis are compared in row slabs of about
+    ``kernels._SLAB_ENTRIES`` entries (``kernels._slab_rows``), in order, so
+    the first mode reported is the first that fails.
     """
     closed = [np.union1d(a, -a) for a in freq_axes]
     if all(len(c) == len(a) for c, a in zip(closed, freq_axes)):
@@ -199,7 +200,7 @@ def _check_conjugate_symmetry(freq_axes: Sequence[np.ndarray], C: np.ndarray) ->
         full = np.zeros(tuple(len(c) for c in closed), dtype=np.complex128)
         full[np.ix_(*(np.searchsorted(c, a) for c, a in zip(closed, freq_axes)))] = C
     mirror = full[(slice(None, None, -1),) * len(closed)]
-    rows = max(1, kernels._SLAB_ENTRIES * full.shape[0] // full.size)
+    rows = kernels._slab_rows(full.shape)
     for lo in range(0, full.shape[0], rows):
         slab = full[lo : lo + rows]
         # At a zero coefficient this tests |c(-s)| > 1e-12, which is the

@@ -71,6 +71,30 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED)
 
 
+def test_every_private_helper_has_a_caller():
+    # a private function or method (a _name, not a dunder), nested ones
+    # included, needs a Name or Attribute use in src/ outside its own
+    # definition; tests do not count, so a helper that loses its last caller
+    # in the package goes with it
+    package = Path(sparseqi.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    helpers, uncalled = 0, []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_") or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            helpers += 1
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (at == path and line in own) for at, line, name in uses):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert helpers > 0
+    assert uncalled == []
+
+
 def _readme_dotted_names() -> list[str]:
     """Dotted names in README code spans that start with a ``sparseqi``
     module, the package itself or a package-level name."""

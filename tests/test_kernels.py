@@ -5,6 +5,7 @@ import pytest
 
 from sparseqi import analysis, kernels, quasi_interp, testfuncs
 from sparseqi.bspline import piece_table
+from sparseqi.cli import main
 from sparseqi.quasi_interp import HierCoeffs, LatticeAxis, grid_values, multi_indices
 from sparseqi.smolyak import enumerate_grid, recover
 from sparseqi.testfuncs import random_mixed_smooth, witness_g1, witness_g2
@@ -310,8 +311,10 @@ def test_grid_matches_replaced_kernel(d, m, ell):
 
 
 def _grid_kernel_cached(axes, blocks, ell, table):
-    """The grid kernel that kept every basis matrix for the whole call and
-    concatenated each ending axis's matrices, one level or more."""
+    """The grid kernel before slabs, which kept every basis matrix for the
+    whole call and concatenated each ending axis's matrices, one level or
+    more: each ending axis's sums go to the grid in one product, which is
+    then added to the output."""
     shape = tuple(len(a) for a in axes)
     basis = {}
     ending = [[] for _ in shape]
@@ -333,7 +336,7 @@ def _grid_kernel_cached(axes, blocks, ell, table):
             levels = sorted(partial)
             M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
             field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
-            kernels._add_contracted(out, M, field, j)
+            out += kernels._contract_axis(M, field, j)
     return out
 
 
@@ -382,6 +385,20 @@ def test_grid_matches_cached_basis_kernel_bitwise_at_rate_d3_top():
     assert kernels._slab_rows((128,) * 3) == 8
     got = kernels.eval_blocks_on_grid(axes, blocks, 4, piece_table(4))
     assert np.array_equal(got, _grid_kernel_cached(axes, blocks, 4, piece_table(4)))
+
+
+def test_grid_product_of_one_row_larger_than_a_slab(monkeypatch):
+    # a d = 3 lattice whose rows of axis 0 (48**2 entries) exceed the slab
+    # (1024): each slab is one row, and each product one row of the grid,
+    # on every axis, with one level and with two concatenated
+    monkeypatch.setattr(kernels, "_SLAB_ENTRIES", 1024)
+    hc = _random_combination(3, 4, 5, seed=75)
+    axes, blocks = [np.arange(48) / 48] * 3, hc._collapsed()
+    assert kernels._slab_rows((48,) * 3) == 1
+    assert _grid_groups(axes, blocks) == {(j, kj) for j in range(3) for kj in (0, 1)}
+    expect = _grid_kernel_cached(axes, blocks, 4, piece_table(4))
+    got = kernels.eval_blocks_on_grid(axes, blocks, 4, piece_table(4))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.abs(expect).max()
 
 
 def _rate_d2_top():
@@ -443,53 +460,6 @@ def test_grid_kernel_empty_axis(d):
         assert got.shape == (16,) * j + (0,) + (16,) * (d - j - 1)
 
 
-def _grid_kernel_one_product(axes, blocks, ell, table):
-    """The grid kernel before slabs: each ending axis's sums go to the grid
-    in one product, which is then added to the output."""
-    shape = tuple(len(a) for a in axes)
-    basis = {}
-    ending = [[] for _ in shape]
-    for k, C in blocks:
-        for j, kj in enumerate(k):
-            if (j, kj) not in basis:
-                basis[j, kj] = kernels.spline_basis_matrix(axes[j], kj, ell, table)
-        *order, last = kernels._axis_order([basis[j, kj].shape for j, kj in enumerate(k)])
-        ending[last].append((k, C, order))
-    out = np.zeros(shape)
-    for j, group in enumerate(ending):
-        partial = {}
-        for k, C, order in group:
-            field = C
-            for i in order:
-                field = kernels._contract_axis(basis[i, k[i]], field, i)
-            partial[k[j]] = field if k[j] not in partial else partial[k[j]] + field
-        if partial:
-            levels = sorted(partial)
-            M = np.concatenate([basis[j, kj] for kj in levels], axis=1)
-            field = np.concatenate([partial.pop(kj) for kj in levels], axis=j)
-            out += kernels._contract_axis(M, field, j)
-    return out
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_add_contracted_matches_one_product(d, monkeypatch):
-    # slabs of whole rows before axis j, column runs within a row when one
-    # row exceeds the slab (at j = 0 a single row, pre == 1), remainders at
-    # both, and empty axes
-    rng = np.random.default_rng(30 + d)
-    for j in range(d):
-        for shape, L in (((5, 7, 6)[:d], 4), ((9, 1, 11)[:d], 3), ((4, 0, 3)[:d], 2)):
-            M = rng.standard_normal((shape[j], L))
-            field = rng.standard_normal(shape[:j] + (L,) + shape[j + 1 :])
-            base = rng.standard_normal(shape)
-            expect = base + kernels._contract_axis(M, field, j)
-            for cap in (1, 5, 13, 2 * shape[j] + 1, 10**6):
-                monkeypatch.setattr(kernels, "_SLAB_ENTRIES", cap)
-                out = base.copy()
-                kernels._add_contracted(out, M, field, j)
-                assert np.max(np.abs(out - expect), initial=0.0) <= 1e-13 * (np.abs(expect).max(initial=0.0) + L)
-
-
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 3)])
 @pytest.mark.parametrize("cap", [7, 64, 1000, 2**17])
 def test_slab_grid_kernel_matches_one_product(d, m, cap, monkeypatch):
@@ -499,16 +469,16 @@ def test_slab_grid_kernel_matches_one_product(d, m, cap, monkeypatch):
     blocks = hc._collapsed()
     total = sum(np.abs(C).sum() for _, C in blocks)
     for axes in ([np.arange(24) / 24] * d, _grid_axes(d)):
-        # on equal axes some blocks end on axis 0, where the slabs are column runs
+        # on equal axes some blocks end on axis 0, whose products take the slab's rows of the matrix
         got = kernels.eval_blocks_on_grid(axes, blocks, 4, table)
-        expect = _grid_kernel_one_product(axes, blocks, 4, table)
+        expect = _grid_kernel_cached(axes, blocks, 4, table)
         assert got.shape == expect.shape
         assert np.max(np.abs(got - expect)) <= 1e-13 * total
     for j in range(d):
         axes = [np.arange(16) / 16] * d
         axes[j] = np.array([])
         got = kernels.eval_blocks_on_grid(axes, blocks, 4, table)
-        assert got.shape == _grid_kernel_one_product(axes, blocks, 4, table).shape
+        assert got.shape == _grid_kernel_cached(axes, blocks, 4, table).shape
 
 
 def test_contraction_order_is_cheapest():
@@ -663,7 +633,7 @@ def test_witnesses_evaluate_bitwise_as_per_block(faber, cubic, d):
         assert np.array_equal(_on_grid(w, axes), grid)
 
 
-def test_one_patch_resizes_every_slab(monkeypatch):
+def test_one_patch_resizes_every_slab(monkeypatch, tmp_path):
     # every bounded temporary reads kernels._SLAB_ENTRIES when it runs: at
     # 256 entries each user's traced peak falls by at least half a default
     # slab of float64
@@ -684,6 +654,9 @@ def test_one_patch_resizes_every_slab(monkeypatch):
             [np.arange(512) / 512] * 2, [((3, 3), rng.standard_normal((32, 32)))], 4, table),
         "trig last axis": lambda: trig.eval_on_axes([LatticeAxis(0, 1, 64)] * 3),
         "streamed quadrature": lambda: analysis.recovery_error(field, hc, 2.0),
+        # the lattice written slab by slab; n = 40 keeps the two traced runs short
+        "evaluation lattice": lambda: main(["recover", "--builtin", "cubic", "--d", "3", "--m", "4", "--function",
+                                            "sine", "--eval-grid", "40", "--out", str(tmp_path)]),
     }
 
     default = {name: traced_peak(run) for name, run in users.items()}
